@@ -35,7 +35,6 @@ from repro.cuart.hashtable import make_conflict_table
 from repro.cuart.layout import CuartLayout
 from repro.cuart.lookup import lookup_batch
 from repro.cuart.update import hashtable_stat_recorder, write_path_counters
-from repro.gpusim.streams import launch_kernel
 from repro.gpusim.transactions import TransactionLog
 from repro.obs.metrics import MetricsRegistry
 from repro.util.packing import link_indices, link_types
@@ -64,7 +63,6 @@ def delete_batch(
     log: TransactionLog | None = None,
     table=None,
     metrics: MetricsRegistry | None = None,
-    injector=None,
 ) -> DeleteResult:
     """Delete a batch of keys on the device.
 
@@ -72,15 +70,13 @@ def delete_batch(
     the same atomic-max hash table the update engine uses, so each leaf
     is cleared and unlinked exactly once.  Callers issuing many batches
     can pass a ``table`` to reuse (it is reset here) and skip the
-    per-batch allocation.
+    per-batch allocation.  The caller gates the launch (the engine's write
+    launch fires the fault hooks before the inner lookup and any clearing
+    store, so an aborted batch left every leaf and parent link
+    untouched).
     """
     layout.check_fresh()
     B = keys_mat.shape[0]
-    # fault hooks fire before the inner lookup and any clearing store, so
-    # an aborted delete batch left every leaf and parent link untouched
-    launch_kernel("delete", B, injector=injector)
-    if injector is not None:
-        injector.on_hashtable("delete", B)
     if log is None:
         log = TransactionLog()
 

@@ -35,7 +35,6 @@ from repro.cuart.hashtable import make_conflict_table
 from repro.cuart.layout import CuartLayout
 from repro.cuart.lookup import lookup_batch
 from repro.errors import SimulationError
-from repro.gpusim.streams import launch_kernel
 from repro.gpusim.transactions import TransactionLog
 from repro.obs.metrics import OCCUPANCY_BUCKETS, MetricsRegistry
 from repro.util.packing import link_indices, link_types
@@ -137,13 +136,11 @@ class UpdateEngine:
         hash_slots: int = DEFAULT_UPDATE_HASH_SLOTS,
         hash_table: str = "bucketed",
         metrics: MetricsRegistry | None = None,
-        injector=None,
     ) -> None:
         self.layout = layout
         self.root_table = root_table
         self.hash_slots = hash_slots
         self.hash_table = hash_table
-        self.injector = injector
         # the conflict table is reused (reset) across batches — the real
         # kernel allocates it once and memsets between launches, and a
         # fresh multi-MiB allocation per batch dominates small batches
@@ -156,6 +153,15 @@ class UpdateEngine:
         self._m_writes = self.metrics.counter(
             "leaf_value_writes_total", "leaf value words written on device"
         )
+
+    def conflict_table(self):
+        """The reusable §3.4 conflict table (allocated on first use).
+        The delete stage of a write launch resets and reuses it too."""
+        if self._table is None:
+            self._table = make_conflict_table(
+                self.hash_slots, variant=self.hash_table
+            )
+        return self._table
 
     def apply(
         self,
@@ -171,16 +177,13 @@ class UpdateEngine:
 
         Updates to keys not present in the index are skipped (found=False)
         — structural inserts need a host re-map (section 5.1 leaves full
-        device-side management to future work).
+        device-side management to future work).  The caller gates the
+        launch (the engine's write launch fires the fault hooks before
+        any stage runs, so an aborted batch replays as-is).
         """
         layout = self.layout
         layout.check_fresh()
         B = keys_mat.shape[0]
-        # both fault hooks fire before any stage runs: the kernel has
-        # mutated nothing yet, so an aborted batch can be replayed as-is
-        launch_kernel("update", B, injector=self.injector)
-        if self.injector is not None:
-            self.injector.on_hashtable("update", B)
         if log is None:
             log = TransactionLog()
         new_values = np.asarray(new_values, dtype=np.uint64)
@@ -205,13 +208,8 @@ class UpdateEngine:
         # one fused linear-probe pass per batch: insert, grid sync and
         # read-back (see AtomicMaxHashTable.resolve_winners) instead of
         # re-walking every probe chain a second time per key
-        table = self._table
-        if table is None:
-            table = self._table = make_conflict_table(
-                self.hash_slots, variant=self.hash_table
-            )
-        else:
-            table.reset()
+        table = self.conflict_table()
+        table.reset()
         table.log = log
         winners = np.zeros(B, dtype=bool)
         winners[found] = table.resolve_winners(

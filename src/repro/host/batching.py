@@ -89,38 +89,59 @@ def split_batch(batch: QueryBatch) -> list[QueryBatch]:
     ]
 
 
+#: op kind -> coalescing class.  Updates and deletes share the ``write``
+#: class: one §3.4 launch runs a batch's update rows, then its delete
+#: rows ("the same implementation for both, signaling a deletion through
+#: setting a nil pointer").  Every other kind is its own class.
+OP_CLASS = {"update": "write", "delete": "write"}
+
+#: op kinds a later same-class op on the same key may join in one batch
+#: (multi-read; LWW-by-thread-index updates, and a delete after updates,
+#: which the write launch's delete stage runs after its update stage).
+_JOINABLE = frozenset({"lookup", "update"})
+
+#: per-key barrier flags sit this far above the class bits of the mask.
+_BARRIER_SHIFT = 32
+_CLASS_MASK = (1 << _BARRIER_SHIFT) - 1
+
+
 class OpClassCoalescer:
     """Per-op-class accumulation for mixed read/write streams (§3.1),
     with **key-level conflict tracking**.
 
     The naive executor cuts a device batch at *every* op-type boundary,
     fragmenting an interleaved OLTP stream into tiny batches that each
-    pay a full kernel launch.  This coalescer instead accumulates
-    lookups / updates / deletes / inserts in per-class queues.  Ops that
-    touch *different* keys never force a flush, whatever their classes:
-    a cross-class ordering requirement (a read issued after a write to
-    the same key must observe the write) is recorded as an **edge** in a
-    tiny dependency DAG over the class queues, and queues keep filling
+    pay a full kernel launch.  This coalescer instead accumulates ops in
+    per-class queues: ``lookup``, ``write`` (updates and deletes, see
+    :data:`OP_CLASS`) and ``insert``.  :meth:`add` takes the op kind
+    and emits ``(class, payloads)`` batches.  Ops that touch
+    *different* keys never force a flush, whatever their classes: a
+    cross-class ordering requirement (a read issued after a write to
+    the same key must observe the write) is recorded as an **edge** in
+    a tiny dependency DAG over the class queues, and queues keep filling
     toward full batches.  A queue only flushes when
 
     * it reaches ``batch_size`` (``size-full``) — its DAG ancestors
       flush first, in topological order (``dep-order``), so every
       recorded before/after relation holds at execution time; or
     * an incoming op genuinely **conflicts on a key** (``key-conflict``):
-      it touches a key with a queued non-commuting op of the *same*
-      class, or the ordering edge it needs would close a cycle (e.g.
+      it touches a key whose queued op in the *same* class it may not
+      join, or the ordering edge it needs would close a cycle (e.g.
       ``update k → lookup k → update k``: the second update cannot both
-      follow the queued lookup and share the queued update's batch).
+      follow the queued lookup and share the queued write batch).
       Only the conflicting queue and its ancestors flush; every other
       queue keeps accumulating.
 
     Same-key co-accumulation within one class is allowed only where
     batching provably preserves serial semantics: repeated lookups of
-    one key, and repeated updates of one key (the device's intra-batch
-    last-writer-wins by thread index equals serial last-wins).  Repeated
-    deletes or inserts of one key do *not* commute — the second delete
-    of a key must report a miss, and a re-insert must observe the first
-    insert — so those flush their own class (``key-conflict``).
+    one key; repeated updates of one key (the device's intra-batch
+    last-writer-wins by thread index equals serial last-wins); and a
+    delete after queued updates of its key (the write launch runs its
+    delete stage after its update stage, as serial order does).  Any
+    same-class op after a queued delete or insert of its key does *not*
+    commute — a second delete must report a miss, an update after a
+    delete must miss, a re-insert must observe the first insert — so
+    those flush their own class (``key-conflict``).
 
     Why per-key order is sufficient: device batches execute in flush
     order, and flushes always release ancestor-closed sets of queues in
@@ -135,10 +156,6 @@ class OpClassCoalescer:
     schema compatibility; the key-level tracker retires it to zero.
     """
 
-    #: classes whose same-key ops may share one batch (serial-equivalent
-    #: device semantics: multi-read, and LWW-by-thread-index updates).
-    _SELF_COMMUTES = frozenset({"lookup", "update"})
-
     def __init__(
         self, batch_size: int, *, metrics: MetricsRegistry | None = None
     ) -> None:
@@ -148,10 +165,14 @@ class OpClassCoalescer:
         self._order: list[str] = []
         self._keys: dict[str, list] = {}
         #: key -> bitmask of classes with a pending op on that key (the
-        #: exact pending-key filter; bits assigned per class on demand).
+        #: exact pending-key filter; bits assigned per class on demand),
+        #: plus a barrier flag per class whose queued op on the key no
+        #: later same-class op may join (a delete or an insert).
         self._pending: dict = {}
         self._bit_of: dict[str, int] = {}
         self._kind_of_bit: dict[int, str] = {}
+        #: op kind -> (class, class bit, mask bits it sets on its key).
+        self._op_info: dict[str, tuple] = {}
         #: direct ordering edges: ``preds[q]`` must all flush before q.
         self._preds: dict[str, set] = {}
         #: running count of flushed batches (stable batch-id sequence
@@ -192,13 +213,17 @@ class OpClassCoalescer:
         }
 
     # -- dependency bookkeeping -------------------------------------------
-    def _bit(self, kind: str) -> int:
-        bit = self._bit_of.get(kind)
+    def _classify(self, kind: str) -> tuple:
+        """Resolve (and cache) an op kind's class, class bit and mask."""
+        cls = OP_CLASS.get(kind, kind)
+        bit = self._bit_of.get(cls)
         if bit is None:
             bit = 1 << len(self._bit_of)
-            self._bit_of[kind] = bit
-            self._kind_of_bit[bit] = kind
-        return bit
+            self._bit_of[cls] = bit
+            self._kind_of_bit[bit] = cls
+        mark = bit if kind in _JOINABLE else bit | (bit << _BARRIER_SHIFT)
+        info = self._op_info[kind] = (cls, bit, mark)
+        return info
 
     def _ancestors(self, kind: str) -> set:
         """Transitive predecessor closure of one class (excludes it)."""
@@ -263,6 +288,7 @@ class OpClassCoalescer:
         q = self._queues.pop(kind)
         self._order.remove(kind)
         bit = self._bit_of[kind]
+        bit |= bit << _BARRIER_SHIFT
         pending = self._pending
         for k in self._keys.pop(kind):
             m = pending.get(k)
@@ -296,38 +322,41 @@ class OpClassCoalescer:
         return out
 
     def add(self, kind: str, key, payload) -> tuple:
-        """Queue one op; returns ``((kind, payloads), ...)`` batches that
+        """Queue one op of kind ``lookup`` / ``update`` / ``delete`` /
+        ``insert``; returns ``((class, payloads), ...)`` batches that
         must execute *now*, in order (key-conflict flushes and/or a full
         class with its ordering ancestors).  The common case — no pending
         op on the key, queue not full — is a handful of dict/list ops."""
+        info = self._op_info.get(kind)
+        if info is None:
+            info = self._classify(kind)
+        cls, bit, mark = info
         pending = self._pending
         mask = pending.get(key)
-        bit = self._bit_of.get(kind)
-        if bit is None:
-            bit = self._bit(kind)
         if not mask:
-            q = self._queues.get(kind)
+            q = self._queues.get(cls)
             if q is None:
-                q = self._queues[kind] = []
-                self._keys[kind] = []
-                self._order.append(kind)
+                q = self._queues[cls] = []
+                self._keys[cls] = []
+                self._order.append(cls)
             q.append(payload)
-            self._keys[kind].append(key)
-            pending[key] = bit
+            self._keys[cls].append(key)
+            pending[key] = mark
             if len(q) >= self.batch_size:
                 return tuple(self._flush_with_ancestors(
-                    kind, self._flush_full, cascade_counter=self._flush_order
+                    cls, self._flush_full, cascade_counter=self._flush_order
                 ))
             return ()
         out: list[tuple[str, list]] = []
-        if mask & bit and kind not in self._SELF_COMMUTES:
-            # same-class non-commuting repeat (delete-delete /
-            # insert-insert): the queued op must complete first
+        if mask & (bit << _BARRIER_SHIFT):
+            # same-class op after a queued delete / insert of this key
+            # (delete-delete, delete-update, insert-insert): the queued
+            # op must complete first
             out.extend(
-                self._flush_with_ancestors(kind, self._flush_conflict)
+                self._flush_with_ancestors(cls, self._flush_conflict)
             )
             mask = pending.get(key, 0)
-        m = mask & ~bit
+        m = mask & _CLASS_MASK & ~bit
         while m:
             pbit = m & -m
             m &= m - 1
@@ -335,24 +364,24 @@ class OpClassCoalescer:
             # the new op must execute after `prev`'s queue: record
             # the edge, unless it would close a cycle — then `prev`
             # (and its ancestors, which include this class) flush now
-            if kind in self._ancestors(prev) or kind == prev:
+            if cls in self._ancestors(prev):
                 out.extend(
                     self._flush_with_ancestors(prev, self._flush_conflict)
                 )
             elif prev in self._queues:
-                self._preds.setdefault(kind, set()).add(prev)
-        q = self._queues.get(kind)
+                self._preds.setdefault(cls, set()).add(prev)
+        q = self._queues.get(cls)
         if q is None:
-            q = self._queues[kind] = []
-            self._keys[kind] = []
-            self._order.append(kind)
+            q = self._queues[cls] = []
+            self._keys[cls] = []
+            self._order.append(cls)
         q.append(payload)
-        self._keys[kind].append(key)
-        pending[key] = pending.get(key, 0) | bit
+        self._keys[cls].append(key)
+        pending[key] = pending.get(key, 0) | mark
         if len(q) >= self.batch_size:
             out.extend(
                 self._flush_with_ancestors(
-                    kind, self._flush_full, cascade_counter=self._flush_order
+                    cls, self._flush_full, cascade_counter=self._flush_order
                 )
             )
         return tuple(out)

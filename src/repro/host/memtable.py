@@ -22,9 +22,10 @@ updates):
 * **merge-compact** — when the debt exceeds ``max_debt`` (or a caller
   forces a drain at a scan barrier / end of stream), the sealed
   segments fold per key with last-writer-wins semantics and scatter
-  into the device layout as at most three class batches (update /
-  delete / insert) through the caller's dispatch hook — in the
-  executors that is :meth:`~repro.host.engine.CuartEngine.submit`, so
+  into the device layout as at most two class batches, one ``write``
+  batch (the surviving updates, then deletes) and one ``insert`` batch,
+  through the caller's dispatch hook — in the executors that is
+  :meth:`~repro.host.engine.CuartEngine.submit`, so
   compaction batches ride the double-buffered second stream
   (:mod:`repro.gpusim.streams`) behind foreground lookups.  Folding
   shrinks device work under skew: N writes to one hot key become one
@@ -54,7 +55,7 @@ byte-identical to serial execution: updates write leaf value words in
 place, deletes clear the leaf (values to ``NIL_VALUE``, key bytes to 0
 — :mod:`repro.cuart.delete`) and never restructure nodes, so disjoint
 keys commute; and because the serialized layout includes the free-leaf
-lists, each class batch is dispatched in absorb order (the fold keeps
+lists, each row kind is dispatched in absorb order (the fold keeps
 each surviving op's global sequence number) so free-list push order
 matches the serial history.  Insert / delete-then-reinsert traffic is
 content-identical but may legitimately differ in slot-reuse order —
@@ -401,10 +402,10 @@ class Memtable:
     ) -> Optional[dict]:
         """Drain the sealed segments into the device layout.
 
-        ``dispatch(kind, payloads)`` scatters one folded class batch
-        (defaults to ``engine.submit`` / the engine method) — owners
-        pass their own hook so compaction batches are accounted like
-        any other flush.  ``force=True`` additionally seals the active
+        ``dispatch(kind, payloads)`` scatters one folded class batch,
+        ``write`` then ``insert`` (defaults to ``engine.submit`` / the
+        engine method) — owners pass their own hook so compaction
+        batches are accounted like any other flush.  ``force=True`` additionally seals the active
         segment and dispatches even while the circuit is open (end of
         stream: correctness over cost; the engine's degrade path still
         applies the writes).  Returns a summary dict, or ``None`` when
@@ -475,14 +476,15 @@ class Memtable:
 
         if dispatch is None:
             dispatch = self._default_dispatch
-        # absorb order within each class keeps free-list push order (a
-        # serialized part of the layout) identical to serial execution
-        if updates:
+        # absorb order within each row kind keeps free-list push order (a
+        # serialized part of the layout) identical to serial execution;
+        # folded keys are distinct, so updates-then-deletes in one write
+        # batch is the same launch order the device runs
+        if updates or deletes:
             updates.sort(key=lambda t: t[2])
-            dispatch("update", [(k, v) for k, v, _ in updates])
-        if deletes:
             deletes.sort(key=lambda t: t[1])
-            dispatch("delete", [k for k, _ in deletes])
+            dispatch("write", [(k, v) for k, v, _ in updates]
+                     + [(k, None) for k, _ in deletes])
         if inserts:
             inserts.sort(key=lambda t: t[2])
             dispatch("insert", [(k, v) for k, v, _ in inserts])

@@ -94,8 +94,8 @@ class BatchResult(_SequenceABC):
     Canonical accessors
     -------------------
     ``op``
-        the operation kind: ``"lookup"`` / ``"update"`` / ``"delete"`` /
-        ``"insert"``.
+        the operation kind: ``"lookup"`` / ``"write"`` / ``"update"`` /
+        ``"delete"`` / ``"insert"``.
     ``value_array``
         (n,) uint64 raw kernel values for lookups (``NIL_VALUE`` =
         miss), ``None`` for write ops.

@@ -60,7 +60,7 @@ from repro.errors import ReproError, SimulationError
 from repro.gpusim.pcie import link_for_device
 from repro.gpusim.streams import StreamOverlapStats
 from repro.host.config import EngineConfig
-from repro.host.engine import CuartEngine
+from repro.host.engine import SUBMIT_KINDS, CuartEngine
 from repro.host.mixed import (
     MixedReport,
     MixedWorkloadExecutor,
@@ -430,45 +430,47 @@ class ShardedEngine:
         return out
 
     # -- batched ops -----------------------------------------------------
-    def lookup(self, keys: Sequence[bytes]) -> BatchResult:
-        keys = list(keys) if not isinstance(keys, (list, tuple)) else keys
+    def _routed(self, kind: str, payloads: Sequence, *,
+                submit: bool = False) -> BatchResult:
+        """Route one batch per key, run each shard's sub-batch (through
+        its ``submit`` pipeline when ``submit``), and scatter-merge the
+        results back into stream order.  ``payloads`` are keys for
+        ``lookup``/``delete`` and ``(key, value)`` pairs — or
+        ``(key, None)`` delete rows in a ``write`` — otherwise."""
+        payloads = (
+            list(payloads) if not isinstance(payloads, (list, tuple))
+            else payloads
+        )
+        if kind in ("lookup", "delete"):
+            keys = payloads
+        else:
+            keys = [k for k, _ in payloads]
         groups = self._route_groups(keys)
-        parts = [
-            (idx, self.shards[sid].lookup([keys[j] for j in idx]))
-            for sid, idx in groups
-        ]
+        parts = []
+        for sid, idx in groups:
+            shard = self.shards[sid]
+            part = [payloads[j] for j in idx]
+            parts.append((idx, shard.submit(kind, part) if submit
+                          else getattr(shard, kind)(part)))
         self._set_last_report(parts, groups)
-        return self._merge_results("lookup", len(keys), parts)
+        return self._merge_results(kind, len(payloads), parts)
+
+    def lookup(self, keys: Sequence[bytes]) -> BatchResult:
+        return self._routed("lookup", keys)
+
+    def write(self, rows: Sequence) -> BatchResult:
+        """Update ``(key, value)`` and delete ``(key, None)`` rows, one
+        fused write launch per shard batch."""
+        return self._routed("write", rows)
 
     def update(self, items: Sequence[tuple[bytes, int]]) -> BatchResult:
-        items = list(items) if not isinstance(items, (list, tuple)) else items
-        groups = self._route_groups([k for k, _ in items])
-        parts = [
-            (idx, self.shards[sid].update([items[j] for j in idx]))
-            for sid, idx in groups
-        ]
-        self._set_last_report(parts, groups)
-        return self._merge_results("update", len(items), parts)
+        return self._routed("update", items)
 
     def delete(self, keys: Sequence[bytes]) -> BatchResult:
-        keys = list(keys) if not isinstance(keys, (list, tuple)) else keys
-        groups = self._route_groups(keys)
-        parts = [
-            (idx, self.shards[sid].delete([keys[j] for j in idx]))
-            for sid, idx in groups
-        ]
-        self._set_last_report(parts, groups)
-        return self._merge_results("delete", len(keys), parts)
+        return self._routed("delete", keys)
 
     def insert(self, items: Sequence[tuple[bytes, int]]) -> BatchResult:
-        items = list(items) if not isinstance(items, (list, tuple)) else items
-        groups = self._route_groups([k for k, _ in items])
-        parts = [
-            (idx, self.shards[sid].insert([items[j] for j in idx]))
-            for sid, idx in groups
-        ]
-        self._set_last_report(parts, groups)
-        return self._merge_results("insert", len(items), parts)
+        return self._routed("insert", items)
 
     def range(self, lo: bytes, hi: bytes) -> list[tuple[bytes, int]]:
         """Inclusive range: every shard scans (hash mode scatters any
@@ -485,25 +487,11 @@ class ShardedEngine:
         its shard's own :class:`StreamScheduler` — shards are
         independent devices, so their submit windows run concurrently
         in simulated time."""
-        if kind not in ("lookup", "update", "delete", "insert"):
+        if kind not in SUBMIT_KINDS:
             raise ReproError(
                 f"cannot submit {kind!r} batches to ShardedEngine"
             )
-        payloads = (
-            list(payloads) if not isinstance(payloads, (list, tuple))
-            else payloads
-        )
-        if kind in ("update", "insert"):
-            keys = [k for k, _ in payloads]
-        else:
-            keys = payloads
-        groups = self._route_groups(keys)
-        parts = [
-            (idx, self.shards[sid].submit(kind, [payloads[j] for j in idx]))
-            for sid, idx in groups
-        ]
-        self._set_last_report(parts, groups)
-        return self._merge_results(kind, len(payloads), parts)
+        return self._routed(kind, payloads, submit=True)
 
     def drain(self) -> StreamOverlapStats:
         """Close every shard's submit window and fold the concurrent

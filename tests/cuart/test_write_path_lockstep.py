@@ -2,11 +2,13 @@
 
 The batched update / delete / insert-claim kernels take whole-array fast
 paths (one fused linear-probe pass over the conflict table, winner
-scatters, bulk leaf allocation).  These tests pin them against the
-per-key scalar oracle: the same stream applied one single-row batch at a
-time must leave byte-identical device buffers, including intra-batch
-duplicate keys (last-writer-wins by thread index) and delete-then-insert
-reuse of free-listed leaf slots.
+scatters, bulk leaf allocation), and the engine's write launch runs a
+batch's update rows then its delete rows as two stages of one kernel.
+These tests pin them against the per-key scalar oracle: the same stream
+applied one single-row batch at a time must leave byte-identical device
+buffers, including intra-batch duplicate keys (last-writer-wins by thread
+index), same-key update-then-delete pairs in one write batch, and
+delete-then-insert reuse of free-listed leaf slots.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.cuart.insert import InsertEngine
 from repro.cuart.layout import CuartLayout
 from repro.cuart.lookup import lookup_batch
 from repro.cuart.update import UpdateEngine
+from repro.host.engine import CuartEngine
 from repro.util.keys import keys_to_matrix
 from repro.util.packing import link_indices, link_types
 from repro.workloads.synthetic import random_keys
@@ -130,6 +133,89 @@ class TestDeleteLockstep:
         assert res.unlinked == 1
         delete_batch(scalar, *keys_to_matrix([k]))
         _assert_layouts_equal(batched, scalar)
+
+
+def _write_rows(rng, pool, n_keys):
+    """A write batch honouring the coalescer's write-class contract:
+    per key, zero or more updates then at most one delete, with the
+    per-key chains interleaved at random (stream order kept per key)."""
+    chains = []
+    for i in rng.permutation(len(pool))[:n_keys]:
+        k = pool[i]
+        vals = rng.integers(1, 1 << 40, size=int(rng.integers(0, 4)))
+        chain = [(k, int(v)) for v in vals]
+        if not chain or rng.random() < 0.5:
+            chain.append((k, None))
+        chains.append(chain)
+    rows = []
+    live = [c[::-1] for c in chains]
+    while live:
+        j = int(rng.integers(len(live)))
+        rows.append(live[j].pop())
+        if not live[j]:
+            live.pop(j)
+    return rows
+
+
+class TestFusedWriteLockstep:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_write_batch_matches_scalar_oracle(self, seed):
+        """One write launch over update and delete rows — same-key
+        update→delete pairs, duplicate updates, misses — equals the rows
+        applied one single-row kernel at a time, in stream order."""
+        rng = np.random.default_rng(seed)
+        keys = random_keys(256, 12, seed=seed)
+        pool = keys + random_keys(32, 12, seed=seed + 999)  # some misses
+        rows = _write_rows(rng, pool, 160)
+        dup_keys = {k for k, v in rows if v is not None}
+        pairs = {k for k, v in rows if v is None} & dup_keys
+        assert pairs, "no same-key update→delete pair drawn"
+        assert len(dup_keys) < sum(v is not None for _, v in rows)
+
+        def engine():
+            eng = CuartEngine(batch_size=512, spare=0.5)
+            eng.populate([(k, i + 1) for i, k in enumerate(keys)])
+            eng.map_to_device()
+            return eng
+
+        fused, oracle = engine(), engine()
+        res = fused.write(rows)
+        assert fused.last_report.batches == 1  # one launch
+
+        updater = UpdateEngine(oracle.layout)
+        found_oracle = []
+        model = dict(oracle.tree.items())
+        for k, v in rows:
+            mat, lens = keys_to_matrix([k])
+            if v is None:
+                r = delete_batch(oracle.layout, mat, lens)
+                found_oracle.append(bool(r.deleted[0]))
+                model.pop(k, None)
+            else:
+                r = updater.apply(mat, lens, np.array([v], dtype=np.uint64))
+                found_oracle.append(bool(r.found[0]))
+                if k in model:
+                    model[k] = v
+
+        assert res.found_array.tolist() == found_oracle
+        _assert_layouts_equal(fused.layout, oracle.layout)
+        # the deferred host-tree mirror replays the launch order too
+        assert dict(fused.tree.items()) == model
+
+    def test_rows_run_in_launch_order_not_row_order(self):
+        """Outside the coalescer's contract (an update after a delete of
+        its key in one batch) the launch order still rules, on the
+        device and in the host-tree mirror: update stage, then delete
+        stage."""
+        keys = random_keys(64, 12, seed=4)
+        eng = CuartEngine(batch_size=64)
+        eng.populate([(k, i + 1) for i, k in enumerate(keys)])
+        eng.map_to_device()
+        k = keys[5]
+        res = eng.write([(k, None), (k, 77), (keys[6], 9)])
+        assert res.found_array.tolist() == [True, True, True]
+        assert eng.lookup([k, keys[6]]) == [None, 9]
+        assert k not in dict(eng.tree.items())
 
 
 def _claim_only_workload(seed):

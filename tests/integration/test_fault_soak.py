@@ -18,7 +18,7 @@ from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine
 from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.mixed import MixedWorkloadExecutor
-from repro.host.resilience import ResiliencePolicy
+from repro.host.resilience import ResiliencePolicy, RetryPolicy
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import dense_keys
 
@@ -234,3 +234,114 @@ def test_open_circuit_burst_through_executor():
         if v is not None
     }
     assert got == state
+
+
+# -- fused write launches under faults ---------------------------------
+
+
+def _write_batches(keys, seed, n_batches=40):
+    """Write batches that each carry same-key update→delete pairs next
+    to plain updates and deletes (the coalescer's write-class shape:
+    nothing follows a delete of its key inside one batch)."""
+    rng = np.random.default_rng(seed)
+    live = list(keys)
+    batches = []
+    for b in range(n_batches):
+        picks = rng.choice(len(live), size=12, replace=False)
+        ks = [live[i] for i in picks]
+        rows = [(ks[0], 10 * b), (ks[1], 10 * b + 1), (ks[0], 10 * b + 2),
+                (ks[2], None), (ks[0], None), (ks[3], 10 * b + 3)]
+        rows += [(k, 10 * b + 4) for k in ks[4:8]]
+        rows += [(ks[8], 10 * b + 5), (ks[8], None)]
+        batches.append(rows)
+        gone = {ks[0], ks[2], ks[8]}
+        live = [k for k in live if k not in gone]
+    return batches
+
+
+def test_fused_write_launch_fires_fault_hooks_once():
+    """A mixed write batch is one launch: each fault hook fires once,
+    before either stage touches the layout."""
+    keys = dense_keys(256)
+    eng = CuartEngine(EngineConfig(batch_size=64))
+    eng.populate([(k, i) for i, k in enumerate(keys)])
+    eng.map_to_device()
+    calls = []
+    layout = eng.layout
+    mutations = layout.device_mutations
+
+    class Recorder:
+        # every hook also checks that no stage has written yet
+        def on_kernel_launch(self, op, batch_size):
+            calls.append(("kernel", op, batch_size,
+                          layout.device_mutations == mutations))
+
+        def on_transfer(self, nbytes, *, direction, op=None):
+            calls.append((direction, op, nbytes,
+                          layout.device_mutations == mutations))
+
+        def on_hashtable(self, op, n_keys):
+            calls.append(("hashtable", op, n_keys,
+                          layout.device_mutations == mutations))
+
+    eng._injector = Recorder()
+    rows = _write_batches(keys, seed=5, n_batches=1)[0]
+    eng.write(rows)
+    assert layout.device_mutations > mutations
+    n = len(rows)
+    key_bytes = n * max(len(k) for k, _ in rows)
+    assert calls == [
+        ("h2d", "write", key_bytes + 8 * n, True),
+        ("d2h", "write", 8 * n, True),
+        ("kernel", "write", n, True),
+        ("hashtable", "write", n, True),
+    ]
+    # a delete-only write batch carries no value words
+    calls.clear()
+    mutations = layout.device_mutations
+    gone = [(k, None) for k in keys[200:210]]
+    eng.write(gone)
+    assert calls[0] == ("h2d", "delete", 10 * len(keys[200]), True)
+
+
+def test_fused_write_faults_replay_exactly_once(tmp_path):
+    """Faults injected on write batches carrying same-key update→delete
+    pairs are retried until the launch runs clean: per-row results,
+    the serialized layout and the free-list depth equal a fault-free
+    run's byte for byte."""
+    keys = dense_keys(600)
+    batches = _write_batches(keys, seed=11)
+
+    def run(faults, resilience):
+        eng = CuartEngine(EngineConfig(
+            batch_size=64, faults=faults, resilience=resilience,
+        ))
+        eng.populate([(k, i) for i, k in enumerate(keys)])
+        eng.map_to_device()
+        return eng, [eng.write(rows) for rows in batches]
+
+    faulty, f_res = run(
+        FaultConfig.uniform(0.1, seed=77, oom_rate=0.0),
+        ResiliencePolicy(retry=RetryPolicy(max_attempts=12)),
+    )
+    oracle, o_res = run(None, None)
+    assert faulty._injector.total_injected > 0
+    statuses = {}
+    for r in f_res:
+        for name, c in r.counts_by_status().items():
+            statuses[name] = statuses.get(name, 0) + c
+    assert statuses.get("RETRIED", 0) > 0
+    assert statuses.get("DEGRADED_CPU", 0) == 0
+    assert statuses.get("FAILED", 0) == 0
+    assert [r.found_array.tolist() for r in f_res] == [
+        r.found_array.tolist() for r in o_res
+    ]
+    assert faulty.layout.free_leaves == oracle.layout.free_leaves
+    assert sum(map(len, faulty.layout.free_leaves.values())) > 0
+    fp, op = tmp_path / "faulty.npz", tmp_path / "oracle.npz"
+    faulty.save(fp)
+    oracle.save(op)
+    with np.load(fp) as fz, np.load(op) as oz:
+        assert sorted(fz.files) == sorted(oz.files)
+        for name in fz.files:
+            assert np.array_equal(fz[name], oz[name]), name
