@@ -255,6 +255,19 @@ class TestTwoTenantFairness:
         assert not core.offer("lookup", KEYS[6], tenant="a").shed
 
 
+class TestOfferValidation:
+    @pytest.mark.parametrize("memtable", [None, True])
+    def test_update_without_value_rejected(self, memtable):
+        """A None value marks a delete row in a write batch, so an update
+        carrying one is refused at the front door and the key stays."""
+        core, _ = make_core(memtable=memtable)
+        with pytest.raises(ReproError):
+            core.offer("update", (KEYS[2], None))
+        core.flush()
+        assert core.backlog == 0
+        assert core.engine.lookup([KEYS[2]]) == [2]
+
+
 class TestConfigValidation:
     def test_rejects_non_power_of_two_batch(self):
         with pytest.raises(ReproError):
