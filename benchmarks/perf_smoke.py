@@ -228,34 +228,23 @@ def run(scale: int, label: str, trace_path: str | None = None,
     ops["mixed"] = _op(time.perf_counter() - t0, report.operations)
     ops["mixed"]["batches"] = report.batches
     ops["mixed"]["batches_issued"] = report.batches
-    by_op = getattr(report, "batches_by_op", None)
-    if by_op:  # newer executors: per-op-class fragmentation + latency
-        ops["mixed"]["batches_by_op"] = dict(by_op)
-        ops["mixed"]["latency_us_by_op"] = {
-            k: round(report.mean_latency_us(k), 3)
-            for k in sorted(report.wall_s)
-        }
-    pcts = getattr(report, "latency_percentiles_by_op", None)
-    if pcts:  # registry histograms (PR 3): percentiles alongside the mean
-        ops["mixed"]["latency_percentiles_by_op"] = {
-            op: {k: round(v, 3) for k, v in summary.items()}
-            for op, summary in sorted(pcts.items())
-        }
-    reasons = getattr(report, "flush_reasons", None)
-    if reasons:
-        ops["mixed"]["flush_reasons"] = dict(reasons)
-    forwarded = getattr(report, "forwarded", None)
-    if forwarded:  # PR 5 executors: store-to-load forwarded op counts
-        ops["mixed"]["forwarded"] = dict(forwarded)
-    overlap = getattr(report, "stream_overlap", None)
-    if overlap:  # PR 5 executors: multi-stream pipelining accounting
-        ops["mixed"]["stream_overlap"] = dict(overlap)
+    ops["mixed"]["batches_by_op"] = dict(report.batches_by_op)
+    ops["mixed"]["latency_us_by_op"] = {
+        k: round(report.mean_latency_us(k), 3) for k in sorted(report.wall_s)
+    }
+    pcts = report.latency_percentiles_by_op
+    ops["mixed"]["latency_percentiles_by_op"] = {
+        op: {k: round(v, 3) for k, v in summary.items()}
+        for op, summary in sorted(pcts.items())
+    }
+    ops["mixed"]["flush_reasons"] = dict(report.flush_reasons)
+    ops["mixed"]["forwarded"] = dict(report.forwarded)
+    ops["mixed"]["stream_overlap"] = dict(report.stream_overlap)
     # critical-path attribution (PR 8): reconstruct, per stream window,
     # which stage bound the makespan; the walk's stage intervals must
     # partition [0, makespan] exactly, so reconciliation is a hard gate
-    ostats = getattr(mx, "last_overlap_stats", None)
-    if (attribute_stats is not None and ostats is not None
-            and getattr(ostats, "events", None)):
+    ostats = mx.last_overlap_stats
+    if attribute_stats is not None:
         cp = attribute_stats(ostats)
         span = ostats.makespan_s
         drift = abs(cp.total_stage_s - span) / max(span, 1e-12)
@@ -267,24 +256,21 @@ def run(scale: int, label: str, trace_path: str | None = None,
         ops["mixed"]["critical_path"] = cp.as_dict()
     if flight_rec is not None:
         ops["mixed"]["flight"] = flight_rec.summary()
-    if pcts and "write" in pcts and "lookup" in pcts:
-        # write tail-latency regression gate: deletes ride the write
-        # batches (one launch: update stage, then delete stage), and
-        # grouping the parent-unlink scatters by present node type keeps
-        # the write p95 within a small factor of the lookup p95 (a write
-        # does a lookup plus value / clear / unlink stores; it must not
-        # be an order of magnitude worse at the tail)
-        ratio = pcts["write"]["p95"] / max(pcts["lookup"]["p95"], 1e-9)
-        ops["mixed"]["write_p95_over_lookup_p95"] = round(ratio, 2)
-        assert ratio < 25.0, (
-            f"write p95 / lookup p95 = {ratio:.1f} (>= 25): write tail "
-            "latency regressed"
-        )
-    by_status = getattr(report, "ops_by_status", None)
-    if by_status is not None:  # PR 4 executors: per-OpStatus op counts
-        ops["mixed"]["ops_by_status"] = dict(by_status)
-        assert by_status.get("FAILED", 0) == 0, \
-            "mixed stream reported FAILED ops"
+    # write tail-latency regression gate: deletes ride the write batches
+    # (one launch: update stage, then delete stage), and grouping the
+    # parent-unlink scatters by present node type keeps the write p95
+    # within a small factor of the lookup p95 (a write does a lookup
+    # plus value / clear / unlink stores; it must not be an order of
+    # magnitude worse at the tail)
+    ratio = pcts["write"]["p95"] / max(pcts["lookup"]["p95"], 1e-9)
+    ops["mixed"]["write_p95_over_lookup_p95"] = round(ratio, 2)
+    assert ratio < 25.0, (
+        f"write p95 / lookup p95 = {ratio:.1f} (>= 25): write tail "
+        "latency regressed"
+    )
+    ops["mixed"]["ops_by_status"] = dict(report.ops_by_status)
+    assert report.ops_by_status.get("FAILED", 0) == 0, \
+        "mixed stream reported FAILED ops"
 
     # -- key-space-sharded serving (PR 7): write scaling + rebalance ----
     sharded = _sharded_scenario(items, keys, tracer=tracer)

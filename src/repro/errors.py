@@ -89,6 +89,12 @@ class KeyPrefixError(ReproError, ValueError):
     """
 
 
+class InvalidOperationError(ReproError, ValueError):
+    """An op stream carried an unknown operation kind or a malformed
+    payload (a scan that is not a ``(lo, hi)`` range, an update without
+    a value)."""
+
+
 class KeyTooLongError(ReproError, ValueError):
     """A key exceeds the compile-time maximum leaf size and no long-key
     strategy is configured (section 3.2.3)."""

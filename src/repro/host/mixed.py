@@ -1,28 +1,32 @@
-"""Mixed OLTP read/write execution (section 3.1's motivating scenario).
+"""The batch pipeline: mixed OLTP read/write execution (section 3.1).
 
 "Another problem arises when running mixed read/write workloads such as
-typical OLTP benchmarks."  The executor consumes an interleaved stream
-of lookups, updates, deletes and inserts (from
-:func:`repro.workloads.queries.mixed_queries`) against a
-:class:`~repro.host.engine.CuartEngine`, accumulating each operation
-class in its own queue (:class:`repro.host.batching.OpClassCoalescer`;
-updates and deletes share the ``write`` class and one device launch)
-and flushing on batch-size or on an op-order dependency — a read issued
-after a write to the same key observes the write, exactly like a serial
-client would, but an interleaved stream no longer fragments into a tiny
-device batch per op-type run.
+typical OLTP benchmarks."  An interleaved stream of lookups, updates,
+deletes, inserts and scans (:func:`repro.workloads.queries.mixed_queries`,
+the YCSB profiles of :mod:`repro.workloads.ycsb`) becomes power-of-two
+device batches (§4.1) through one :class:`BatchPipeline`, whichever
+front door feeds it: the offline :class:`MixedWorkloadExecutor`
+(``run(stream)``) or the online :class:`repro.serve.core.ServerCore`
+(``offer`` per op, which subclasses it).
 
-Hit/miss tallies come straight from the batch result arrays
-(:attr:`repro.host.results.BatchResult.found_array`) — no per-item
-Python counting — and every result's :class:`~repro.host.results.OpStatus`
-codes are accumulated into :attr:`MixedReport.ops_by_status`, so a run
-under fault injection reports how many ops were retried, served by the
-CPU degradation path, or failed.  Latency accounting goes through the engine's metrics
-registry (:mod:`repro.obs`): per-op-class histograms
-(``mixed_op_latency_us{op=...}``) carry p50/p95/p99 summaries into the
-report and the BENCH JSON, the coalescer's flush-reason counters explain
-the batch cuts, and each flush runs under a tracer span so a chrome
-trace shows the executor → engine → simulated-kernel nesting.
+Per op the pipeline answers host-side where it can — a read on a key
+with a queued write is forwarded from the pending-write overlay
+(:mod:`repro.host.overlay`), a write to a definitely-absent key is a
+miss without device work, and with the memtable on
+(:mod:`repro.host.memtable`) writes are absorbed in O(1) — and
+otherwise queues the op in its class queue
+(:class:`repro.host.batching.OpClassCoalescer`: ``lookup``, ``write``
+for updates and deletes in one device launch, ``insert``).  Each
+flushed batch is submitted to the engine's double-buffered stream
+pipeline, its snapshot reads restated, and its outcomes tallied into a
+:class:`MixedReport`: hit/miss counts straight from
+:attr:`repro.host.results.BatchResult.found_array`, per-op
+:class:`~repro.host.results.OpStatus` codes in
+:attr:`MixedReport.ops_by_status` (retried, degraded or failed ops
+under fault injection), and the batch's host wall time per row in the
+``mixed_op_latency_us{op=...}`` histogram.  Each batch runs under a
+``mixed.<class>`` tracer span, so a chrome trace shows the pipeline →
+engine → simulated-kernel nesting.
 """
 
 from __future__ import annotations
@@ -32,18 +36,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import InvalidOperationError
 from repro.host.batching import OP_CLASS, OpClassCoalescer
-from repro.host.engine import CuartEngine
 from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.overlay import WriteOverlay
 from repro.host.results import OpStatus
 
-#: OpStatus code -> name, for flight-record stamping.
+#: OpStatus code -> name.
 _STATUS_NAMES = {int(s): s.name for s in OpStatus}
-from repro.obs.flightrec import NULL_FLIGHT_RECORDER
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER
+
+#: host-side ``(found, value)`` answers of a write: hit and miss.
+_HIT = (True, True)
+_MISS = (False, False)
 
 
 def merge_percentile_summaries(cur: dict | None, other: dict | None) -> dict:
@@ -67,17 +71,6 @@ def merge_percentile_summaries(cur: dict | None, other: dict | None) -> dict:
     return merged
 
 
-def _found_flags(result) -> np.ndarray:
-    """Per-row found flags of one result batch: the canonical
-    :attr:`~repro.host.results.BatchResult.found_array`, or the rows'
-    truthiness for foreign result shapes."""
-    arr = getattr(result, "found_array", None)
-    if arr is not None:
-        return arr
-    return np.array([v is not None and v is not False for v in result],
-                    dtype=bool)
-
-
 @dataclass
 class MixedReport:
     """Counts and outcomes of one executed stream."""
@@ -99,10 +92,14 @@ class MixedReport:
     batches_by_op: dict = field(default_factory=dict)
     #: end-to-end simulated MOps/s per op type (last batch of each).
     simulated_mops: dict = field(default_factory=dict)
-    #: measured host wall-clock seconds spent per op class.
+    #: measured host wall-clock seconds of the pipeline's batches, per
+    #: batch class (``lookup`` / ``write`` / ``insert`` / ``scan`` and
+    #: ``compact-*`` compaction batches).
     wall_s: dict = field(default_factory=dict)
-    #: per-op-class latency summaries from the registry histograms
-    #: (``{"lookup": {"count", "mean", "p50", "p95", "p99", ...}, ...}``).
+    #: per-class summaries of that wall time per row, from the
+    #: ``mixed_op_latency_us`` histograms — one entry per
+    #: :attr:`wall_s` class (``{"lookup": {"count", "mean", "p50",
+    #: "p95", "p99", ...}, ...}``).
     latency_percentiles_by_op: dict = field(default_factory=dict)
     #: batches cut per flush reason during this run
     #: (``size-full`` / ``write-dependency`` / ``drain``).
@@ -159,7 +156,7 @@ class MixedReport:
         """Count one write batch by row kind: ``(key, value)`` update
         rows and ``(key, None)`` delete rows, hits from ``result``."""
         dels = np.array([v is None for _, v in payloads], dtype=bool)
-        misses = ~_found_flags(result)
+        misses = ~result.found_array
         n_del = int(np.count_nonzero(dels))
         del_misses = int(np.count_nonzero(misses & dels))
         self.updates += len(payloads) - n_del
@@ -217,58 +214,93 @@ class MixedReport:
             }
 
 
-def _tally_status(report: MixedReport, result, n: int) -> None:
-    """Fold one result's per-op status codes into the report (foreign
-    result shapes without statuses count as ``OK``)."""
-    by = report.ops_by_status
-    counts = getattr(result, "counts_by_status", None)
-    if counts is not None:
-        for name, c in counts().items():
-            by[name] = by.get(name, 0) + c
-    else:
-        by["OK"] = by.get("OK", 0) + n
+def split_op(kind: str, payload) -> tuple:
+    """``(key, value)`` of one stream op, validated alike for both front
+    doors: ``lookup`` / ``delete`` payloads are keys, ``update`` /
+    ``insert`` payloads ``(key, value)`` pairs and a ``scan`` payload is
+    a ``(lo, hi)`` range.  An update's value may not be None: that marks
+    a delete row in a write batch."""
+    if kind == "lookup" or kind == "delete":
+        return payload, None
+    if kind == "update" or kind == "insert":
+        key, value = payload
+        if value is None and kind == "update":
+            raise InvalidOperationError(f"update of {key!r} needs a value")
+        return key, value
+    if kind == "scan":
+        if not (isinstance(payload, (tuple, list)) and len(payload) == 2):
+            raise InvalidOperationError(f"malformed scan payload {payload!r}")
+        return payload[0], payload[1]
+    raise InvalidOperationError(f"unknown operation {kind!r}")
 
 
-class MixedWorkloadExecutor:
-    """Run interleaved ``lookup`` / ``update`` / ``delete`` / ``insert`` /
-    ``scan`` streams (the YCSB-profile op set,
-    :mod:`repro.workloads.ycsb`)."""
+class BatchPipeline:
+    """One batch pipeline over one engine (see the module docstring).
 
-    def __init__(self, engine: CuartEngine, *, shard=None,
-                 memtable=None) -> None:
+    Per op, :meth:`_route` answers it host-side or queues it; per
+    flushed batch, :meth:`_dispatch` submits it, restates snapshot
+    reads, tallies the report, stamps flight records and records host
+    wall time; :meth:`flush` dispatches everything queued, installs the
+    memtable and closes the simulated stream window.
+
+    This class is also the offline door: :meth:`run` queues light
+    entries — ``(key, seq)`` for a lookup (``seq`` indexes the results),
+    the ``(key, value)`` device row for an update or insert and
+    ``(key, None)`` for a delete — closes batches on size, key conflict
+    and drain only, and sheds nothing.
+    :class:`~repro.serve.core.ServerCore` queues ``ServedOp`` objects
+    instead: it overrides :meth:`_rows`, :meth:`_complete` and
+    :meth:`run`, and admits ops through :meth:`_admit`.
+    """
+
+    #: admission hook ``entry -> bool``; a refused op is not queued.
+    #: None here: the offline door admits every op.
+    _admit = None
+
+    def __init__(self, engine, batch_size: int, memtable=None, *,
+                 shard=None) -> None:
         self.engine = engine
-        #: shard id stamped onto flight records (set by the sharded
-        #: executor; None when serving a single device).
+        #: the engine's observability surface: pipeline, engine, cache
+        #: and write-kernel series land in one registry snapshot.
+        self.metrics = engine.metrics
+        self.tracer = engine.tracer
+        self.flight = engine.flight
+        #: shard id stamped onto flight records (None on one device).
         self.shard = shard
-        #: write-absorption policy: ``None`` keeps the synchronous
-        #: coalesced write path; a :class:`~repro.host.memtable.
-        #: MemtableConfig` (or ``True`` for the defaults) absorbs
-        #: writes host-side and merge-compacts in the background (a
-        #: fresh :class:`~repro.host.memtable.Memtable` per run, on
-        #: :attr:`memtable`).
-        self.memtable_config = (
-            MemtableConfig() if memtable is True else memtable
-        )
-        #: :class:`~repro.host.memtable.Memtable` of the current/last
-        #: run (None while disabled); ``memtable.stats()`` carries the
-        #: absorbed-ratio / compaction-debt numbers.
+        self.report = MixedReport()
+        self._coal = OpClassCoalescer(batch_size, metrics=self.metrics)
+        self._reasons_before = self._coal.flush_reasons()
+        #: :class:`~repro.host.memtable.Memtable` when write absorption
+        #: is on (a :class:`~repro.host.memtable.MemtableConfig`, or
+        #: ``True`` for the defaults): writes ack host-side in O(1) and
+        #: merge-compact into the device; the overlay is its delta.
         self.memtable = None
-        #: shares the engine's observability surface so executor, engine,
-        #: cache and write-kernel series land in one registry snapshot.
-        self.metrics: MetricsRegistry = getattr(
-            engine, "metrics", None
-        ) or MetricsRegistry()
-        self.tracer = getattr(engine, "tracer", None) or NULL_TRACER
-        self.flight = getattr(engine, "flight", None) or NULL_FLIGHT_RECORDER
-        #: StreamOverlapStats of the last run (with per-window event
-        #: timelines) — feed to repro.obs.critical_path.attribute_stats.
-        self.last_overlap_stats = None
-        #: :class:`~repro.host.overlay.WriteOverlay` of the current/last
-        #: run (fresh per run(); snapshot() exposes pending effects).
-        self.overlay = None
+        if memtable is not None:
+            self.memtable = Memtable(
+                engine, MemtableConfig() if memtable is True else memtable,
+                metrics=self.metrics,
+            )
+        self.overlay = (
+            self.memtable.delta if self.memtable is not None
+            else WriteOverlay(engine.contains)
+        )
+        #: snapshot pinned by the oldest queued device lookup (None
+        #: while no lookup is queued): every lookup batch answers at ONE
+        #: memtable epoch, and releases it at its dispatch.
+        self._read_snap = None
+        #: StreamOverlapStats of the closed stream windows (with their
+        #: event timelines, for repro.obs.critical_path.attribute_stats).
+        self.overlap = None
+        #: hoisted, so the disabled flight path costs one truthiness
+        #: check per op (NULL_FLIGHT_RECORDER allocates nothing).
+        self._fl_on = self.flight.enabled
+        #: per class, the flight records of its queued ops in queue
+        #: order (None where sampled out): a flushed batch of n ops
+        #: owns the first n.
+        self._fr_queued: dict = {}
         self._m_latency = self.metrics.histogram(
             "mixed_op_latency_us",
-            "measured host wall-clock per op through the mixed executor",
+            "host wall-clock per row of each batch the pipeline ran",
             labels=("op",),
         )
         self._m_forwarded = self.metrics.counter(
@@ -277,420 +309,371 @@ class MixedWorkloadExecutor:
             labels=("op",),
         )
 
+    # -- the offline door ------------------------------------------------
+
+    def run(self, stream) -> tuple[list, MixedReport]:
+        """Execute one stream; returns (lookup results in stream order,
+        report)."""
+        results = self._results = []
+        route = self._route
+        for kind, payload in stream:
+            # lookup and delete payloads are bare keys; split_op
+            # validates every other kind
+            if kind == "lookup":
+                results.append(None)
+                ans = route(kind, payload, None, (payload, len(results) - 1))
+                if ans is not None:
+                    results[-1] = ans[1]
+            elif kind == "delete":
+                route(kind, payload, None, (payload, None))
+            else:
+                key, value = split_op(kind, payload)
+                if kind == "scan":
+                    self._scan(key, value)
+                else:
+                    route(kind, key, value, payload)
+        self.flush()
+        return results, self.report_snapshot()
+
+    def _rows(self, kind: str, entries: list) -> list:
+        """Device rows of one flushed batch's queued entries."""
+        return [e[0] for e in entries] if kind == "lookup" else entries
+
+    def _complete(self, kind: str, entries: list, res, values,
+                  restated) -> None:
+        """Hand a dispatched batch's outcomes back to its ops: here,
+        lookup values into the run's results."""
+        if kind == "lookup":
+            results = self._results
+            for (_, seq), v in zip(entries, values):
+                results[seq] = v
+
+    # -- per op ----------------------------------------------------------
+
+    def _route(self, kind: str, key, value, entry):
+        """Route one ``lookup`` / ``update`` / ``delete`` / ``insert``;
+        returns ``(found, value)`` when it was answered host-side, else
+        None (queued, or refused by :meth:`_admit`)."""
+        mt = self.memtable
+        overlay = self.overlay
+        if kind == "lookup":
+            st = overlay.entries.get(key)
+            if st is not None:
+                ans = overlay.resolve_read(key, st)
+                self._answer(kind, key, ans[0], absorbed=False)
+                return ans
+            if self._admit is not None and not self._admit(entry):
+                return None
+            if mt is not None:
+                # a queued lookup batch is pinned to ONE layout epoch: if
+                # a compaction installed since it pinned, dispatch it at
+                # its own epoch (the snapshot's shield keeps its answers
+                # exact) before this read opens a window on the new one
+                snap = self._read_snap
+                if snap is not None and snap.epoch != mt.epoch:
+                    self._dispatch_all()
+                if self._read_snap is None:
+                    self._read_snap = mt.pin()
+        elif mt is not None:
+            # absorbed: acked here, its folded device row rides a
+            # background compaction batch; never queued, never shed
+            if kind == "update":
+                ok = mt.absorb_update(key, value)
+            elif kind == "delete":
+                ok = mt.absorb_delete(key)
+            else:
+                mt.absorb_insert(key, value)
+                ok = True
+            self._answer(kind, key, ok, absorbed=True)
+            self._maybe_compact()
+            return _HIT if ok else _MISS
+        else:
+            if kind != "insert":
+                st = overlay.entries.get(key)
+                if st is not None and st[0] == "absent":
+                    # definitely gone (pending delete): a guaranteed
+                    # miss, and updates never resurrect
+                    self._answer(kind, key, False, absorbed=False)
+                    return _MISS
+            # only non-mutating probes run before admission: a refused
+            # op leaves no pending effect behind
+            if self._admit is not None and not self._admit(entry):
+                return None
+            if kind == "update":
+                overlay.note_update(key, value)
+            elif kind == "delete":
+                overlay.note_delete(key)
+            else:
+                overlay.note_insert(key, value)
+        if self._fl_on:
+            self._fr_queued.setdefault(OP_CLASS.get(kind, kind), []).append(
+                self.flight.begin(kind, key, self.shard))
+        for k, ps in self._coal.add(kind, key, entry):
+            self._dispatch(k, ps)
+        return None
+
+    def _answer(self, kind: str, key, found: bool, *, absorbed: bool
+                ) -> None:
+        """Account one op answered host-side: forwarded from the
+        overlay (or a write short-circuited to a miss), or absorbed by
+        the memtable."""
+        rep = self.report
+        if kind == "lookup":
+            rep.lookups += 1
+            if found:
+                rep.hits += 1
+            else:
+                rep.misses += 1
+        elif kind == "update":
+            rep.updates += 1
+            if not found:
+                rep.update_misses += 1
+        elif kind == "delete":
+            rep.deletes += 1
+            if not found:
+                rep.delete_misses += 1
+        else:
+            rep.inserts += 1
+        by = rep.ops_by_status
+        name = "OK" if found else "NOT_FOUND"
+        by[name] = by.get(name, 0) + 1
+        tally = rep.absorbed if absorbed else rep.forwarded
+        tally[kind] = tally.get(kind, 0) + 1
+        if not absorbed:
+            self._m_forwarded.labels(op=kind).inc()
+        if self._fl_on:
+            rec = self.flight.begin(kind, key, self.shard)
+            if rec is not None:
+                if absorbed:
+                    self.flight.complete_absorbed(rec, found)
+                else:
+                    self.flight.complete_forwarded(rec, found)
+
+    # -- per batch -------------------------------------------------------
+
+    def _dispatch(self, kind: str, entries: list) -> None:
+        """Run one flushed class batch (``lookup`` / ``write`` /
+        ``insert``) through the device and account it; a write batch's
+        rows are ``(key, value)`` updates and ``(key, None)`` deletes."""
+        t0 = time.perf_counter()
+        td = self.flight.now_us() if self._fl_on else 0.0
+        rep = self.report
+        n = len(entries)
+        rows = self._rows(kind, entries)
+        res = self._submit(kind, rows, f"mixed.{kind}")
+        values = restated = None
+        if kind == "lookup":
+            values, restated = self._restate(rows, res)
+            hits = (sum(1 for v in values if v is not None) if restated
+                    else int(np.count_nonzero(res.found_array)))
+            rep.lookups += n
+            rep.hits += hits
+            rep.misses += n - hits
+        elif kind == "write":
+            rep.tally_writes(rows, res)
+        else:
+            rep.inserts += n
+            rep.inserts_deferred += res.summary["deferred"]
+        by = rep.ops_by_status
+        for name, c in res.counts_by_status().items():
+            by[name] = by.get(name, 0) + c
+        if restated:
+            # answered from the pinned snapshot, not the device
+            codes = res.status
+            for i, found in restated.items():
+                old = _STATUS_NAMES[int(codes[i])]
+                new = "OK" if found else "NOT_FOUND"
+                by[old] -= 1
+                by[new] = by.get(new, 0) + 1
+        self._complete(kind, entries, res, values, restated)
+        if self._fl_on:
+            queued = self._fr_queued.get(kind)
+            recs = []
+            for i, rec in enumerate(queued[:n]):
+                if rec is not None:
+                    rec.queue_pos = i
+                    recs.append(rec)
+            del queued[:n]
+            if recs:
+                self._stamp(recs, td, res, n)
+        self._account(kind, n, time.perf_counter() - t0)
+
+    def _submit(self, kind: str, rows: list, span: str):
+        """Submit one batch to the engine's stream pipeline; records the
+        class's simulated end-to-end rate."""
+        with self.tracer.span(span, {"n": len(rows)}):
+            res = self.engine.submit(kind, rows)
+        last = self.engine.last_report
+        if last is not None:
+            self.report.simulated_mops[kind] = last.end_to_end_mops
+        return res
+
+    def _restate(self, keys: list, res) -> tuple[list, dict]:
+        """A lookup batch's values, restated at the batch's snapshot
+        epoch: if a compaction installed newer writes since the batch
+        pinned, their keys answer from the snapshot's shield / pinned
+        delta.  Returns ``(values, {index: found})`` of the restated
+        rows."""
+        values = res.to_list()
+        restated: dict = {}
+        snap = self._read_snap
+        if snap is None:
+            return values, restated
+        self._read_snap = None
+        shield, pinned = snap.shield, snap.pinned
+        if shield or pinned:
+            values = list(values)
+            for i, key in enumerate(keys):
+                ent = shield.get(key)
+                if ent is None:
+                    pe = pinned.get(key)
+                    if pe is not None:
+                        ent = (pe[0] != "absent", pe[1])
+                if ent is not None:
+                    restated[i] = ent[0]
+                    values[i] = ent[1] if ent[0] else None
+        snap.release()
+        return values, restated
+
+    def _stamp(self, recs: list, td: float, res, n: int) -> None:
+        """Stamp a batch's sampled flight records with dispatch time,
+        status/attempts and the simulated device-stage timeline."""
+        statuses = attempts = events = None
+        if res is not None:
+            statuses = [_STATUS_NAMES[int(c)] for c in res.status]
+            attempts = res.attempts
+            events = getattr(self.engine, "last_events", None)
+        self.flight.complete(
+            recs, batch_id=self._coal.batches_flushed, t_dispatch_us=td,
+            statuses=statuses, attempts=attempts, sim_events=events,
+            batch_size=n,
+        )
+
+    def _account(self, label: str, n: int, dt: float) -> None:
+        """Count one batch of ``n`` rows and its host wall time."""
+        rep = self.report
+        rep.batches += 1
+        rep.batches_by_op[label] = rep.batches_by_op.get(label, 0) + 1
+        rep.wall_s[label] = rep.wall_s.get(label, 0.0) + dt
+        self._m_latency.labels(op=label).observe(dt / n * 1e6, n)
+
+    def _compact_dispatch(self, kind: str, rows: list):
+        """Scatter one folded compaction batch: it rides the stream
+        pipeline like any flush, but its ops' outcomes were tallied at
+        absorb time."""
+        t0 = time.perf_counter()
+        res = self._submit(kind, rows, f"mixed.compact.{kind}")
+        if kind == "insert":
+            self.report.inserts_deferred += res.summary["deferred"]
+        self._account(f"compact-{kind}", len(rows), time.perf_counter() - t0)
+        return res
+
+    def _maybe_compact(self, force: bool = False) -> None:
+        mt = self.memtable
+        if mt is not None and (force or mt.should_compact()):
+            if mt.compact(self._compact_dispatch, force=force) is not None:
+                self.report.compactions += 1
+
+    def _scan(self, lo, hi) -> list:
+        """A range touches an unbounded key set: a full barrier, then
+        the engine's range query.  The range reads the device layout,
+        so :meth:`flush` installs every absorbed write first
+        (correctness over cost)."""
+        self.flush()
+        t0 = time.perf_counter()
+        rec = (self.flight.begin("scan", lo, self.shard) if self._fl_on
+               else None)
+        td = self.flight.now_us() if rec is not None else 0.0
+        with self.tracer.span("mixed.scan", {"n": 1}):
+            rows = self.engine.range(lo, hi)
+        rep = self.report
+        rep.scans += 1
+        rep.records_scanned += len(rows)
+        rep.ops_by_status["OK"] = rep.ops_by_status.get("OK", 0) + 1
+        if rec is not None:
+            rec.queue_pos = 0
+            self._stamp([rec], td, None, 1)
+        self._account("scan", 1, time.perf_counter() - t0)
+        return rows
+
+    # -- drain -----------------------------------------------------------
+
+    def _dispatch_all(self) -> int:
+        n = 0
+        for k, ps in self._coal.drain():
+            n += len(ps)
+            self._dispatch(k, ps)
+        return n
+
+    def flush(self) -> int:
+        """Dispatch everything queued (end of stream, scan barrier,
+        shutdown), install every absorbed write into the device layout
+        and close the simulated stream window; returns the number of
+        queued ops dispatched."""
+        n = self._dispatch_all()
+        self._maybe_compact(force=True)
+        window = self.engine.drain()
+        if self.overlap is None:
+            self.overlap = window
+        else:
+            self.overlap.add_window(window)
+        self.report.stream_overlap = self.overlap.as_dict()
+        return n
+
+    def report_snapshot(self) -> MixedReport:
+        """The :class:`MixedReport`, with the per-class latency
+        summaries and the flush-reason delta filled in.  The summaries
+        read the registry histograms, which are cumulative over the
+        engine's lifetime (Prometheus semantics)."""
+        rep = self.report
+        for label in rep.wall_s:
+            rep.latency_percentiles_by_op[label] = self.metrics.value(
+                "mixed_op_latency_us", op=label)
+        rep.flush_reasons = {
+            reason: count - self._reasons_before.get(reason, 0)
+            for reason, count in self._coal.flush_reasons().items()
+        }
+        return rep
+
+
+class MixedWorkloadExecutor:
+    """The offline door: runs interleaved ``lookup`` / ``update`` /
+    ``delete`` / ``insert`` / ``scan`` streams, each through a fresh
+    :class:`BatchPipeline` (coalescer, overlay, memtable and report)."""
+
+    def __init__(self, engine, *, shard=None, memtable=None) -> None:
+        self.engine = engine
+        #: shard id stamped onto flight records (set by the sharded
+        #: executor; None when serving a single device).
+        self.shard = shard
+        #: write-absorption policy: ``None`` keeps the synchronous
+        #: coalesced write path; a :class:`~repro.host.memtable.
+        #: MemtableConfig` (or ``True`` for the defaults) absorbs writes
+        #: host-side (a fresh memtable per run, on :attr:`memtable`).
+        self.memtable_config = memtable
+        self.metrics = engine.metrics
+        self.tracer = engine.tracer
+        #: :class:`~repro.host.memtable.Memtable` and
+        #: :class:`~repro.host.overlay.WriteOverlay` of the current/last
+        #: run (memtable None while disabled).
+        self.memtable = None
+        self.overlay = None
+        #: StreamOverlapStats of the last run (with per-window event
+        #: timelines) — feed to repro.obs.critical_path.attribute_stats.
+        self.last_overlap_stats = None
+
     def run(self, stream) -> tuple[list, MixedReport]:
         """Execute the stream; returns (lookup results in stream order,
-        report).  Lookup results align with the stream's lookup ops.
+        report).  Batches close on size, key conflict and drain only.
 
         The report's :attr:`~MixedReport.latency_percentiles_by_op` reads
         the registry histograms, which are *cumulative over the engine's
-        lifetime* (Prometheus semantics); :attr:`~MixedReport.flush_reasons`
-        is the per-run delta.
+        lifetime*; :attr:`~MixedReport.flush_reasons` is the per-run
+        delta.
         """
-        report = MixedReport()
-        results: list = []
-        engine = self.engine
-        tracer = self.tracer
-        latency = self._m_latency
-        coal = OpClassCoalescer(engine.batch_size, metrics=self.metrics)
-        reasons_before = coal.flush_reasons()
-        # pipelined dispatch: engines exposing the async submit/drain
-        # surface get their batches accounted against the double-buffered
-        # stream scheduler (batch i+1's staging overlaps batch i's
-        # kernel); results are exact either way.
-        submit = getattr(engine, "submit", None)
-        if getattr(engine, "drain", None) is None:
-            submit = None
-        overlap = None
-        # flight recording: one hoisted bool keeps the disabled path at
-        # a single truthiness check per op (NULL_FLIGHT_RECORDER is the
-        # allocation-free NullTracer pattern).
-        flight = self.flight
-        fl_on = flight.enabled
-        fr_begin = flight.begin
-        shard = self.shard
-        #: sampled records awaiting their class queue's flush, in queue
-        #: order (only sampled ops appear, so never count-match these
-        #: against payload lists — records carry their queue_pos).
-        pending_fr: dict = {}
-        #: records whose batch already flushed, keyed by the flushed
-        #: payload list's id (popped by execute immediately after).
-        batch_fr: dict = {}
-
-        def fr_enqueue(kind: str, key, payload_obj, batches) -> None:
-            """Create this op's record (sampling permitting) and migrate
-            records of any just-flushed class queues onto their payload
-            lists, so execute() can stamp them."""
-            rec = fr_begin(kind, key, shard)
-            placed = rec is None
-            cls = OP_CLASS.get(kind, kind)
-            for k, ps in batches:
-                moved = pending_fr.pop(k, None)
-                mine = (
-                    not placed and k == cls and ps and ps[-1] is payload_obj
-                )
-                if moved or mine:
-                    tgt = batch_fr.setdefault(id(ps), [])
-                    if moved:
-                        tgt.extend(moved)
-                    if mine:
-                        # the op that triggered the size-full flush rides
-                        # in the returned batch itself
-                        rec.queue_pos = len(ps) - 1
-                        tgt.append(rec)
-                        placed = True
-            if not placed:
-                rec.queue_pos = coal.queue_len(cls) - 1
-                pending_fr.setdefault(cls, []).append(rec)
-
-        def fr_complete(kind: str, payloads: list, res, td: float) -> None:
-            """Stamp the batch's sampled records with dispatch time,
-            status/attempts and the simulated device-stage timeline."""
-            recs = batch_fr.pop(id(payloads), None)
-            pend = pending_fr.pop(kind, None)
-            if pend:
-                recs = recs + pend if recs else pend
-            if not recs:
-                return
-            statuses = attempts = None
-            if res is not None:
-                codes = getattr(res, "status", None)
-                if codes is not None:
-                    statuses = [
-                        _STATUS_NAMES.get(int(c), str(c)) for c in codes
-                    ]
-                attempts = getattr(res, "attempts", None)
-            flight.complete(
-                recs, batch_id=coal.batches_flushed, t_dispatch_us=td,
-                statuses=statuses, attempts=attempts,
-                sim_events=getattr(engine, "last_events", None),
-                batch_size=len(payloads),
-            )
-
-        def dispatch(kind: str, payloads: list):
-            if submit is not None:
-                return submit(kind, payloads)
-            return getattr(engine, kind)(payloads)
-
-        def close_window() -> None:
-            """Drain the stream pipeline (scan barrier / end of stream)
-            and fold the window's overlap stats into the report."""
-            nonlocal overlap
-            if submit is None:
-                return
-            window = engine.drain()
-            if overlap is None:
-                overlap = window
-            else:
-                overlap.add_window(window)
-
-        def execute(kind: str, payloads: list) -> None:
-            """Dispatch one flushed class batch (``lookup`` / ``write`` /
-            ``insert`` / ``scan``) and account its per-op outcomes."""
-            nonlocal read_snap
-            t0 = time.perf_counter()
-            res = None
-            td = flight.now_us() if fl_on else 0.0
-            with tracer.span(f"mixed.{kind}", {"n": len(payloads)}):
-                if kind == "lookup":
-                    values = res = dispatch(
-                        "lookup", [p[0] for p in payloads]
-                    )
-                    vals = list(values)
-                    flips: list = []
-                    if read_snap is not None:
-                        # snapshot reads: the batch pinned the layout
-                        # epoch its first lookup was enqueued on; if a
-                        # debt-triggered compaction installed newer
-                        # writes since, restate those keys from the
-                        # snapshot's shield / pinned delta
-                        snap = read_snap
-                        read_snap = None
-                        shield, pinned = snap.shield, snap.pinned
-                        if shield or pinned:
-                            for i, (key, _) in enumerate(payloads):
-                                ent = shield.get(key)
-                                if ent is None:
-                                    pe = pinned.get(key)
-                                    if pe is not None:
-                                        ent = (pe[0] != "absent", pe[1])
-                                if ent is not None:
-                                    found, val = ent
-                                    dev_found = vals[i] is not None
-                                    if dev_found != found:
-                                        flips.append(found)
-                                    vals[i] = val if found else None
-                        snap.release()
-                    for (_, seq), v in zip(payloads, vals):
-                        results[seq] = v
-                    report.lookups += len(payloads)
-                    hits = sum(1 for v in vals if v is not None)
-                    report.hits += hits
-                    report.misses += len(payloads) - hits
-                    _tally_status(report, values, len(payloads))
-                    for found in flips:
-                        by = report.ops_by_status
-                        dec = "NOT_FOUND" if found else "OK"
-                        inc = "OK" if found else "NOT_FOUND"
-                        by[dec] = by.get(dec, 0) - 1
-                        by[inc] = by.get(inc, 0) + 1
-                elif kind == "write":
-                    res = dispatch("write", payloads)
-                    report.tally_writes(payloads, res)
-                    _tally_status(report, res, len(payloads))
-                elif kind == "insert":
-                    out = res = dispatch("insert", payloads)
-                    report.inserts += len(payloads)
-                    summary = getattr(out, "summary", None)
-                    report.inserts_deferred += (
-                        summary["deferred"] if summary is not None
-                        else out["deferred"]
-                    )
-                    _tally_status(report, out, len(payloads))
-                elif kind == "scan":
-                    for lo, hi in payloads:
-                        rows = engine.range(lo, hi)
-                        report.records_scanned += len(rows)
-                    report.scans += len(payloads)
-                    _tally_status(report, None, len(payloads))
-            if fl_on:
-                fr_complete(kind, payloads, res, td)
-            dt = time.perf_counter() - t0
-            report.batches += 1
-            report.batches_by_op[kind] = report.batches_by_op.get(kind, 0) + 1
-            report.wall_s[kind] = report.wall_s.get(kind, 0.0) + dt
-            n = len(payloads)
-            latency.labels(op=kind).observe(dt / n * 1e6, n)
-            if engine.last_report is not None:
-                report.simulated_mops[kind] = (
-                    engine.last_report.end_to_end_mops
-                )
-
-        # Store-to-load forwarding through the engine-level pending-write
-        # overlay (repro.host.overlay): a lookup on an overlaid key is
-        # answered host-side — exactly what a serial client would see —
-        # instead of forcing a dependency cut through the coalescer, and
-        # a write against a definitely-absent key short-circuits to a
-        # miss without any device work.
-        #
-        # With the memtable enabled (repro.host.memtable) the overlay IS
-        # the memtable's delta: writes absorb host-side in O(1) instead
-        # of queueing, and their folded device rows ride background
-        # merge-compaction batches; reads keep the same one-dict-probe
-        # forwarding path over the shared delta.
-        mt = None
-        if self.memtable_config is not None \
-                and getattr(engine, "contains", None) is not None:
-            mt = Memtable(
-                engine, self.memtable_config, metrics=self.metrics
-            )
-        self.memtable = mt
-        overlay = self.overlay = (
-            mt.delta if mt is not None
-            else WriteOverlay(getattr(engine, "contains", None))
-        )
-        #: snapshot pinned by the oldest queued device lookup (None
-        #: while no lookup is in flight); released at its batch flush.
-        read_snap = None
-
-        def compact_dispatch(kind: str, payloads: list):
-            """Scatter one folded compaction batch, accounted like any
-            other flush (it rides the submit/drain stream pipeline) but
-            without re-tallying per-op outcomes — those were resolved
-            at absorb time."""
-            t0 = time.perf_counter()
-            with tracer.span(f"mixed.compact.{kind}",
-                             {"n": len(payloads)}):
-                res = dispatch(kind, payloads)
-            dt = time.perf_counter() - t0
-            report.batches += 1
-            bkey = f"compact-{kind}"
-            report.batches_by_op[bkey] = (
-                report.batches_by_op.get(bkey, 0) + 1
-            )
-            report.wall_s[bkey] = report.wall_s.get(bkey, 0.0) + dt
-            if kind == "insert":
-                summary = getattr(res, "summary", None)
-                if summary is not None:
-                    report.inserts_deferred += summary["deferred"]
-            if engine.last_report is not None:
-                report.simulated_mops[kind] = (
-                    engine.last_report.end_to_end_mops
-                )
-            return res
-
-        def maybe_compact(force: bool = False) -> None:
-            if mt is None:
-                return
-            if force or mt.should_compact():
-                out = mt.compact(compact_dispatch, force=force)
-                if out is not None:
-                    report.compactions += 1
-
-        def absorb_done(kind: str, key, ok: bool) -> None:
-            """Account one write acked host-side by the memtable, then
-            run a compaction if the debt went over budget."""
-            report.absorbed[kind] = report.absorbed.get(kind, 0) + 1
-            by = report.ops_by_status
-            name = "OK" if ok else "NOT_FOUND"
-            by[name] = by.get(name, 0) + 1
-            if fl_on:
-                rec = fr_begin(kind, key, shard)
-                if rec is not None:
-                    flight.complete_absorbed(rec, ok)
-            maybe_compact()
-
-        def forward(kind: str, key, ok: bool) -> None:
-            report.forwarded[kind] = report.forwarded.get(kind, 0) + 1
-            self._m_forwarded.labels(op=kind).inc()
-            by = report.ops_by_status
-            name = "OK" if ok else "NOT_FOUND"
-            by[name] = by.get(name, 0) + 1
-            if fl_on:
-                rec = fr_begin(kind, key, shard)
-                if rec is not None:
-                    flight.complete_forwarded(rec, ok)
-
-        # hot loop: branches ordered by op frequency, bound locals, and
-        # a forwarding fast path of one dict probe per read (the overlay
-        # entries stay empty when the engine lacks ``contains``, so the
-        # probes degrade to no-ops without per-op feature checks; writes
-        # pay one bound-method call that records their pending effect)
-        coal_add = coal.add
-        overlay_get = overlay.entries.get
-        resolve_read = overlay.resolve_read
-        note_update = overlay.note_update
-        note_delete = overlay.note_delete
-        note_insert = overlay.note_insert
-        results_append = results.append
-        for kind, payload in stream:
-            if kind == "lookup":
-                st = overlay_get(payload)
-                if st is None:
-                    if mt is not None:
-                        # snapshot reads: every queued lookup batch is
-                        # pinned to ONE layout epoch.  If a compaction
-                        # installed since the open batch pinned, close
-                        # that batch at its own epoch (the snapshot's
-                        # shield keeps its answers exact) before this
-                        # read starts a new window on the fresh epoch.
-                        if read_snap is not None \
-                                and read_snap.epoch != mt.epoch:
-                            for k, ps in coal.drain():
-                                execute(k, ps)
-                        if read_snap is None:
-                            read_snap = mt.pin()
-                    results_append(None)
-                    pl = (payload, len(results) - 1)
-                    batches = coal_add("lookup", payload, pl)
-                    if fl_on:
-                        fr_enqueue("lookup", payload, pl, batches)
-                    for k, ps in batches:
-                        execute(k, ps)
-                else:
-                    found, val = resolve_read(payload, st)
-                    if found:
-                        results_append(val)
-                        report.hits += 1
-                        forward("lookup", payload, True)
-                    else:
-                        results_append(None)
-                        report.misses += 1
-                        forward("lookup", payload, False)
-                    report.lookups += 1
-            elif kind == "update":
-                key = payload[0]
-                if payload[1] is None:
-                    # a None value marks a delete row in a write batch
-                    raise ReproError(f"update of {key!r} needs a value")
-                if mt is not None:
-                    ok = mt.absorb_update(key, payload[1])
-                    report.updates += 1
-                    if not ok:
-                        report.update_misses += 1
-                    absorb_done("update", key, ok)
-                    continue
-                if not note_update(key, payload[1]):
-                    # definitely gone: a guaranteed miss, and updates
-                    # never resurrect — skip the device entirely
-                    report.updates += 1
-                    report.update_misses += 1
-                    forward("update", key, False)
-                    continue
-                batches = coal_add("update", key, payload)
-                if fl_on:
-                    fr_enqueue("update", key, payload, batches)
-                for k, ps in batches:
-                    execute(k, ps)
-            elif kind == "delete":
-                if mt is not None:
-                    ok = mt.absorb_delete(payload)
-                    report.deletes += 1
-                    if not ok:
-                        report.delete_misses += 1
-                    absorb_done("delete", payload, ok)
-                    continue
-                if not note_delete(payload):
-                    report.deletes += 1
-                    report.delete_misses += 1
-                    forward("delete", payload, False)
-                    continue
-                # a delete rides the write class as a (key, None) row
-                row = (payload, None)
-                batches = coal_add("delete", payload, row)
-                if fl_on:
-                    fr_enqueue("delete", payload, row, batches)
-                for k, ps in batches:
-                    execute(k, ps)
-            elif kind == "insert":
-                key = payload[0]
-                if mt is not None:
-                    mt.absorb_insert(key, payload[1])
-                    report.inserts += 1
-                    absorb_done("insert", key, True)
-                    continue
-                note_insert(key, payload[1])
-                batches = coal_add("insert", key, payload)
-                if fl_on:
-                    fr_enqueue("insert", key, payload, batches)
-                for k, ps in batches:
-                    execute(k, ps)
-            elif kind == "scan":
-                # a range touches an unbounded key set: full barrier,
-                # executed immediately
-                if not (isinstance(payload, (tuple, list))
-                        and len(payload) == 2):
-                    raise ValueError(f"malformed scan payload {payload!r}")
-                for k, ps in coal.drain():
-                    execute(k, ps)
-                # the scan reads the device layout: install every
-                # absorbed write first (forced — correctness over cost)
-                maybe_compact(force=True)
-                close_window()
-                pl = [tuple(payload)]
-                if fl_on:
-                    rec = fr_begin("scan", payload[0], shard)
-                    if rec is not None:
-                        rec.queue_pos = 0
-                        batch_fr[id(pl)] = [rec]
-                execute("scan", pl)
-            else:
-                raise ValueError(f"unknown operation {kind!r}")
-        for k, ps in coal.drain():
-            execute(k, ps)
-        # end of stream: drain the memtable so the device layout holds
-        # the folded effect of every absorbed write (serial-equivalent)
-        maybe_compact(force=True)
-        close_window()
-        self.last_overlap_stats = overlap
-        if overlap is not None:
-            report.stream_overlap = overlap.as_dict()
-
-        for kind in report.wall_s:
-            summary = self.metrics.value("mixed_op_latency_us", op=kind)
-            if summary:
-                report.latency_percentiles_by_op[kind] = summary
-        report.flush_reasons = {
-            reason: count - reasons_before.get(reason, 0)
-            for reason, count in coal.flush_reasons().items()
-        }
+        pipe = BatchPipeline(self.engine, self.engine.batch_size,
+                             self.memtable_config, shard=self.shard)
+        self.memtable, self.overlay = pipe.memtable, pipe.overlay
+        results, report = pipe.run(stream)
+        self.last_overlap_stats = pipe.overlap
         return results, report

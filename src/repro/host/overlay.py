@@ -45,9 +45,10 @@ class WriteOverlay:
     """Per-key pending-write state with store-to-load forwarding.
 
     The hot-loop contract (used by :class:`repro.host.mixed.
-    MixedWorkloadExecutor` and :class:`repro.serve.ServerCore`):
+    BatchPipeline`, behind both the offline executor and
+    :class:`repro.serve.ServerCore`):
 
-    * bind ``overlay.entries.get`` and probe it once per read — ``None``
+    * probe ``overlay.entries.get`` once per read — ``None``
       means "no pending write, go to the device" and costs one dict
       lookup; only overlaid keys pay a method call
       (:meth:`resolve_read`).

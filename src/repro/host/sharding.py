@@ -65,6 +65,7 @@ from repro.host.mixed import (
     MixedReport,
     MixedWorkloadExecutor,
     merge_percentile_summaries,
+    split_op,
 )
 from repro.host.results import BatchResult
 from repro.obs.flightrec import NULL_FLIGHT_RECORDER
@@ -683,9 +684,7 @@ class ShardedMixedExecutor:
             total.merge(seg, concurrent=False)
 
     def _run_scan(self, payload, total: MixedReport) -> None:
-        if not (isinstance(payload, (tuple, list)) and len(payload) == 2):
-            raise ValueError(f"malformed scan payload {payload!r}")
-        lo, hi = payload
+        lo, hi = split_op("scan", payload)
         t0 = time.perf_counter()
         with self.tracer.span("mixed.scan", {"n": 1}):
             rows = self.engine.range(lo, hi)

@@ -1,9 +1,11 @@
 """Deterministic heart of the async serving front-end.
 
-:class:`ServerCore` is the whole serving policy — admission control,
-tenant fairness, adaptive batch close, store-to-load forwarding, the
-virtual device timeline — as a plain synchronous object driven by an
-injectable microsecond clock.  The asyncio wrapper
+:class:`ServerCore` is the online door of the batch pipeline
+(:class:`repro.host.mixed.BatchPipeline`, which forwards, absorbs,
+coalesces, dispatches and reports for the offline executor too).  It
+adds the serving policy — admission control, tenant fairness, adaptive
+batch close, the virtual device timeline — as a plain synchronous
+object driven by an injectable microsecond clock.  The asyncio wrapper
 (:class:`repro.serve.server.CuartServer`) owns *when* ``poll`` runs;
 this module owns *what happens*, so every queueing decision is testable
 against a :class:`VirtualClock` with zero wall-clock sleeps.
@@ -38,17 +40,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.errors import ReproError
-from repro.host.batching import OpClassCoalescer
-from repro.host.memtable import Memtable, MemtableConfig
-from repro.host.mixed import MixedReport
-from repro.host.overlay import WriteOverlay
+from repro.host.mixed import BatchPipeline, MixedReport, split_op
 from repro.host.results import OpStatus
-from repro.obs.flightrec import NULL_FLIGHT_RECORDER
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER
 from repro.util.validation import require_power_of_two
 
 __all__ = [
@@ -60,9 +54,6 @@ __all__ = [
 ]
 
 _STATUS_NAMES = {int(s): s.name for s in OpStatus}
-
-#: op kinds accepted by :meth:`ServerCore.offer`.
-_KINDS = ("lookup", "update", "delete", "insert", "scan")
 
 
 class ServerOverloadedError(ReproError):
@@ -221,8 +212,7 @@ class ServedOp:
 
     __slots__ = (
         "op", "key", "value_arg", "tenant", "t_enqueue_us", "t_done_us",
-        "status", "value", "retry_after_us", "done", "forwarded",
-        "on_done", "rec",
+        "status", "value", "retry_after_us", "done", "on_done",
     )
 
     def __init__(self, op, key, value_arg, tenant, t_enqueue_us, on_done):
@@ -236,9 +226,7 @@ class ServedOp:
         self.value = None
         self.retry_after_us = 0.0
         self.done = False
-        self.forwarded = False
         self.on_done = on_done
-        self.rec = None
 
     @property
     def latency_us(self) -> float:
@@ -255,7 +243,7 @@ class ServedOp:
         return f"<ServedOp {self.op} tenant={self.tenant} {state}>"
 
 
-class ServerCore:
+class ServerCore(BatchPipeline):
     """Synchronous, clock-driven serving engine (see module docstring).
 
     The front-end contract is three calls:
@@ -266,9 +254,14 @@ class ServerCore:
       queued op's deadline expires;
     - :meth:`poll` fires expired deadlines.
 
-    :meth:`run` additionally implements the offline
-    :class:`~repro.serve.dispatch.Dispatch` protocol, so a ``ServerCore``
-    drops into any benchmark slot an executor fits.
+    Forwarding, write absorption, coalescing, dispatch, compaction and
+    the report are the :class:`~repro.host.mixed.BatchPipeline` the
+    offline executor drives too; this class adds what is online —
+    admission with SHED and tenant fairness, deadline close, the SLO
+    controller, :class:`ServedOp` completion and the virtual device
+    cursor.  :meth:`run` implements the offline
+    :class:`~repro.serve.dispatch.Dispatch` protocol, so a
+    ``ServerCore`` drops into any benchmark slot an executor fits.
     """
 
     def __init__(
@@ -286,44 +279,14 @@ class ServerCore:
                 "pass either config=ServerConfig(...) or individual "
                 "keyword arguments, not both"
             )
-        self.engine = engine
+        super().__init__(engine, config.max_batch, config.memtable)
         self.config = config
         self.clock = clock if clock is not None else _wall_clock_us
-        self.metrics: MetricsRegistry = getattr(
-            engine, "metrics", None
-        ) or MetricsRegistry()
-        self.tracer = getattr(engine, "tracer", None) or NULL_TRACER
-        self.flight = getattr(engine, "flight", None) or NULL_FLIGHT_RECORDER
 
         #: live batch-close knobs (the SLO controller retunes these
         #: through :meth:`set_batch_close` / :meth:`set_deadline`).
         self.batch_close = config.max_batch
         self.deadline_us = config.deadline_us
-
-        self._coal = OpClassCoalescer(self.batch_close, metrics=self.metrics)
-        self._reasons_before = self._coal.flush_reasons()
-        #: :class:`~repro.host.memtable.Memtable` when write absorption
-        #: is on (:attr:`ServerConfig.memtable`): writes ack host-side
-        #: in O(1) and never consume queue depth; the overlay below IS
-        #: its delta, so forwarding reads stay one dict probe.
-        self.memtable = None
-        if config.memtable is not None \
-                and getattr(engine, "contains", None) is not None:
-            mtc = (MemtableConfig() if config.memtable is True
-                   else config.memtable)
-            self.memtable = Memtable(engine, mtc, metrics=self.metrics)
-        self.overlay = (
-            self.memtable.delta if self.memtable is not None
-            else WriteOverlay(getattr(engine, "contains", None))
-        )
-        #: snapshot pinned by the oldest queued device lookup (None
-        #: while no lookup is in flight): every queued lookup batch is
-        #: answered at ONE memtable epoch (released at its dispatch).
-        self._read_snap = None
-        self._submit = getattr(engine, "submit", None)
-        if getattr(engine, "drain", None) is None:
-            self._submit = None
-        self._overlap = None
 
         #: queued-but-undispatched ops, total and per tenant.
         self.backlog = 0
@@ -331,15 +294,16 @@ class ServerCore:
         #: simulated time the device is busy through (the virtual
         #: device cursor: completions serialize behind it).
         self.device_free_us = 0.0
+        #: clock time the batch being dispatched left its queue.
+        self._t_dispatch = 0.0
         #: EWMA of simulated per-op service time, for retry-after hints.
         self.service_ewma_us = 0.0
         self.admitted = 0
         self.sheds = 0
         self.completed = 0
-        self.report = MixedReport()
 
         m = self.metrics
-        self._m_latency = m.histogram(
+        self._m_served_latency = m.histogram(
             "server_op_latency_us",
             "enqueue-to-completion latency through the serving front-end",
             labels=("op",),
@@ -357,10 +321,6 @@ class ServerCore:
         self._m_shed = m.counter(
             "server_shed_total",
             "ops refused by admission control", labels=("tenant",),
-        )
-        self._m_forwarded = m.counter(
-            "server_forwarded_total",
-            "ops answered host-side from the write overlay", labels=("op",),
         )
         self._m_retunes = m.counter(
             "server_retunes_total",
@@ -414,7 +374,7 @@ class ServerCore:
             depth = max(int(depth * self.config.degraded_depth_factor), 1)
         return depth
 
-    def _admit(self, tenant: str) -> bool:
+    def _within_share(self, tenant: str) -> bool:
         depth = self._effective_depth()
         if self.backlog >= depth:
             return False
@@ -428,6 +388,19 @@ class ServerCore:
             fair_share = depth * active_w / total_w
             if self.tenant_backlog.get(tenant, 0) >= fair_share:
                 return False
+        return True
+
+    def _admit(self, op: ServedOp) -> bool:
+        """Admission control: shed the op, or count it into the
+        backlog it will occupy until its batch dispatches."""
+        tenant = op.tenant
+        if not self._within_share(tenant):
+            self._shed(op)
+            return False
+        self.admitted += 1
+        self.backlog += 1
+        self.tenant_backlog[tenant] = self.tenant_backlog.get(tenant, 0) + 1
+        self._g_backlog.set(self.backlog)
         return True
 
     def _retry_after_us(self) -> float:
@@ -444,35 +417,20 @@ class ServerCore:
         self.completed += 1
         if observe:
             lat = op.latency_us
-            self._m_latency.labels(op=op.op).observe(lat)
+            self._m_served_latency.labels(op=op.op).observe(lat)
             self.slo_histogram.observe(lat)
-        by = self.report.ops_by_status
-        name = _STATUS_NAMES.get(status, str(status))
-        by[name] = by.get(name, 0) + 1
         cb = op.on_done
         if cb is not None:
             cb(op)
 
-    def _shed(self, op: ServedOp, now: float) -> ServedOp:
+    def _shed(self, op: ServedOp) -> None:
         self.sheds += 1
         self._m_shed.labels(tenant=op.tenant).inc()
         op.retry_after_us = self._retry_after_us()
-        self._finish(op, int(OpStatus.SHED), None, now, observe=False)
-        return op
-
-    def _forward(self, op: ServedOp, found: bool, value, now: float
-                 ) -> ServedOp:
-        op.forwarded = True
-        self._m_forwarded.labels(op=op.op).inc()
-        rep = self.report
-        rep.forwarded[op.op] = rep.forwarded.get(op.op, 0) + 1
-        if self.flight.enabled:
-            rec = self.flight.begin(op.op, op.key, None)
-            if rec is not None:
-                self.flight.complete_forwarded(rec, found)
-        status = OpStatus.OK if found else OpStatus.NOT_FOUND
-        self._finish(op, int(status), value, now)
-        return op
+        by = self.report.ops_by_status
+        by["SHED"] = by.get("SHED", 0) + 1
+        self._finish(op, int(OpStatus.SHED), None, op.t_enqueue_us,
+                     observe=False)
 
     # -- the front door --------------------------------------------------
 
@@ -488,124 +446,17 @@ class ServerCore:
         host-side, shed, or swept up in a size-triggered batch close)
         ``op.done`` is already True and ``on_done`` has fired.
         """
-        if kind not in _KINDS:
-            raise ReproError(f"unknown operation {kind!r}")
+        key, value_arg = split_op(kind, payload)
         now = self.clock()
-        rep = self.report
-        if kind in ("update", "insert"):
-            key, value_arg = payload
-            if value_arg is None and kind == "update":
-                # a None value marks a delete row in a write batch
-                raise ReproError(f"update of {key!r} needs a value")
-        elif kind == "scan":
-            if not (isinstance(payload, (tuple, list)) and len(payload) == 2):
-                raise ReproError(f"malformed scan payload {payload!r}")
-            key, value_arg = payload[0], payload[1]
-        else:
-            key, value_arg = payload, None
         op = ServedOp(kind, key, value_arg, tenant, now, on_done)
-
         if kind == "scan":
-            # unbounded key range: full barrier, served immediately
-            # (flush() force-compacts first, so the range observes
-            # every absorbed write)
-            self.flush()
-            rows = self.engine.range(key, value_arg)
-            rep.scans += 1
-            rep.records_scanned += len(rows)
+            rows = self._scan(key, value_arg)
             self._finish(op, int(OpStatus.OK), rows, self.clock())
             return op
-
-        mt = self.memtable
-        if mt is not None and kind != "lookup":
-            # log-structured write absorption: the op acks right here —
-            # hit/miss resolved against the delta + one memoized base
-            # probe — and its folded device row rides a background
-            # compaction batch.  Absorbed writes never consume queue
-            # depth, so they are never shed.
-            if kind == "update":
-                ok = mt.absorb_update(key, value_arg)
-                rep.updates += 1
-                if not ok:
-                    rep.update_misses += 1
-                value = ok
-            elif kind == "delete":
-                ok = mt.absorb_delete(key)
-                rep.deletes += 1
-                if not ok:
-                    rep.delete_misses += 1
-                value = ok
-            else:
-                mt.absorb_insert(key, value_arg)
-                ok = True
-                value = True
-                rep.inserts += 1
-            rep.absorbed[kind] = rep.absorbed.get(kind, 0) + 1
-            if self.flight.enabled:
-                rec = self.flight.begin(kind, key, None)
-                if rec is not None:
-                    self.flight.complete_absorbed(rec, ok)
-            status = OpStatus.OK if ok else OpStatus.NOT_FOUND
-            self._finish(op, int(status), value, now)
-            self._maybe_compact()
-            return op
-
-        # store-to-load forwarding through the pending-write overlay:
-        # answered host-side, so these never consume queue depth.  Only
-        # non-mutating probes run before admission — a shed op must
-        # leave no pending effect behind.
-        overlay = self.overlay
-        entry = overlay.entries.get(key)
-        if kind == "lookup":
-            if entry is not None:
-                found, val = overlay.resolve_read(key, entry)
-                rep.lookups += 1
-                if found:
-                    rep.hits += 1
-                else:
-                    rep.misses += 1
-                return self._forward(op, found, val if found else None, now)
-        elif kind in ("update", "delete") and entry is not None \
-                and entry[0] == "absent":
-            # definitely gone (pending delete): a guaranteed miss, and
-            # updates never resurrect — skip the device entirely
-            if kind == "update":
-                rep.updates += 1
-                rep.update_misses += 1
-            else:
-                rep.deletes += 1
-                rep.delete_misses += 1
-            return self._forward(op, False, False, now)
-
-        if not self._admit(tenant):
-            return self._shed(op, now)
-
-        self.admitted += 1
-        if kind == "update":
-            overlay.note_update(key, value_arg)
-        elif kind == "delete":
-            overlay.note_delete(key)
-        elif kind == "insert":
-            overlay.note_insert(key, value_arg)
-        elif mt is not None:
-            # snapshot reads: the queued lookup batch is pinned to ONE
-            # memtable epoch.  If a compaction installed since the open
-            # batch pinned, dispatch that batch at its own epoch (the
-            # snapshot's shield keeps its answers exact) before this
-            # read opens a new window on the fresh epoch.
-            if self._read_snap is not None \
-                    and self._read_snap.epoch != mt.epoch:
-                for k, ops in self._coal.drain():
-                    self._dispatch(k, ops)
-            if self._read_snap is None:
-                self._read_snap = mt.pin()
-        self.backlog += 1
-        self.tenant_backlog[tenant] = self.tenant_backlog.get(tenant, 0) + 1
-        self._g_backlog.set(self.backlog)
-        if self.flight.enabled:
-            op.rec = self.flight.begin(kind, key, None)
-        for k, ops in self._coal.add(kind, key, op):
-            self._dispatch(k, ops)
+        ans = self._route(kind, key, value_arg, op)
+        if ans is not None:
+            status = OpStatus.OK if ans[0] else OpStatus.NOT_FOUND
+            self._finish(op, int(status), ans[1], now)
         return op
 
     # -- the timer side --------------------------------------------------
@@ -641,239 +492,97 @@ class ServerCore:
                     self._dispatch(k, ops)
         return dispatched
 
-    def flush(self) -> int:
-        """Dispatch everything queued (shutdown / scan barrier), drain
-        the memtable into the device layout, and close the simulated
-        stream window."""
-        dispatched = 0
-        for k, ops in self._coal.drain():
-            dispatched += len(ops)
-            self._dispatch(k, ops)
-        self._maybe_compact(force=True)
-        self._close_window()
-        return dispatched
-
-    def _close_window(self) -> None:
-        if self._submit is None:
-            return
-        window = self.engine.drain()
-        if self._overlap is None:
-            self._overlap = window
-        else:
-            self._overlap.add_window(window)
-        self.report.stream_overlap = self._overlap.as_dict()
-
     # -- batch dispatch --------------------------------------------------
 
-    def _dispatch(self, kind: str, ops: list) -> None:
-        """Dispatch one flushed class batch (``lookup`` / ``write`` /
-        ``insert``) and complete its ops; a write batch's rows are
-        ``(key, value)`` updates and ``(key, None)`` deletes."""
-        engine = self.engine
-        td = self.clock()
-        n = len(ops)
-        if kind in ("write", "insert"):
-            payloads = [(o.key, o.value_arg) for o in ops]
-        else:
-            payloads = [o.key for o in ops]
-        with self.tracer.span(f"serve.{kind}", {"n": n}):
-            if self._submit is not None:
-                res = self._submit(kind, payloads)
-            else:
-                res = getattr(engine, kind)(payloads)
+    def _rows(self, kind: str, ops: list) -> list:
+        if kind == "lookup":
+            return [o.key for o in ops]
+        return [(o.key, o.value_arg) for o in ops]
 
-        # virtual device cursor: this batch's simulated service time
-        # serializes behind whatever the device is already busy with
+    def _dispatch(self, kind: str, ops: list) -> None:
+        # the batch leaves its queue now, on the server clock
+        self._t_dispatch = self.clock()
+        super()._dispatch(kind, ops)
+
+    def _sim_us(self, n: int) -> float:
+        """Simulated service time (µs) of the batch just submitted: its
+        stream events, or ``n`` ops at the end-to-end rate on engines
+        without per-batch events (the sharded wrapper)."""
+        engine = self.engine
         sim_us = 0.0
-        for ev in getattr(engine, "last_events", ()) or ():
+        for ev in getattr(engine, "last_events", ()):
             sim_us += (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
         if sim_us == 0.0:
-            # engines without the submit/drain event surface (e.g. the
-            # sharded wrapper) still report end-to-end MOps/s = ops/µs
-            last = getattr(engine, "last_report", None)
-            rate = getattr(last, "end_to_end_mops", 0.0) if last else 0.0
+            last = engine.last_report
+            rate = last.end_to_end_mops if last is not None else 0.0
             if rate > 0.0:
                 sim_us = n / rate
-        start = max(td, self.device_free_us)
-        t_done = start + sim_us
-        self.device_free_us = t_done
-        per_op = sim_us / n if n else 0.0
+        return sim_us
+
+    def _complete(self, kind: str, ops: list, res, values,
+                  restated) -> None:
+        """Complete a dispatched batch's ServedOps on the virtual device
+        cursor: the batch's simulated service time serializes behind
+        whatever the device is already busy with."""
+        n = len(ops)
+        td = self._t_dispatch
+        sim_us = self._sim_us(n)
+        t_done = self.device_free_us = max(td, self.device_free_us) + sim_us
+        per_op = sim_us / n
         self.service_ewma_us = (
             per_op if self.service_ewma_us == 0.0
             else 0.8 * self.service_ewma_us + 0.2 * per_op
         )
-
-        # snapshot reads: the batch pinned the memtable epoch its first
-        # lookup was enqueued on; if a compaction installed newer writes
-        # since, restate those keys from the snapshot's shield / pinned
-        # delta so the batch answers at its own epoch
-        overrides: dict = {}
-        values = list(res) if kind == "lookup" else None
-        if kind == "lookup" and self._read_snap is not None:
-            snap = self._read_snap
-            self._read_snap = None
-            shield, pinned = snap.shield, snap.pinned
-            if shield or pinned:
-                for i, o in enumerate(ops):
-                    ent = shield.get(o.key)
-                    if ent is None:
-                        pe = pinned.get(o.key)
-                        if pe is not None:
-                            ent = (pe[0] != "absent", pe[1])
-                    if ent is not None:
-                        overrides[i] = ent
-                        values[i] = ent[1] if ent[0] else None
-            snap.release()
-
-        # book-keeping mirrors the offline executor's report shape
-        rep = self.report
-        rep.batches += 1
-        rep.batches_by_op[kind] = rep.batches_by_op.get(kind, 0) + 1
-        found = getattr(res, "found_array", None)
-        hits = int(np.count_nonzero(found)) if found is not None else 0
-        if kind == "lookup":
-            if overrides:
-                hits = sum(1 for v in values if v is not None)
-            rep.lookups += n
-            rep.hits += hits
-            rep.misses += n - hits
-        elif kind == "write":
-            rep.tally_writes(payloads, res)
-        else:
-            rep.inserts += n
-            summary = getattr(res, "summary", None)
-            if summary is not None:
-                rep.inserts_deferred += summary["deferred"]
-        if engine.last_report is not None:
-            rep.simulated_mops[kind] = engine.last_report.end_to_end_mops
-
-        codes = getattr(res, "status", None)
-        recs = []
+        self.backlog -= n
+        tb = self.tenant_backlog
+        codes = res.status
+        found = res.found_array
         for i, op in enumerate(ops):
-            self.backlog -= 1
-            tb = self.tenant_backlog
-            tb[op.tenant] = tb.get(op.tenant, 0) - 1
+            tb[op.tenant] -= 1
             self._m_queue_wait.observe(max(td - op.t_enqueue_us, 0.0))
-            if op.rec is not None:
-                op.rec.queue_pos = i
-                recs.append(op.rec)
-            status = int(codes[i]) if codes is not None else int(OpStatus.OK)
+            status = int(codes[i])
             if kind == "lookup":
-                ov = overrides.get(i)
-                if ov is not None:
-                    # answered from the pinned snapshot, not the device
+                if restated and i in restated:
                     status = int(
-                        OpStatus.OK if ov[0] else OpStatus.NOT_FOUND
+                        OpStatus.OK if restated[i] else OpStatus.NOT_FOUND
                     )
                 value = values[i]
             elif kind == "insert":
                 value = status != int(OpStatus.FAILED)
             else:
-                value = bool(found[i]) if found is not None else True
+                value = bool(found[i])
             self._finish(op, status, value, t_done)
         self._g_backlog.set(self.backlog)
-
-        if recs:
-            statuses = None
-            if codes is not None:
-                statuses = [
-                    _STATUS_NAMES.get(int(c), str(c)) for c in codes
-                ]
-            self.flight.complete(
-                recs, batch_id=self._coal.batches_flushed,
-                t_dispatch_us=self.flight.now_us(), statuses=statuses,
-                attempts=getattr(res, "attempts", None),
-                sim_events=getattr(engine, "last_events", None),
-                batch_size=n,
-            )
         if self.controller is not None:
             self.controller.maybe_retune(self)
 
-    # -- background merge-compaction -------------------------------------
-
-    def _compact_dispatch(self, kind: str, payloads: list):
-        """Scatter one folded compaction batch.  It occupies the virtual
-        device like any foreground batch (the cursor advances) but
-        completes no ServedOps — their outcomes were resolved at absorb
-        time — so foreground lookups queue behind it exactly the way
-        they would behind a second stream's transfer."""
-        engine = self.engine
+    def _compact_dispatch(self, kind: str, rows: list):
+        """A compaction batch completes no ServedOps — their outcomes
+        were resolved at absorb time — but it occupies the virtual
+        device like any batch, so foreground lookups queue behind it
+        the way they would behind a second stream's transfer."""
         td = self.clock()
-        with self.tracer.span(f"serve.compact.{kind}",
-                              {"n": len(payloads)}):
-            if self._submit is not None:
-                res = self._submit(kind, payloads)
-            else:
-                res = getattr(engine, kind)(payloads)
-        sim_us = 0.0
-        for ev in getattr(engine, "last_events", ()) or ():
-            sim_us += (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
-        start = max(td, self.device_free_us)
-        self.device_free_us = start + sim_us
-        rep = self.report
-        rep.batches += 1
-        bkey = f"compact-{kind}"
-        rep.batches_by_op[bkey] = rep.batches_by_op.get(bkey, 0) + 1
-        if kind == "insert":
-            summary = getattr(res, "summary", None)
-            if summary is not None:
-                rep.inserts_deferred += summary["deferred"]
-        if engine.last_report is not None:
-            rep.simulated_mops[kind] = engine.last_report.end_to_end_mops
+        res = super()._compact_dispatch(kind, rows)
+        self.device_free_us = (max(td, self.device_free_us)
+                               + self._sim_us(len(rows)))
         return res
-
-    def _maybe_compact(self, force: bool = False) -> None:
-        mt = self.memtable
-        if mt is None:
-            return
-        if force or mt.should_compact():
-            out = mt.compact(self._compact_dispatch, force=force)
-            if out is not None:
-                self.report.compactions += 1
 
     # -- offline Dispatch conformance ------------------------------------
 
     def run(self, stream) -> tuple[list, MixedReport]:
         """Execute one interleaved stream offline — the
-        :class:`~repro.serve.dispatch.Dispatch` contract.  Arrival
-        times all read the server clock at call time, so with the
-        default wall clock batches close on size exactly like the
-        offline executors; a :class:`VirtualClock` advanced between ops
-        exercises the deadline path deterministically."""
-        results: list = []
-
-        def capture(op: ServedOp, seq: int) -> None:
-            results[seq] = op.value
-
+        :class:`~repro.serve.dispatch.Dispatch` contract.  Batches close
+        on size, key conflict and drain only (no deadline fires), so
+        the result and report are the same on every clock."""
+        lookups = []
         for kind, payload in stream:
+            op = self.offer(kind, payload)
             if kind == "lookup":
-                results.append(None)
-                seq = len(results) - 1
-                self.offer(
-                    kind, payload,
-                    on_done=lambda op, s=seq: capture(op, s),
-                )
-            else:
-                self.offer(kind, payload)
-            self.poll()
+                lookups.append(op)
         self.flush()
-        return results, self.report_snapshot()
+        return [op.value for op in lookups], self.report_snapshot()
 
     # -- reporting -------------------------------------------------------
-
-    def report_snapshot(self) -> MixedReport:
-        """The run's :class:`~repro.host.mixed.MixedReport`, with
-        latency percentiles and the flush-reason delta filled in."""
-        rep = self.report
-        for op in ("lookup", "update", "delete", "insert"):
-            summary = self.metrics.value("server_op_latency_us", op=op)
-            if summary and summary.get("count"):
-                rep.latency_percentiles_by_op[op] = summary
-        rep.flush_reasons = {
-            reason: count - self._reasons_before.get(reason, 0)
-            for reason, count in self._coal.flush_reasons().items()
-        }
-        return rep
 
     def stats(self) -> dict:
         """Serving-side counters for dashboards and the load

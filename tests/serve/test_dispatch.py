@@ -4,8 +4,9 @@ The :class:`~repro.serve.dispatch.Dispatch` protocol is only worth its
 name if the offline executor, the sharded executor and the server core
 are interchangeable: same stream in, same lookup results out, same
 report shape.  These tests run all three over identical mixed streams
-and compare results element-wise, then pin :func:`make_dispatch`'s
-resolution rules.
+and compare results element-wise, check that ``run`` closes the same
+batches on every clock, then pin :func:`make_dispatch`'s resolution
+rules.
 """
 
 import pytest
@@ -88,6 +89,30 @@ class TestProtocolConformance:
             assert report.batches > 0
             assert sum(report.ops_by_status.values()) == len(STREAM)
             assert "size-full" in report.flush_reasons
+            # one latency definition: host wall per row of each class
+            classes = set(report.latency_percentiles_by_op)
+            assert classes == set(report.wall_s), name
+            assert {"lookup", "write"} <= classes, name
+
+
+class TestDeterministicRun:
+    """``run(stream)`` closes batches on size, key conflict and drain
+    only, so no clock can change what a stream dispatches."""
+
+    @staticmethod
+    def outcome(dispatch):
+        results, rep = dispatch.run(list(STREAM))
+        return (results, rep.batches_by_op, rep.flush_reasons,
+                rep.ops_by_status, rep.stream_overlap["makespan_s"])
+
+    @pytest.mark.parametrize("door", [ServerCore, CuartServer])
+    @pytest.mark.parametrize("clock", ["virtual", "wall"])
+    def test_same_batches_as_the_executor(self, door, clock):
+        kwargs = {"clock": VirtualClock()} if clock == "virtual" else {}
+        dispatch = door(single_engine(), max_batch=64, **kwargs)
+        expected = self.outcome(MixedWorkloadExecutor(single_engine()))
+        assert self.outcome(dispatch) == expected
+        assert expected[2]["deadline"] == 0
 
 
 class TestMakeDispatch:
@@ -114,3 +139,13 @@ class TestMakeDispatch:
     def test_rejects_unknown_targets(self):
         with pytest.raises(ReproError):
             make_dispatch(object())
+
+    def test_rejects_engine_the_pipeline_cannot_drive(self):
+        class LookupOnly:
+            batch_size = 64
+
+            def lookup(self, keys):
+                return [None] * len(keys)
+
+        with pytest.raises(ReproError, match="submit, drain, contains"):
+            make_dispatch(LookupOnly())
