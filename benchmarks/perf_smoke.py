@@ -1,78 +1,63 @@
-"""Serving-path performance smoke harness (host wall-clock, not simulated).
+"""Serving-path performance smoke harness: both clocks, one JSON file.
 
-Times the real Python/NumPy host pipeline end to end at a fixed seed and
+Runs the real Python/NumPy host pipeline end to end at a fixed seed and
 scale — populate + map ("build the servable index"), uniform and
-Zipf-skewed lookup serving, batched updates, and a mixed OLTP stream —
-and writes one JSON file per run (see EXPERIMENTS.md for the schema).
-Pass a previous run with ``--baseline`` to get speedup factors; the
-committed ``BENCH_seed.json`` / ``BENCH_pr1.json`` pair is the
-regression reference for the vectorized serving path.
+Zipf-skewed lookup serving, batched updates, the high-conflict update
+scenario, a mixed OLTP stream, key-space-sharded serving, the SLO-driven
+serving ramp and the bursty write storm — and writes one JSON file per
+run (see EXPERIMENTS.md for the schema).  Host wall-clock numbers
+(``wall_s``, ``keys_per_sec``) sit beside the simulated-device and
+virtual-clock numbers, which a fixed seed reproduces exactly.
 
-The harness deliberately sticks to the oldest engine API surface
-(``--baseline`` runs execute this same file against older checkouts), so
-newer engine features are feature-detected, never required.
+The harness asserts correctness only (lookups match a dict oracle,
+results match across device counts, both conflict-table layouts pick
+the same winners, the memtable and synchronous passes leave the same
+content, the critical path reconciles with the makespan).  Its perf
+bounds and exact numbers are checked by ``scripts/validate_bench.py``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py --out BENCH_pr1.json \
-        --baseline BENCH_seed.json --scale 64
+    PYTHONPATH=src python benchmarks/perf_smoke.py --scale 512 \
+        --out /tmp/bench.json
+    python scripts/validate_bench.py /tmp/bench.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
 
 import numpy as np
 
+# loadgen.py lives next to this file, so the plain import works when run
+# as `python benchmarks/perf_smoke.py`
+from loadgen import arrival_gaps_us, run_ramp
+from repro.cuart.update import UpdateEngine
+from repro.gpusim.faults import FaultConfig
 from repro.host.engine import CuartEngine
+from repro.host.memtable import MemtableConfig
 from repro.host.mixed import MixedWorkloadExecutor
+from repro.host.resilience import ResiliencePolicy
+from repro.host.sharding import (
+    ShardedEngine,
+    ShardedMixedExecutor,
+    ShardingConfig,
+)
+from repro.obs import (
+    FlightRecorder,
+    MetricsRegistry,
+    Tracer,
+    attribute_stats,
+    write_chrome_trace,
+)
+from repro.serve.core import ServerCore, VirtualClock
+from repro.util.keys import keys_to_matrix
 from repro.workloads.distributions import uniform_indices, zipf_indices
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import random_keys
-
-try:  # observability layer (PR 3); absent on older checkouts
-    from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
-except ImportError:  # pragma: no cover - baseline-checkout compatibility
-    MetricsRegistry = Tracer = write_chrome_trace = None
-
-try:  # fault-tolerance layer (PR 4); absent on older checkouts
-    from repro.gpusim.faults import FaultConfig
-    from repro.host.resilience import ResiliencePolicy
-except ImportError:  # pragma: no cover - baseline-checkout compatibility
-    FaultConfig = ResiliencePolicy = None
-
-try:  # flight recorder + critical-path attribution (PR 8)
-    from repro.obs import FlightRecorder, attribute_stats
-except ImportError:  # pragma: no cover - baseline-checkout compatibility
-    FlightRecorder = attribute_stats = None
-
-try:  # key-space sharding layer (PR 7); absent on older checkouts
-    from repro.host.sharding import (
-        ShardedEngine,
-        ShardedMixedExecutor,
-        ShardingConfig,
-    )
-except ImportError:  # pragma: no cover - baseline-checkout compatibility
-    ShardedEngine = ShardedMixedExecutor = ShardingConfig = None
-
-try:  # async serving front-end + open-loop loadgen (PR 9); loadgen.py
-    # lives next to this file, so the plain import works when run as
-    # `python benchmarks/perf_smoke.py` and fails cleanly elsewhere
-    from loadgen import run_ramp as _serving_run_ramp
-except ImportError:  # pragma: no cover - baseline-checkout compatibility
-    _serving_run_ramp = None
-
-try:  # log-structured write absorption (PR 10)
-    from loadgen import arrival_gaps_us as _arrival_gaps_us
-    from repro.host.memtable import MemtableConfig
-    from repro.serve.core import ServerCore, VirtualClock
-except ImportError:  # pragma: no cover - baseline-checkout compatibility
-    _arrival_gaps_us = MemtableConfig = ServerCore = VirtualClock = None
 
 PAPER_KEYS = 16 * 1024 * 1024  # the paper's headline tree size
 KEY_LEN = 12
@@ -101,20 +86,6 @@ SH_UPDATE_OPS = 131072
 SH_REBALANCE_OPS = 32768
 
 
-def _engine(**kwargs) -> CuartEngine:
-    """Build an engine, dropping kwargs older engines don't know."""
-    # drop newest-first so an older engine keeps the kwargs it does know
-    for drop in ("flight_recorder", "hash_table", "resilience", "faults",
-                 "tracer", "metrics", "cache_size", None):
-        try:
-            return CuartEngine(batch_size=BATCH_SIZE, **kwargs)
-        except TypeError:
-            if drop is None:
-                raise
-            kwargs.pop(drop, None)
-    raise AssertionError("unreachable")
-
-
 def _op(wall_s: float, n: int) -> dict:
     return {
         "wall_s": round(wall_s, 6),
@@ -135,31 +106,23 @@ def run(scale: int, label: str, trace_path: str | None = None,
 
     # one shared registry correlates engine, cache, coalescer and write
     # kernels; the tracer records spans only when a trace was requested
-    registry = MetricsRegistry() if MetricsRegistry is not None else None
-    tracer = Tracer() if (trace_path and Tracer is not None) else None
-    obs_kwargs: dict = {}
-    if registry is not None:
-        obs_kwargs["metrics"] = registry
-    if tracer is not None:
-        obs_kwargs["tracer"] = tracer
-    # per-op flight recorder (PR 8): opt-in — the default path must stay
-    # on the allocation-free NULL_FLIGHT_RECORDER fast path
-    flight_rec = None
-    if flight and FlightRecorder is not None:
-        flight_rec = FlightRecorder(capacity=8192, dump_path=flight_dump)
-        obs_kwargs["flight_recorder"] = flight_rec
-    # fault-injection soak mode (PR 4): inject transient device faults at
-    # the given rate and serve through the resilience layer; the oracle
+    registry = MetricsRegistry()
+    tracer = Tracer() if trace_path else None
+    # per-op flight recorder: opt-in — the default path must stay on the
+    # allocation-free NULL_FLIGHT_RECORDER fast path
+    flight_rec = (FlightRecorder(capacity=8192, dump_path=flight_dump)
+                  if flight else None)
+    obs_kwargs: dict = {"metrics": registry, "tracer": tracer,
+                        "flight_recorder": flight_rec}
+    # fault-injection soak mode: inject transient device faults at the
+    # given rate and serve through the resilience layer; the oracle
     # asserts below still hold — faults must never corrupt results
     if fault_rate > 0.0:
-        if FaultConfig is None:
-            raise SystemExit("--fault-rate needs the fault-tolerance layer "
-                             "(repro.gpusim.faults) on PYTHONPATH")
         obs_kwargs["faults"] = FaultConfig.uniform(fault_rate, seed=fault_seed)
         obs_kwargs["resilience"] = ResiliencePolicy()
 
     # -- populate + map: build the servable index -----------------------
-    eng = _engine(**obs_kwargs)
+    eng = CuartEngine(batch_size=BATCH_SIZE, **obs_kwargs)
     t0 = time.perf_counter()
     eng.populate(items)
     t1 = time.perf_counter()
@@ -180,9 +143,10 @@ def run(scale: int, label: str, trace_path: str | None = None,
     for i in sample:
         assert got[int(i)] == oracle[uni[int(i)]], "lookup diverged from oracle"
 
-    # -- Zipf serving phase (hot keys; cache-enabled when available) ----
+    # -- Zipf serving phase (hot keys through the hot-key cache) --------
     zpf = [keys[i] for i in zipf_indices(n, 4 * n, a=ZIPF_A, seed=11)]
-    serving = _engine(cache_size=CACHE_SIZE, **obs_kwargs)
+    serving = CuartEngine(batch_size=BATCH_SIZE, cache_size=CACHE_SIZE,
+                          **obs_kwargs)
     serving.tree = eng.tree  # share the built index: no second populate
     serving.layout = eng.layout
     t0 = time.perf_counter()
@@ -190,18 +154,16 @@ def run(scale: int, label: str, trace_path: str | None = None,
     ops["lookup_zipf"] = _op(time.perf_counter() - t0, len(zpf))
     for i in sample:
         assert got[int(i)] == oracle[zpf[int(i)]], "zipf lookup diverged"
-    cache = getattr(serving, "cache", None)
-    if cache is not None:
-        ops["lookup_zipf"]["cache"] = {
-            "capacity": cache.capacity,
-            "hits": cache.stats.hits,
-            "misses": cache.stats.misses,
-            "hit_rate": round(cache.stats.hit_rate, 4),
-        }
-        if getattr(type(cache), "COUNTS_DEDUP_HITS", False):
-            # with dedup-hit accounting, a 4n-query zipf(1.2) stream over
-            # n keys must report a substantial hot-key hit rate
-            assert cache.stats.hit_rate > 0, "zipf stream recorded no cache hits"
+    cache = serving.cache
+    ops["lookup_zipf"]["cache"] = {
+        "capacity": cache.capacity,
+        "hits": cache.stats.hits,
+        "misses": cache.stats.misses,
+        "hit_rate": round(cache.stats.hit_rate, 4),
+    }
+    # a 4n-query zipf(1.2) stream over n keys must report a substantial
+    # hot-key hit rate (stream repeats collapsed by dedup count as hits)
+    assert cache.stats.hit_rate > 0, "zipf stream recorded no cache hits"
 
     # -- batched updates -------------------------------------------------
     upd_keys = [keys[i] for i in zipf_indices(n, n // 4, a=ZIPF_A, seed=13)]
@@ -213,9 +175,7 @@ def run(scale: int, label: str, trace_path: str | None = None,
 
     # -- high-conflict writes: the figure-15 collision regime -----------
     # (before the mixed stream: its deletes would evict pool keys)
-    hc = _high_conflict_scenario(eng, keys)
-    if hc is not None:
-        ops["update_high_conflict"] = hc
+    ops["update_high_conflict"] = _high_conflict_scenario(eng, keys)
 
     # -- mixed OLTP stream (lookup/update/delete interleaved); capped —
     # with the op-class coalescer the interleaving no longer fragments
@@ -227,11 +187,7 @@ def run(scale: int, label: str, trace_path: str | None = None,
     _, report = mx.run(stream)
     ops["mixed"] = _op(time.perf_counter() - t0, report.operations)
     ops["mixed"]["batches"] = report.batches
-    ops["mixed"]["batches_issued"] = report.batches
     ops["mixed"]["batches_by_op"] = dict(report.batches_by_op)
-    ops["mixed"]["latency_us_by_op"] = {
-        k: round(report.mean_latency_us(k), 3) for k in sorted(report.wall_s)
-    }
     pcts = report.latency_percentiles_by_op
     ops["mixed"]["latency_percentiles_by_op"] = {
         op: {k: round(v, 3) for k, v in summary.items()}
@@ -240,76 +196,55 @@ def run(scale: int, label: str, trace_path: str | None = None,
     ops["mixed"]["flush_reasons"] = dict(report.flush_reasons)
     ops["mixed"]["forwarded"] = dict(report.forwarded)
     ops["mixed"]["stream_overlap"] = dict(report.stream_overlap)
-    # critical-path attribution (PR 8): reconstruct, per stream window,
-    # which stage bound the makespan; the walk's stage intervals must
+    # critical-path attribution: reconstruct, per stream window, which
+    # stage bound the makespan; the walk's stage intervals must
     # partition [0, makespan] exactly, so reconciliation is a hard gate
     ostats = mx.last_overlap_stats
-    if attribute_stats is not None:
-        cp = attribute_stats(ostats)
-        span = ostats.makespan_s
-        drift = abs(cp.total_stage_s - span) / max(span, 1e-12)
-        assert drift < 0.01, (
-            f"critical-path stage totals ({cp.total_stage_s:.6f}s) do not "
-            f"reconcile with the stream makespan ({span:.6f}s): "
-            f"{drift:.2%} drift"
-        )
-        ops["mixed"]["critical_path"] = cp.as_dict()
+    cp = attribute_stats(ostats)
+    span = ostats.makespan_s
+    drift = abs(cp.total_stage_s - span) / max(span, 1e-12)
+    assert drift < 0.01, (
+        f"critical-path stage totals ({cp.total_stage_s:.6f}s) do not "
+        f"reconcile with the stream makespan ({span:.6f}s): "
+        f"{drift:.2%} drift"
+    )
+    ops["mixed"]["critical_path"] = cp.as_dict()
     if flight_rec is not None:
         ops["mixed"]["flight"] = flight_rec.summary()
-    # write tail-latency regression gate: deletes ride the write batches
-    # (one launch: update stage, then delete stage), and grouping the
-    # parent-unlink scatters by present node type keeps the write p95
-    # within a small factor of the lookup p95 (a write does a lookup
-    # plus value / clear / unlink stores; it must not be an order of
-    # magnitude worse at the tail)
+    # write tail latency vs lookup tail latency (host wall per row): a
+    # write does a lookup plus value / clear / unlink stores, so it
+    # should stay within a small factor of a lookup at the tail
     ratio = pcts["write"]["p95"] / max(pcts["lookup"]["p95"], 1e-9)
     ops["mixed"]["write_p95_over_lookup_p95"] = round(ratio, 2)
-    assert ratio < 25.0, (
-        f"write p95 / lookup p95 = {ratio:.1f} (>= 25): write tail "
-        "latency regressed"
-    )
     ops["mixed"]["ops_by_status"] = dict(report.ops_by_status)
     assert report.ops_by_status.get("FAILED", 0) == 0, \
         "mixed stream reported FAILED ops"
 
-    # -- key-space-sharded serving (PR 7): write scaling + rebalance ----
-    sharded = _sharded_scenario(items, keys, tracer=tracer)
-    if sharded is not None:
-        ops["mixed_sharded"] = sharded
+    # -- key-space-sharded serving: write scaling + rebalance -----------
+    ops["mixed_sharded"] = _sharded_scenario(items, keys, tracer=tracer)
 
-    # -- SLO-driven async serving (PR 9): open-loop QPS ramp ------------
-    serving = _serving_scenario()
-    if serving is not None:
-        ops["serving"] = serving
+    # -- SLO-driven async serving: open-loop QPS ramp -------------------
+    ops["serving"] = _serving_scenario()
 
-    # -- log-structured write absorption (PR 10): bursty write storm ----
-    write_burst = _write_burst_scenario()
-    if write_burst is not None:
-        ops["write_burst"] = write_burst
+    # -- log-structured write absorption: bursty write storm ------------
+    ops["write_burst"] = _write_burst_scenario()
 
     fault_injection = None
     if fault_rate > 0.0:
-        injector = getattr(eng, "_injector", None)
         fault_injection = {
             "rate": fault_rate,
             "seed": fault_seed,
-            "injected": injector.snapshot() if injector is not None else {},
+            "injected": eng._injector.snapshot(),
+            "simulated_backoff_s": round(
+                eng._dispatcher.simulated_backoff_s, 6),
         }
-        disp = getattr(eng, "_dispatcher", None)
-        if disp is not None:
-            fault_injection["simulated_backoff_s"] = round(
-                disp.simulated_backoff_s, 6
-            )
 
-    result_metrics = None
-    if registry is not None:
-        # publish the host-tree shape gauges, then export the registry
-        # snapshot (counters, gauges, histogram summaries) into the JSON
-        if hasattr(eng, "publish_tree_stats"):
-            eng.publish_tree_stats()
-        result_metrics = registry.snapshot()
+    # publish the host-tree shape gauges, then export the registry
+    # snapshot (counters, gauges, histogram summaries) into the JSON
+    eng.publish_tree_stats()
+    result_metrics = registry.snapshot()
 
-    if tracer is not None and trace_path:
+    if tracer is not None:
         write_chrome_trace(tracer, trace_path)
     if flight_rec is not None and flight_dump:
         # end-of-run black box: always leave an artifact even when no
@@ -335,11 +270,11 @@ def run(scale: int, label: str, trace_path: str | None = None,
         },
         **({"fault_injection": fault_injection}
            if fault_injection is not None else {}),
-        **({"metrics": result_metrics} if result_metrics is not None else {}),
+        "metrics": result_metrics,
     }
 
 
-def _high_conflict_scenario(eng: CuartEngine, keys: list) -> dict | None:
+def _high_conflict_scenario(eng: CuartEngine, keys: list) -> dict:
     """Zipf-drawn update keys at ~0.97 conflict-table load factor.
 
     One oversized batch is drawn from a small hot pool (one third
@@ -349,19 +284,8 @@ def _high_conflict_scenario(eng: CuartEngine, keys: list) -> dict | None:
     metrics registry each, so BENCH records the per-variant dedup-table
     transaction counters side by side.  The op's wall time / rate is the
     bucketed (default) run; the ``hashtable`` section carries the
-    transaction-drop ratio the CI gate checks.
-
-    Returns ``None`` on checkouts whose update engine predates the
-    ``hash_table`` knob (the harness runs against old baselines too).
+    transaction-drop ratio that ``validate_bench`` bounds.
     """
-    try:
-        from repro.cuart.update import UpdateEngine
-        from repro.util.keys import keys_to_matrix
-    except ImportError:  # pragma: no cover - baseline-checkout compat
-        return None
-    if MetricsRegistry is None or len(keys) < HC_POOL:
-        return None
-
     pool = keys[:HC_POOL]
     rng = np.random.default_rng(19)
     nz = HC_BATCH // 3
@@ -376,13 +300,10 @@ def _high_conflict_scenario(eng: CuartEngine, keys: list) -> dict | None:
     winners_by_variant = {}
     for variant in ("linear", "bucketed"):
         registry = MetricsRegistry()
-        try:
-            upd = UpdateEngine(
-                eng.layout, root_table=eng.root_table, hash_slots=HC_SLOTS,
-                hash_table=variant, metrics=registry,
-            )
-        except TypeError:  # pragma: no cover - baseline-checkout compat
-            return None
+        upd = UpdateEngine(
+            eng.layout, root_table=eng.root_table, hash_slots=HC_SLOTS,
+            hash_table=variant, metrics=registry,
+        )
         t0 = time.perf_counter()
         res = upd.apply(mat, lens, values)
         dt = time.perf_counter() - t0
@@ -414,8 +335,7 @@ def _high_conflict_scenario(eng: CuartEngine, keys: list) -> dict | None:
     return rec
 
 
-def _sharded_scenario(items: list, keys: list,
-                      tracer=None) -> dict | None:
+def _sharded_scenario(items: list, keys: list, tracer=None) -> dict:
     """Key-space-sharded serving: writes scale with simulated devices.
 
     Runs the same mixed OLTP stream and a uniform-drawn update burst
@@ -428,13 +348,8 @@ def _sharded_scenario(items: list, keys: list,
 
     A second, range-partitioned engine is then driven with Zipf-skewed
     updates — hot ranks concentrate on one shard — rebalanced online,
-    and re-measured: the gate is recovering >=80% of the uniform-traffic
-    throughput after migration.
-
-    Returns ``None`` on checkouts without ``repro.host.sharding``.
+    and re-measured against the uniform-traffic throughput.
     """
-    if ShardedEngine is None:
-        return None
     n = len(keys)
     mix = QueryMix(lookups=0.70, updates=0.25, deletes=0.05)
     stream = mixed_queries(keys, SH_MIXED_OPS, mix, seed=29)
@@ -445,14 +360,11 @@ def _sharded_scenario(items: list, keys: list,
     baseline_results = None
     ops_executed = 0
     for nd in SH_DEVICES:
-        # each engine gets its own registry: shard-labeled families would
-        # collide with the main harness engine's unlabeled ones
-        registry = MetricsRegistry() if MetricsRegistry is not None else None
+        # each engine keeps its own registry: shard-labeled families
+        # would collide with the main harness engine's unlabeled ones
         eng = ShardedEngine(
             sharding=ShardingConfig(n_shards=nd, mode="hash"),
-            batch_size=SH_BATCH,
-            **({"metrics": registry} if registry is not None else {}),
-            **({"tracer": tracer} if tracer is not None else {}),
+            batch_size=SH_BATCH, tracer=tracer,
         )
         eng.populate(items)
         eng.map_to_device()
@@ -484,8 +396,7 @@ def _sharded_scenario(items: list, keys: list,
             "streams": st.streams,
             "imbalance": round(eng.imbalance(), 4),
         }
-        if (nd == 4 and attribute_stats is not None
-                and getattr(st, "shard_parts", None)):
+        if nd == 4:
             # shard-skew attribution at the headline device count: the
             # merged-parallel stats carry per-shard windows, so the
             # report splits makespan into stages + skew vs slowest shard
@@ -506,8 +417,7 @@ def _sharded_scenario(items: list, keys: list,
     # -- Zipf skew + online rebalance (range partitioning) ---------------
     reb_engine = ShardedEngine(
         sharding=ShardingConfig(n_shards=4, mode="range", partition_bytes=2),
-        batch_size=SH_BATCH,
-        **({"tracer": tracer} if tracer is not None else {}),
+        batch_size=SH_BATCH, tracer=tracer,
     )
     reb_engine.populate(items)
     reb_engine.map_to_device()
@@ -526,10 +436,6 @@ def _sharded_scenario(items: list, keys: list,
     t_skew_after = _update_tput(zpf, 12_000_000)
     ops_executed += SH_REBALANCE_OPS * 3
     recovery = t_skew_after / t_uniform
-    assert recovery >= 0.8, (
-        f"rebalance recovered only {recovery:.0%} of uniform-shard "
-        "throughput (gate: 80%)"
-    )
 
     wall = time.perf_counter() - t_start
     rec = _op(wall, ops_executed)
@@ -561,20 +467,16 @@ SERVE_OPS_PER_STEP = 2048
 SERVE_SLO_US = 1000.0
 
 
-def _serving_scenario() -> dict | None:
+def _serving_scenario() -> dict:
     """The SLO-driven serving front-end under an open-loop QPS ramp.
 
     Runs :func:`loadgen.run_ramp` in virtual time (the ramp's rates are
     simulated; only the numpy work costs wall clock), so the record's
     ``wall_s`` measures the server's host-side overhead while the
     latency/attainment numbers live on the deterministic virtual axis.
-    CI gates ``overall.slo_attainment`` and the shed bound via
-    ``validate_bench --min-slo-attainment``.
     """
-    if _serving_run_ramp is None:
-        return None
     t0 = time.perf_counter()
-    record = _serving_run_ramp(
+    record = run_ramp(
         ramp=SERVE_RAMP, ops_per_step=SERVE_OPS_PER_STEP,
         slo_us=SERVE_SLO_US,
     )
@@ -621,7 +523,7 @@ def _write_burst_pass(keys, items, gaps, op_draw, key_idx, memtable_cfg):
     arrival and the op is offered.  Returns the per-pass record plus the
     engine (for the cross-pass content oracle)."""
     clock = VirtualClock()
-    eng = _engine()
+    eng = CuartEngine(batch_size=BATCH_SIZE)
     eng.populate(items)
     eng.map_to_device()
     kwargs = dict(
@@ -686,23 +588,18 @@ def _write_burst_pass(keys, items, gaps, op_draw, key_idx, memtable_cfg):
     return rec, eng
 
 
-def _write_burst_scenario() -> dict | None:
+def _write_burst_scenario() -> dict:
     """Bursty 90%-write storm: synchronous write path vs. memtable.
 
-    The acceptance gate for the log-structured write path: the memtable
-    pass must show >= 2x sustained write throughput or a >= 4x write-p99
-    drop on the identical schedule, with the absorbed-write ratio
-    reported (CI gates it via ``validate_bench
-    --min-write-absorption``).  Both passes must converge to the same
+    Replays one schedule through both write paths and records the
+    memtable pass's write-throughput and write-p99 speedups and its
+    absorbed-write ratio.  Both passes must converge to the same
     content — absorption reorders acknowledgement, never effect.
     """
-    if MemtableConfig is None or ServerCore is None \
-            or _arrival_gaps_us is None:
-        return None
     rng = np.random.default_rng(SEED)
     keys = random_keys(WB_KEYS, KEY_LEN, seed=SEED)
     items = [(k, i) for i, k in enumerate(keys)]
-    gaps = _arrival_gaps_us("bursty", WB_QPS, WB_OPS, rng)
+    gaps = arrival_gaps_us("bursty", WB_QPS, WB_OPS, rng)
     op_draw = rng.random(WB_OPS)
     key_idx = np.asarray(
         zipf_indices(WB_KEYS, WB_OPS, a=ZIPF_A, seed=13)
@@ -727,10 +624,6 @@ def _write_burst_scenario() -> dict | None:
     # absorbed acks complete in zero virtual time; floor the denominator
     # so the ratio stays finite
     p99_drop = sync_p99 / max(mem_p99, 0.01)
-    assert tput_x >= 2.0 or p99_drop >= 4.0, (
-        f"write_burst speedup below the acceptance bar: "
-        f"tput_x={tput_x:.2f} p99_drop={p99_drop:.2f}"
-    )
 
     rec = _op(sync_rec["wall_s"] + mem_rec["wall_s"], 2 * WB_OPS)
     rec["pattern"] = "bursty"
@@ -760,8 +653,7 @@ def merge_min(runs: list[dict]) -> dict:
         return best
     for other in runs[1:]:
         for op, rec in other["ops"].items():
-            cur = best["ops"].get(op)
-            if cur is None or rec["wall_s"] < cur["wall_s"]:
+            if rec["wall_s"] < best["ops"][op]["wall_s"]:
                 best["ops"][op] = rec
     best["headline"]["populate_plus_lookup_wall_s"] = round(
         best["ops"]["populate"]["wall_s"]
@@ -773,14 +665,12 @@ def merge_min(runs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_pr1.json", help="output JSON path")
+    ap.add_argument("--out", required=True, help="output JSON path")
     ap.add_argument("--scale", type=int, default=64,
                     help="scale denominator: n_keys = 16Mi / SCALE")
     ap.add_argument("--repeats", type=int, default=1,
                     help="run the whole suite N times and keep, per op, "
                          "the fastest repeat (min-of-N noise filter)")
-    ap.add_argument("--baseline", default=None,
-                    help="previous run's JSON; adds speedup factors")
     ap.add_argument("--label", default="local", help="free-form run label")
     ap.add_argument("--trace", default=None, metavar="PATH",
                     help="write a chrome://tracing JSON of the run")
@@ -798,20 +688,16 @@ def main(argv=None) -> int:
                     help="write the flight recorder's black-box dump "
                          "here (implies --flight-recorder)")
     args = ap.parse_args(argv)
-    if args.scale < 1:
-        ap.error(f"--scale must be >= 1, got {args.scale}")
+    # the high-conflict scenario draws its hot pool from the tree's keys
+    max_scale = PAPER_KEYS // HC_POOL
+    if not 1 <= args.scale <= max_scale:
+        ap.error(f"--scale must be in [1, {max_scale}], got {args.scale}")
     if args.repeats < 1:
         ap.error(f"--repeats must be >= 1, got {args.repeats}")
     if not 0.0 <= args.fault_rate <= 1.0:
         ap.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
-    if args.baseline and not os.path.exists(args.baseline):
-        ap.error(f"--baseline file not found: {args.baseline}")
-    if args.trace and Tracer is None:
-        ap.error("--trace needs the repro.obs package on PYTHONPATH")
     if args.flight_dump:
         args.flight_recorder = True
-    if args.flight_recorder and FlightRecorder is None:
-        ap.error("--flight-recorder needs repro.obs.flightrec on PYTHONPATH")
 
     runs = [
         run(args.scale, args.label,
@@ -823,24 +709,6 @@ def main(argv=None) -> int:
     ]
     result = merge_min(runs)
 
-    if args.baseline:
-        with open(args.baseline) as fh:
-            base = json.load(fh)
-        speedups = {}
-        for op, cur in result["ops"].items():
-            ref = base.get("ops", {}).get(op)
-            if ref and ref.get("wall_s") and cur.get("wall_s"):
-                speedups[op] = round(ref["wall_s"] / cur["wall_s"], 2)
-        head = base.get("headline", {}).get("populate_plus_lookup_wall_s")
-        if head:
-            result["headline"]["speedup_vs_baseline"] = round(
-                head / result["headline"]["populate_plus_lookup_wall_s"], 2
-            )
-            result["headline"]["baseline_label"] = base.get("meta", {}).get(
-                "label"
-            )
-        result["headline"]["op_speedups"] = speedups
-
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=False)
         fh.write("\n")
@@ -850,9 +718,8 @@ def main(argv=None) -> int:
         print(f"wrote {args.trace} (open in chrome://tracing or ui.perfetto.dev)")
     if args.flight_dump:
         print(f"wrote {args.flight_dump} (flight-recorder black box)")
-    cp = result["ops"].get("mixed", {}).get("critical_path")
-    if cp:
-        print(f"  mixed critical-path bottleneck: {cp['bottleneck']}")
+    print(f"  mixed critical-path bottleneck: "
+          f"{result['ops']['mixed']['critical_path']['bottleneck']}")
     for op, rec in result["ops"].items():
         rate = rec["keys_per_sec"]
         print(f"  {op:16s} {rec['wall_s']:8.3f}s  "
@@ -861,10 +728,7 @@ def main(argv=None) -> int:
     if fi:
         print(f"  fault injection: rate={fi['rate']} "
               f"injected={sum(fi['injected'].values())} "
-              f"by_status={result['ops']['mixed'].get('ops_by_status')}")
-    if "speedup_vs_baseline" in result["headline"]:
-        print(f"  headline populate+lookup speedup: "
-              f"{result['headline']['speedup_vs_baseline']}x")
+              f"by_status={result['ops']['mixed']['ops_by_status']}")
     return 0
 
 

@@ -2,7 +2,7 @@
 """Diff two BENCH JSON documents and attribute the delta to pipeline
 stages, op classes and shards.
 
-``validate_bench.py --baseline`` tells you *that* an op regressed;
+``validate_bench.py --baseline`` tells you *that* a number moved;
 this tool reads the stage-level evidence both documents already carry
 — ``stream_overlap`` (and, from PR 8 on, the embedded
 ``critical_path`` attribution), the high-conflict ``hashtable``

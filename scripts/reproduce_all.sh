@@ -21,8 +21,12 @@ else
     pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 fi
 
-echo "== serving-path perf smoke (vs committed baseline) =="
-SCALE=64 OUT=/tmp/bench_smoke.json LABEL=reproduce ./scripts/bench_smoke.sh
+echo "== serving-path perf smoke (schema + bounds table) =="
+# a failing bound is reported here and in the exit status, after the
+# remaining steps have run
+smoke=0
+SCALE=64 OUT=/tmp/bench_smoke.json LABEL=reproduce ./scripts/bench_smoke.sh \
+    || smoke=$?
 
 echo "== rendered figure report =="
 python -m repro.bench all --scale "$SCALE"
@@ -33,4 +37,8 @@ for ex in examples/*.py; do
     python "$ex"
 done
 
+if [ "$smoke" -ne 0 ]; then
+    echo "reproduction complete; the perf smoke failed a bound (above)."
+    exit "$smoke"
+fi
 echo "reproduction complete."

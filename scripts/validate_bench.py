@@ -1,36 +1,24 @@
 #!/usr/bin/env python
-"""Validate a perf_smoke BENCH JSON file against the expected schema.
+"""Check a perf_smoke BENCH JSON file: its schema and the bounds table.
 
 Stdlib-only, used by CI and by hand::
 
-    python scripts/validate_bench.py BENCH_pr3.json
+    python scripts/validate_bench.py /tmp/bench_ci.json
+    python scripts/validate_bench.py /tmp/bench_ci.json --baseline BENCH_pr15.json
 
-Checks (fails with a nonzero exit and a per-problem message):
+Every document must carry the schema (required sections and ops, finite
+per-op ``wall_s`` / ``keys_per_sec`` / ``n``, per-class latency
+percentiles, flush reasons, ``ops_by_status`` with no ``FAILED`` op, the
+sharded lockstep marker, the serving ramp, both write_burst passes, the
+metrics snapshot, no NaN/inf anywhere) and meet every bound row of
+:data:`TABLE`.  With ``--baseline`` every ``exact`` row must also equal
+the baseline: those are the numbers a fixed seed reproduces (simulated
+device time, counts, virtual-clock latencies), so any drift is a
+behaviour change, and the failure prints the bench_diff attribution.
+Wall-clock values stay in the JSON but are never compared here: the
+machine that recorded a baseline is not the one that checks it.
 
-* required top-level sections and ``meta`` fields;
-* every op record carries finite ``wall_s`` / ``keys_per_sec`` / ``n``;
-* the mixed op reports ``latency_percentiles_by_op`` with finite
-  p50/p95/p99 per op class, plus ``flush_reasons`` and ``ops_by_status``
-  (per-``OpStatus`` op counts; ``FAILED`` must be absent or zero);
-* the ``metrics`` registry snapshot is present with its three sections
-  and no NaN/inf leaks anywhere in the document.
-
-With ``--baseline PREV.json`` it additionally acts as the performance
-regression gate::
-
-    python scripts/validate_bench.py BENCH_pr5.json --baseline BENCH_pr4.json
-
-* every op's ``wall_s`` must be within ``--max-regression`` (default
-  10%) of the baseline, unless the op is named in ``--allow`` (each
-  exception must be justified in the PR description);
-* if the baseline recorded batch-granularity ``write-dependency``
-  flushes, the candidate must cut them by at least
-  ``--min-dependency-drop`` (default 5x) — the key-level conflict
-  tracker's contract;
-* if the candidate records the high-conflict update scenario, its
-  bucketed conflict table must issue at least
-  ``--min-hashtable-tx-drop`` (default 4x) fewer dedup-table
-  transactions than the linear layout — the bucketed probing contract.
+Exits nonzero with one line per problem, each naming its JSON path.
 """
 
 from __future__ import annotations
@@ -38,17 +26,77 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
+from fnmatch import fnmatchcase
 
-REQUIRED_OPS = ("populate", "lookup_uniform", "lookup_zipf", "update", "mixed")
+REQUIRED_OPS = ("populate", "lookup_uniform", "lookup_zipf", "update",
+                "update_high_conflict", "mixed", "mixed_sharded", "serving",
+                "write_burst")
 REQUIRED_OP_KEYS = ("wall_s", "keys_per_sec", "n")
 REQUIRED_META = ("label", "n_keys", "batch_size", "seed")
 REQUIRED_PCT_KEYS = ("count", "mean", "p50", "p95", "p99")
-REQUIRED_FLUSH_REASONS = ("size-full", "write-dependency", "drain")
+REQUIRED_FLUSH_REASONS = ("size-full", "drain")
 KNOWN_STATUSES = ("OK", "NOT_FOUND", "RETRIED", "DEGRADED_CPU", "FAILED",
                   "SHED")
 REQUIRED_SERVING_STEP_KEYS = ("qps", "offered", "shed", "shed_rate",
                               "slo_attainment", "batch_close", "deadline_us")
+
+EXACT = "exact"
+
+#: ``(JSON path, comparator, bound)``: every bound the reproduction
+#: claims, checked on every document and nowhere else.  A bound row's
+#: value must be present, finite and meet the bound (``any>=``: at least
+#: one named child meets its own bound).  An ``exact`` row's path is an
+#: fnmatch pattern over leaf paths (list items as ``[i]``); with
+#: ``--baseline`` each matching leaf must equal the baseline's.
+TABLE = (
+    # bucketed dedup table: >=4x fewer transactions than linear probing
+    ("ops.update_high_conflict.hashtable.tx_ratio", ">=", 4.0),
+    # a write (a lookup plus stores) stays within a small factor of a
+    # lookup at the tail
+    ("ops.mixed.write_p95_over_lookup_p95", "<", 25.0),
+    # key-space sharding: simulated throughput scales >=3x at 4 devices,
+    # and a Zipf rebalance recovers >=80% of uniform-traffic throughput
+    ("ops.mixed_sharded.scaling.mixed_x4", ">=", 3.0),
+    ("ops.mixed_sharded.scaling.update_x4", ">=", 3.0),
+    ("ops.mixed_sharded.rebalance.recovery_vs_uniform", ">=", 0.8),
+    # the serving QPS ramp: >=95% p99-SLO attainment with <=5% shed
+    ("ops.serving.overall.slo_attainment", ">=", 0.95),
+    ("ops.serving.overall.shed_rate", "<=", 0.05),
+    # write absorption: >=50% of writes acked host-side, and >=2x write
+    # throughput or a >=4x write-p99 drop vs the synchronous pass
+    ("ops.write_burst.memtable.absorbed_write_ratio", ">=", 0.5),
+    ("ops.write_burst.speedup", "any>=",
+     {"write_tput_x": 2.0, "write_p99_drop_x": 4.0}),
+    # what a fixed seed reproduces: batches, flush reasons,
+    # transactions, dispatched rows, simulated makespans and
+    # throughputs, scaling, SLO attainment, absorbed ratio
+    ("ops.*.n", EXACT, None),
+    ("ops.lookup_zipf.cache.*", EXACT, None),
+    ("ops.update_high_conflict.hashtable.*.transactions", EXACT, None),
+    ("ops.update_high_conflict.hashtable.tx_ratio", EXACT, None),
+    ("ops.mixed.batches*", EXACT, None),
+    ("ops.mixed.flush_reasons.*", EXACT, None),
+    ("ops.mixed.forwarded.*", EXACT, None),
+    ("ops.mixed.ops_by_status.*", EXACT, None),
+    ("ops.mixed.stream_overlap.*", EXACT, None),
+    ("ops.mixed_sharded.devices.*", EXACT, None),
+    ("ops.mixed_sharded.scaling.*", EXACT, None),
+    ("ops.mixed_sharded.rebalance.*", EXACT, None),
+    ("ops.serving.steps*", EXACT, None),
+    ("ops.serving.overall.*", EXACT, None),
+    ("ops.write_burst.*.batches", EXACT, None),
+    ("ops.write_burst.*.makespan_s", EXACT, None),
+    ("ops.write_burst.*.write_ops_per_sec", EXACT, None),
+    ("ops.write_burst.*_latency.*", EXACT, None),
+    ("ops.write_burst.memtable.dispatched_rows", EXACT, None),
+    ("ops.write_burst.memtable.absorbed_write_ratio", EXACT, None),
+    ("ops.write_burst.speedup.*", EXACT, None),
+)
+
+_CMP = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
+_MISSING = "<missing>"
 
 
 def _finite(x) -> bool:
@@ -56,39 +104,58 @@ def _finite(x) -> bool:
         and math.isfinite(x)
 
 
-def _walk_nonfinite(node, path: str, problems: list[str]) -> None:
+def _get(doc: dict, path: str):
+    """The value at a dotted path, or None where a key is absent."""
+    node = doc
+    for key in path.split("."):
+        if not isinstance(node, dict):
+            return None
+        node = node.get(key)
+    return node
+
+
+def _leaves(node, path: str = "") -> dict:
+    """``{leaf path: value}`` of every non-container value in a doc."""
     if isinstance(node, dict):
-        for k, v in node.items():
-            _walk_nonfinite(v, f"{path}.{k}", problems)
+        items = ((f"{path}.{k}" if path else str(k), v)
+                 for k, v in node.items())
     elif isinstance(node, list):
-        for i, v in enumerate(node):
-            _walk_nonfinite(v, f"{path}[{i}]", problems)
-    elif isinstance(node, float) and not math.isfinite(node):
-        problems.append(f"non-finite number at {path}: {node}")
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return {path: node}
+    out: dict = {}
+    for p, v in items:
+        out.update(_leaves(v, p))
+    return out
 
 
-def validate(doc: dict) -> list[str]:
-    """Return a list of problems (empty means the document is valid)."""
+def _require_finite(rec, path: str, keys, problems: list[str]) -> None:
+    rec = rec if isinstance(rec, dict) else {}
+    for k in keys:
+        if not _finite(rec.get(k)):
+            problems.append(f"{path}.{k} missing or non-finite: "
+                            f"{rec.get(k)!r}")
+
+
+def check_schema(doc: dict) -> list[str]:
+    """Schema problems of one document (empty means well-formed)."""
     problems: list[str] = []
-
-    for section in ("meta", "ops", "headline"):
-        if section not in doc:
+    for section in ("meta", "ops", "headline", "metrics"):
+        if not isinstance(doc.get(section), dict):
             problems.append(f"missing top-level section {section!r}")
-    meta = doc.get("meta", {})
     for k in REQUIRED_META:
-        if k not in meta:
+        if k not in doc.get("meta", {}):
             problems.append(f"missing meta.{k}")
+    for section in ("counters", "gauges", "histograms"):
+        if section not in doc.get("metrics", {}):
+            problems.append(f"missing metrics.{section}")
 
     ops = doc.get("ops", {})
     for op in REQUIRED_OPS:
-        rec = ops.get(op)
-        if rec is None:
+        if op not in ops:
             problems.append(f"missing ops.{op}")
-            continue
-        for k in REQUIRED_OP_KEYS:
-            if not _finite(rec.get(k)):
-                problems.append(f"ops.{op}.{k} missing or non-finite: "
-                                f"{rec.get(k)!r}")
+        else:
+            _require_finite(ops[op], f"ops.{op}", REQUIRED_OP_KEYS, problems)
 
     mixed = ops.get("mixed", {})
     pcts = mixed.get("latency_percentiles_by_op")
@@ -96,20 +163,10 @@ def validate(doc: dict) -> list[str]:
         problems.append("ops.mixed.latency_percentiles_by_op missing/empty")
     else:
         for op, summary in pcts.items():
-            for k in REQUIRED_PCT_KEYS:
-                if not _finite(summary.get(k)):
-                    problems.append(
-                        f"ops.mixed.latency_percentiles_by_op.{op}.{k} "
-                        f"missing or non-finite: {summary.get(k)!r}"
-                    )
-    reasons = mixed.get("flush_reasons")
-    if not isinstance(reasons, dict):
-        problems.append("ops.mixed.flush_reasons missing")
-    else:
-        for r in REQUIRED_FLUSH_REASONS:
-            if not _finite(reasons.get(r)):
-                problems.append(f"ops.mixed.flush_reasons[{r!r}] missing")
-
+            _require_finite(summary, f"ops.mixed.latency_percentiles_by_op"
+                            f".{op}", REQUIRED_PCT_KEYS, problems)
+    _require_finite(mixed.get("flush_reasons"), "ops.mixed.flush_reasons",
+                    REQUIRED_FLUSH_REASONS, problems)
     by_status = mixed.get("ops_by_status")
     if not isinstance(by_status, dict) or not by_status:
         problems.append("ops.mixed.ops_by_status missing/empty")
@@ -117,422 +174,142 @@ def validate(doc: dict) -> list[str]:
         for name, count in by_status.items():
             if name not in KNOWN_STATUSES:
                 problems.append(
-                    f"ops.mixed.ops_by_status has unknown status {name!r}"
-                )
+                    f"ops.mixed.ops_by_status has unknown status {name!r}")
             elif not _finite(count) or count < 0:
                 problems.append(
-                    f"ops.mixed.ops_by_status[{name!r}] non-finite: {count!r}"
-                )
+                    f"ops.mixed.ops_by_status[{name!r}] non-finite: {count!r}")
         if by_status.get("FAILED", 0):
-            problems.append(
-                f"ops.mixed.ops_by_status reports FAILED ops: "
-                f"{by_status['FAILED']}"
-            )
+            problems.append(f"ops.mixed.ops_by_status reports FAILED ops: "
+                            f"{by_status['FAILED']}")
         total = sum(c for c in by_status.values() if _finite(c))
         if _finite(mixed.get("n")) and total != mixed["n"]:
-            problems.append(
-                f"ops.mixed.ops_by_status sums to {total}, "
-                f"expected n={mixed['n']}"
-            )
+            problems.append(f"ops.mixed.ops_by_status sums to {total}, "
+                            f"expected n={mixed['n']}")
 
-    # optional high-conflict scenario (PR 6+): when present it must
-    # carry per-variant hash-table stats and a finite tx_ratio, but
-    # older BENCH files without the op still validate
-    hc = ops.get("update_high_conflict")
-    if hc is not None:
-        stats = hc.get("hashtable")
-        if not isinstance(stats, dict):
-            problems.append("ops.update_high_conflict.hashtable missing")
-        else:
-            if not _finite(stats.get("tx_ratio")):
-                problems.append(
-                    "ops.update_high_conflict.hashtable.tx_ratio "
-                    f"missing or non-finite: {stats.get('tx_ratio')!r}"
-                )
-            for variant in ("linear", "bucketed"):
-                rec = stats.get(variant)
-                if not isinstance(rec, dict) or not _finite(
-                    rec.get("transactions")
-                ):
-                    problems.append(
-                        f"ops.update_high_conflict.hashtable.{variant}"
-                        ".transactions missing or non-finite"
-                    )
+    if _get(doc, "ops.mixed_sharded.lockstep.ok") is not True:
+        problems.append("ops.mixed_sharded.lockstep.ok missing or false")
 
-    # optional key-space-sharded scenario (PR 7+): when present it must
-    # carry per-device-count simulated throughputs, the scaling ratios,
-    # the in-harness lockstep marker and the rebalance record
-    sh = ops.get("mixed_sharded")
-    if sh is not None:
-        devices = sh.get("devices")
-        if not isinstance(devices, dict) or not devices:
-            problems.append("ops.mixed_sharded.devices missing/empty")
-        else:
-            for nd, rec in devices.items():
-                for k in ("mixed_sim_mops", "update_sim_mops"):
-                    if not _finite(rec.get(k)):
-                        problems.append(
-                            f"ops.mixed_sharded.devices[{nd!r}].{k} "
-                            f"missing or non-finite: {rec.get(k)!r}"
-                        )
-        scaling = sh.get("scaling")
-        if not isinstance(scaling, dict):
-            problems.append("ops.mixed_sharded.scaling missing")
-        else:
-            for k in ("mixed_x4", "update_x4"):
-                if not _finite(scaling.get(k)):
-                    problems.append(
-                        f"ops.mixed_sharded.scaling.{k} missing or "
-                        f"non-finite: {scaling.get(k)!r}"
-                    )
-        if not sh.get("lockstep", {}).get("ok"):
-            problems.append(
-                "ops.mixed_sharded.lockstep.ok missing or false"
-            )
-        reb = sh.get("rebalance")
-        if not isinstance(reb, dict):
-            problems.append("ops.mixed_sharded.rebalance missing")
-        else:
-            for k in ("recovery_vs_uniform", "imbalance_before",
-                      "imbalance_after"):
-                if not _finite(reb.get(k)):
-                    problems.append(
-                        f"ops.mixed_sharded.rebalance.{k} missing or "
-                        f"non-finite: {reb.get(k)!r}"
-                    )
-
-    # optional SLO-driven serving scenario (PR 9+): when present it must
-    # carry a >= 4-step open-loop QPS ramp with per-step attainment/shed
-    # numbers and overall latency percentiles on the virtual clock
-    sv = ops.get("serving")
-    if sv is not None:
-        steps = sv.get("steps")
-        if not isinstance(steps, list) or len(steps) < 4:
-            problems.append(
-                "ops.serving.steps missing or fewer than 4 ramp steps"
-            )
-        else:
-            for i, step in enumerate(steps):
-                for k in REQUIRED_SERVING_STEP_KEYS:
-                    v = step.get(k)
-                    if k == "slo_attainment" and v is None:
-                        continue  # a fully-shed step has no latencies
-                    if not _finite(v):
-                        problems.append(
-                            f"ops.serving.steps[{i}].{k} missing or "
-                            f"non-finite: {v!r}"
-                        )
-        overall = sv.get("overall")
-        if not isinstance(overall, dict):
-            problems.append("ops.serving.overall missing")
-        else:
-            for k in ("offered", "shed", "shed_rate", "slo_attainment"):
-                if not _finite(overall.get(k)):
-                    problems.append(
-                        f"ops.serving.overall.{k} missing or non-finite: "
-                        f"{overall.get(k)!r}"
-                    )
-            lat = overall.get("latency", {})
-            for k in ("p50_us", "p95_us", "p99_us"):
-                if not _finite(lat.get(k) if isinstance(lat, dict)
-                               else None):
-                    problems.append(
-                        f"ops.serving.overall.latency.{k} missing or "
-                        "non-finite"
-                    )
-
-    # optional log-structured write-absorption scenario (PR 10+): when
-    # present it must carry both passes over the identical schedule,
-    # finite write-latency percentiles, the absorbed-write ratio and
-    # the speedup record the CI gate reads
-    wb = ops.get("write_burst")
-    if wb is not None:
-        for variant in ("sync", "memtable"):
-            rec = wb.get(variant)
-            if not isinstance(rec, dict):
-                problems.append(f"ops.write_burst.{variant} missing")
-                continue
-            for k in ("makespan_s", "write_ops_per_sec"):
-                if not _finite(rec.get(k)):
-                    problems.append(
-                        f"ops.write_burst.{variant}.{k} missing or "
-                        f"non-finite: {rec.get(k)!r}"
-                    )
-            lat = rec.get("write_latency", {})
-            for k in ("p50_us", "p99_us"):
-                if not _finite(lat.get(k) if isinstance(lat, dict)
-                               else None):
-                    problems.append(
-                        f"ops.write_burst.{variant}.write_latency.{k} "
-                        "missing or non-finite"
-                    )
-        mem = wb.get("memtable", {})
-        if isinstance(mem, dict):
-            ratio = mem.get("absorbed_write_ratio")
-            if not _finite(ratio) or not 0.0 <= ratio <= 1.0:
-                problems.append(
-                    "ops.write_burst.memtable.absorbed_write_ratio "
-                    f"missing or out of [0, 1]: {ratio!r}"
-                )
-            if not _finite(mem.get("compactions")):
-                problems.append(
-                    "ops.write_burst.memtable.compactions missing or "
-                    f"non-finite: {mem.get('compactions')!r}"
-                )
-        speedup = wb.get("speedup")
-        if not isinstance(speedup, dict) or not _finite(
-            speedup.get("write_p99_drop_x")
-        ):
-            problems.append(
-                "ops.write_burst.speedup.write_p99_drop_x missing or "
-                "non-finite"
-            )
-
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("missing top-level 'metrics' registry snapshot")
+    steps = _get(doc, "ops.serving.steps")
+    if not isinstance(steps, list) or len(steps) < 4:
+        problems.append("ops.serving.steps missing or fewer than 4 ramp steps")
     else:
-        for section in ("counters", "gauges", "histograms"):
-            if section not in metrics:
-                problems.append(f"missing metrics.{section}")
+        for i, step in enumerate(steps):
+            # a fully-shed step has no latencies, so no attainment
+            keys = [k for k in REQUIRED_SERVING_STEP_KEYS
+                    if not (k == "slo_attainment"
+                            and step.get(k, 0) is None)]
+            _require_finite(step, f"ops.serving.steps[{i}]", keys, problems)
 
-    _walk_nonfinite(doc, "$", problems)
+    for variant in ("sync", "memtable"):
+        path = f"ops.write_burst.{variant}"
+        rec = _get(doc, path)
+        if not isinstance(rec, dict):
+            problems.append(f"{path} missing")
+            continue
+        _require_finite(rec, path, ("makespan_s", "write_ops_per_sec"),
+                        problems)
+        _require_finite(rec.get("write_latency"), f"{path}.write_latency",
+                        ("p50_us", "p99_us"), problems)
+    ratio = _get(doc, "ops.write_burst.memtable.absorbed_write_ratio")
+    if not _finite(ratio) or not 0.0 <= ratio <= 1.0:
+        problems.append("ops.write_burst.memtable.absorbed_write_ratio "
+                        f"missing or out of [0, 1]: {ratio!r}")
+
+    for path, value in _leaves(doc, "$").items():
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"non-finite number at {path}: {value}")
     return problems
 
 
-def compare(
-    doc: dict,
-    base: dict,
-    *,
-    max_regression: float = 0.10,
-    min_dependency_drop: float = 5.0,
-    min_hashtable_tx_drop: float = 4.0,
-    min_write_scaling: float = 3.0,
-    min_rebalance_recovery: float = 0.8,
-    min_slo_attainment: float = 0.95,
-    max_shed_rate: float = 0.05,
-    min_write_absorption: float = 0.5,
-    allow: tuple = (),
-) -> list[str]:
-    """Regression-gate a candidate run against a baseline run.
-
-    Returns a list of problems (empty means the candidate passes): any
-    op more than ``max_regression`` slower than the baseline fails
-    unless allow-listed, the batch-granularity ``write-dependency``
-    flush count must drop by ``min_dependency_drop``x when the baseline
-    recorded any, a candidate recording the high-conflict scenario
-    must show the bucketed table issuing ``min_hashtable_tx_drop``x
-    fewer dedup-table transactions than linear probing, and a candidate
-    recording the key-space-sharded scenario must show both the mixed
-    and the pure-update simulated throughput scaling by at least
-    ``min_write_scaling``x at 4 devices and the Zipf rebalance
-    recovering at least ``min_rebalance_recovery`` of the
-    uniform-traffic throughput.  A candidate recording the
-    ``write_burst`` scenario must absorb at least
-    ``min_write_absorption`` of its effective writes host-side and show
-    the log-structured speedup (>=2x write throughput or >=4x
-    write-p99 drop vs. the synchronous pass).
-    """
+def check_table(doc: dict, baseline: dict | None = None) -> list[str]:
+    """Problems of one document against :data:`TABLE`; ``exact`` rows
+    only run when a ``baseline`` is given."""
     problems: list[str] = []
-    ops = doc.get("ops", {})
-    base_ops = base.get("ops", {})
-    for op in REQUIRED_OPS:
-        cur, ref = ops.get(op, {}), base_ops.get(op, {})
-        if not (_finite(cur.get("wall_s")) and _finite(ref.get("wall_s"))):
-            continue  # schema problems are validate()'s job
-        limit = ref["wall_s"] * (1.0 + max_regression)
-        if cur["wall_s"] > limit:
-            slower = cur["wall_s"] / ref["wall_s"] - 1.0
-            if op in allow:
-                print(f"  (allowed) ops.{op} {slower:+.1%} vs baseline")
-            else:
-                problems.append(
-                    f"ops.{op}.wall_s regressed {slower:+.1%} "
-                    f"({cur['wall_s']:.6f}s vs baseline "
-                    f"{ref['wall_s']:.6f}s, limit {max_regression:.0%})"
-                )
-    base_dep = (base_ops.get("mixed", {}).get("flush_reasons", {})
-                .get("write-dependency", 0))
-    cur_dep = (ops.get("mixed", {}).get("flush_reasons", {})
-               .get("write-dependency", 0))
-    if _finite(base_dep) and base_dep > 0:
-        if not _finite(cur_dep) or cur_dep * min_dependency_drop > base_dep:
-            problems.append(
-                f"write-dependency flushes did not drop "
-                f">={min_dependency_drop:g}x: {base_dep} -> {cur_dep!r}"
-            )
-    hc = ops.get("update_high_conflict", {})
-    ratio = hc.get("hashtable", {}).get("tx_ratio") \
-        if isinstance(hc.get("hashtable"), dict) else None
-    if hc and (not _finite(ratio) or ratio < min_hashtable_tx_drop):
-        problems.append(
-            f"bucketed dedup-table transactions did not drop "
-            f">={min_hashtable_tx_drop:g}x vs linear probing: "
-            f"tx_ratio={ratio!r}"
-        )
-    sh = ops.get("mixed_sharded", {})
-    if sh:
-        scaling = sh.get("scaling", {}) \
-            if isinstance(sh.get("scaling"), dict) else {}
-        for k in ("mixed_x4", "update_x4"):
-            v = scaling.get(k)
-            if not _finite(v) or v < min_write_scaling:
-                problems.append(
-                    f"sharded {k} scaling below "
-                    f">={min_write_scaling:g}x gate: {v!r}"
-                )
-        reb = sh.get("rebalance", {}) \
-            if isinstance(sh.get("rebalance"), dict) else {}
-        rec = reb.get("recovery_vs_uniform")
-        if not _finite(rec) or rec < min_rebalance_recovery:
-            problems.append(
-                f"zipf rebalance recovered {rec!r} of uniform-shard "
-                f"throughput (gate: >={min_rebalance_recovery:g})"
-            )
-    sv = ops.get("serving", {})
-    if sv:
-        overall = sv.get("overall", {}) \
-            if isinstance(sv.get("overall"), dict) else {}
-        attain = overall.get("slo_attainment")
-        if not _finite(attain) or attain < min_slo_attainment:
-            problems.append(
-                f"serving SLO attainment {attain!r} below the "
-                f">={min_slo_attainment:g} gate across the QPS ramp"
-            )
-        shed = overall.get("shed_rate")
-        if not _finite(shed) or shed > max_shed_rate:
-            problems.append(
-                f"serving shed rate {shed!r} above the "
-                f"<={max_shed_rate:g} bound"
-            )
-    wb = ops.get("write_burst", {})
-    if wb:
-        mem = wb.get("memtable", {}) \
-            if isinstance(wb.get("memtable"), dict) else {}
-        ratio = mem.get("absorbed_write_ratio")
-        if not _finite(ratio) or ratio < min_write_absorption:
-            problems.append(
-                f"write_burst absorbed-write ratio {ratio!r} below the "
-                f">={min_write_absorption:g} gate"
-            )
-        speedup = wb.get("speedup", {}) \
-            if isinstance(wb.get("speedup"), dict) else {}
-        tput_x = speedup.get("write_tput_x")
-        p99_drop = speedup.get("write_p99_drop_x")
-        if not ((_finite(tput_x) and tput_x >= 2.0)
-                or (_finite(p99_drop) and p99_drop >= 4.0)):
-            problems.append(
-                f"write_burst speedup below the acceptance bar "
-                f"(needs >=2x write throughput or >=4x write-p99 drop): "
-                f"write_tput_x={tput_x!r} write_p99_drop_x={p99_drop!r}"
-            )
+    leaves = base_leaves = None
+    for path, cmp, bound in TABLE:
+        if cmp == EXACT:
+            if baseline is None:
+                continue
+            if leaves is None:
+                leaves, base_leaves = _leaves(doc), _leaves(baseline)
+            names = sorted(n for n in leaves.keys() | base_leaves.keys()
+                           if fnmatchcase(n, path))
+            if not names:
+                problems.append(f"{path}: no value in either document")
+            for name in names:
+                cur = leaves.get(name, _MISSING)
+                ref = base_leaves.get(name, _MISSING)
+                if cur != ref:
+                    problems.append(f"{name}: {cur!r} != baseline {ref!r}")
+        elif cmp == "any>=":
+            node = _get(doc, path)
+            node = node if isinstance(node, dict) else {}
+            if not any(_finite(node.get(k)) and node[k] >= b
+                       for k, b in bound.items()):
+                got = {k: node.get(k) for k in bound}
+                problems.append(f"{path}: none of {got} meets its bound "
+                                f"(any of >= {bound})")
+        else:
+            value = _get(doc, path)
+            if not _finite(value) or not _CMP[cmp](value, bound):
+                problems.append(f"{path}: {value!r} fails {cmp} {bound:g}")
     return problems
+
+
+def validate(doc: dict, baseline: dict | None = None) -> list[str]:
+    """Every problem of one document: schema, then the table."""
+    return check_schema(doc) + check_table(doc, baseline)
 
 
 def _print_attribution(base: dict, doc: dict) -> None:
-    """Best-effort stage attribution of a failed baseline gate via
-    bench_diff (loaded from this script's directory, since the test
-    suite imports this file by path rather than as a package)."""
-    try:
-        import importlib.util
-        import pathlib
+    """Stage attribution of a failed baseline gate via bench_diff
+    (loaded from this script's directory, since the test suite imports
+    this file by path rather than as a package)."""
+    import importlib.util
+    import pathlib
 
-        spec = importlib.util.spec_from_file_location(
-            "bench_diff",
-            pathlib.Path(__file__).resolve().parent / "bench_diff.py",
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        print(mod.render_text(mod.diff_docs(base, doc)), file=sys.stderr)
-    except Exception as exc:  # pragma: no cover - triage is best-effort
-        print(f"(bench_diff attribution unavailable: {exc})",
-              file=sys.stderr)
+    spec = importlib.util.spec_from_file_location(
+        "bench_diff", pathlib.Path(__file__).resolve().parent / "bench_diff.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    print(mod.render_text(mod.diff_docs(base, doc)), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("bench", help="candidate BENCH JSON to validate")
-    ap.add_argument("--baseline", default=None, metavar="PREV.json",
-                    help="previous run to regression-gate against")
-    ap.add_argument("--max-regression", type=float, default=0.10,
-                    help="max allowed per-op wall_s slowdown fraction "
-                         "(default 0.10 = 10%%)")
-    ap.add_argument("--min-dependency-drop", type=float, default=5.0,
-                    help="required write-dependency flush reduction "
-                         "factor vs the baseline (default 5)")
-    ap.add_argument("--min-hashtable-tx-drop", type=float, default=4.0,
-                    help="required bucketed-vs-linear dedup-table "
-                         "transaction reduction factor in the "
-                         "high-conflict scenario (default 4)")
-    ap.add_argument("--min-write-scaling", type=float, default=3.0,
-                    help="required simulated mixed/update throughput "
-                         "scaling factor at 4 devices in the sharded "
-                         "scenario (default 3)")
-    ap.add_argument("--min-rebalance-recovery", type=float, default=0.8,
-                    help="required fraction of uniform-shard throughput "
-                         "recovered after the Zipf rebalance "
-                         "(default 0.8)")
-    ap.add_argument("--min-slo-attainment", type=float, default=0.95,
-                    help="required overall p99-SLO attainment of the "
-                         "serving scenario's QPS ramp (default 0.95)")
-    ap.add_argument("--max-shed-rate", type=float, default=0.05,
-                    help="max allowed overall shed fraction in the "
-                         "serving scenario (default 0.05)")
-    ap.add_argument("--min-write-absorption", type=float, default=0.5,
-                    help="required absorbed-write ratio in the "
-                         "write_burst scenario's memtable pass "
-                         "(default 0.5)")
-    ap.add_argument("--allow", action="append", default=[], metavar="OP",
-                    help="op name exempt from the wall_s gate "
-                         "(repeatable; justify each in the PR)")
+    ap.add_argument("--baseline", default=None, metavar="BASE.json",
+                    help="run recorded with the same command: every exact "
+                         "row must equal it")
     args = ap.parse_args(argv)
 
-    def _load(path: str) -> dict | None:
+    docs = []
+    for path in (args.bench, args.baseline):
+        if path is None:
+            docs.append(None)
+            continue
         try:
             with open(path) as fh:
                 # json.load accepts NaN/Infinity literals; keep them as
-                # floats so _walk_nonfinite reports them instead of a
-                # parse error
-                return json.load(fh)
+                # floats so the schema check reports them by path
+                docs.append(json.load(fh))
         except (OSError, ValueError) as exc:
             print(f"{path}: unreadable: {exc}", file=sys.stderr)
-            return None
-
-    doc = _load(args.bench)
-    if doc is None:
-        return 1
-    problems = validate(doc)
-    base = None
-    if args.baseline and not problems:
-        base = _load(args.baseline)
-        if base is None:
             return 1
-        problems = compare(
-            doc, base,
-            max_regression=args.max_regression,
-            min_dependency_drop=args.min_dependency_drop,
-            min_hashtable_tx_drop=args.min_hashtable_tx_drop,
-            min_write_scaling=args.min_write_scaling,
-            min_rebalance_recovery=args.min_rebalance_recovery,
-            min_slo_attainment=args.min_slo_attainment,
-            max_shed_rate=args.max_shed_rate,
-            min_write_absorption=args.min_write_absorption,
-            allow=tuple(args.allow),
-        )
+    doc, base = docs
+    problems = validate(doc, base)
     if problems:
         for p in problems:
             print(f"{args.bench}: {p}", file=sys.stderr)
         if base is not None:
-            # a failed baseline gate prints the bench_diff stage
-            # attribution so CI says *which stage* ate the time, not
-            # just that an op got slower; triage must never mask the
-            # gate, so any attribution failure is swallowed
+            # say which stage moved, not just that a number did
             _print_attribution(base, doc)
         print(f"{args.bench}: INVALID ({len(problems)} problem(s))",
               file=sys.stderr)
         return 1
     print(f"{args.bench}: ok"
-          + (f" (no regression vs {args.baseline})" if args.baseline else ""))
+          + (f" (exact rows match {args.baseline})" if base else ""))
     return 0
 
 

@@ -100,9 +100,30 @@ OP_CLASS = {"update": "write", "delete": "write"}
 #: which the write launch's delete stage runs after its update stage).
 _JOINABLE = frozenset({"lookup", "update"})
 
+#: classes whose same-key ops share one device row (:func:`fold_writes`),
+#: so their batch limit counts distinct keys rather than ops.
+_FOLDED = frozenset({"write"})
+
 #: per-key barrier flags sit this far above the class bits of the mask.
 _BARRIER_SHIFT = 32
 _CLASS_MASK = (1 << _BARRIER_SHIFT) - 1
+
+
+def fold_writes(rows: list) -> tuple[list, np.ndarray]:
+    """One device row per key of a write batch, and each input row's
+    index into them.  A key's last row wins: a later update overwrites
+    an earlier one (the launch's last-writer-wins by thread index), and
+    a delete, which no later same-key write joins, ends the key's rows.
+    Kept rows stay in stream order, so deletes free their slots in the
+    order a serial run would.  Every row of one key in one launch sees
+    the key's presence before the launch, so the launch's outcome fans
+    back out through the index."""
+    last = {row[0]: i for i, row in enumerate(rows)}
+    keep = sorted(last.values())
+    slot = {rows[i][0]: j for j, i in enumerate(keep)}
+    back = np.fromiter((slot[row[0]] for row in rows), dtype=np.int64,
+                       count=len(rows))
+    return [rows[i] for i in keep], back
 
 
 class OpClassCoalescer:
@@ -121,9 +142,11 @@ class OpClassCoalescer:
     a tiny dependency DAG over the class queues, and queues keep filling
     toward full batches.  A queue only flushes when
 
-    * it reaches ``batch_size`` (``size-full``) — its DAG ancestors
-      flush first, in topological order (``dep-order``), so every
-      recorded before/after relation holds at execution time; or
+    * it reaches ``batch_size`` device rows (``size-full``): ops, or
+      distinct keys for the ``write`` class, whose batch launches one
+      row per key (:func:`fold_writes`) — its DAG ancestors flush
+      first, in topological order (``dep-order``), so every recorded
+      before/after relation holds at execution time; or
     * an incoming op genuinely **conflicts on a key** (``key-conflict``):
       it touches a key whose queued op in the *same* class it may not
       join, or the ordering edge it needs would close a cycle (e.g.
@@ -150,10 +173,6 @@ class OpClassCoalescer:
     same-class ops separated by another class on the same key force a
     cycle, hence a flush), so serial per-key semantics — the property
     the lockstep oracle tests pin — are preserved exactly.
-
-    The legacy batch-granularity reason ``write-dependency`` (any
-    pending write drained *every* queue) is still reported for BENCH
-    schema compatibility; the key-level tracker retires it to zero.
     """
 
     def __init__(
@@ -163,6 +182,7 @@ class OpClassCoalescer:
         self.batch_size = batch_size
         self._queues: dict[str, list] = {}
         self._order: list[str] = []
+        #: per class, the distinct keys of its queued ops.
         self._keys: dict[str, list] = {}
         #: key -> bitmask of classes with a pending op on that key (the
         #: exact pending-key filter; bits assigned per class on demand),
@@ -187,7 +207,6 @@ class OpClassCoalescer:
             labels=("reason",),
         )
         self._flush_full = self._flushes.labels(reason="size-full")
-        self._flush_dep = self._flushes.labels(reason="write-dependency")
         self._flush_conflict = self._flushes.labels(reason="key-conflict")
         self._flush_order = self._flushes.labels(reason="dep-order")
         self._flush_drain = self._flushes.labels(reason="drain")
@@ -205,7 +224,6 @@ class OpClassCoalescer:
         """Current ``{reason: batches}`` tallies (registry-backed)."""
         return {
             "size-full": self._flush_full.value,
-            "write-dependency": self._flush_dep.value,
             "key-conflict": self._flush_conflict.value,
             "dep-order": self._flush_order.value,
             "drain": self._flush_drain.value,
@@ -281,10 +299,16 @@ class OpClassCoalescer:
             return []
         return self._flush_with_ancestors(kind, self._flush_deadline)
 
+    def _rows(self, kind: str) -> int:
+        """Device rows one class queue would launch."""
+        return len(self._keys[kind] if kind in _FOLDED
+                   else self._queues[kind])
+
     def _pop_queue(self, kind: str) -> list:
         """Remove one class queue and every trace of it (pending-key
         bits, ordering edges, arrival order)."""
         self.batches_flushed += 1
+        self._occupancy.observe(self._rows(kind) / self.batch_size)
         q = self._queues.pop(kind)
         self._order.remove(kind)
         bit = self._bit_of[kind]
@@ -317,7 +341,6 @@ class OpClassCoalescer:
         for k in self._closure_in_order(closure):
             q = self._pop_queue(k)
             (reason_counter if k == kind else cascade_counter).inc()
-            self._occupancy.observe(len(q) / self.batch_size)
             out.append((k, q))
         return out
 
@@ -342,7 +365,7 @@ class OpClassCoalescer:
             q.append(payload)
             self._keys[cls].append(key)
             pending[key] = mark
-            if len(q) >= self.batch_size:
+            if self._rows(cls) >= self.batch_size:
                 return tuple(self._flush_with_ancestors(
                     cls, self._flush_full, cascade_counter=self._flush_order
                 ))
@@ -376,9 +399,11 @@ class OpClassCoalescer:
             self._keys[cls] = []
             self._order.append(cls)
         q.append(payload)
-        self._keys[cls].append(key)
-        pending[key] = pending.get(key, 0) | mark
-        if len(q) >= self.batch_size:
+        mask = pending.get(key, 0)
+        if not mask & bit:
+            self._keys[cls].append(key)
+        pending[key] = mask | mark
+        if self._rows(cls) >= self.batch_size:
             out.extend(
                 self._flush_with_ancestors(
                     cls, self._flush_full, cascade_counter=self._flush_order
@@ -393,7 +418,6 @@ class OpClassCoalescer:
         for k in self._closure_in_order(set(self._order)):
             q = self._pop_queue(k)
             self._flush_drain.inc()
-            self._occupancy.observe(len(q) / self.batch_size)
             out.append((k, q))
         return out
 

@@ -75,12 +75,6 @@ class HotKeyCache:
         "_hits", "_misses", "_invalidations", "_evictions", "_size_gauge",
     )
 
-    #: capability flag: engines with this cache version credit stream
-    #: repeats collapsed by the lookup dedup pass as cache hits (the
-    #: harness gates its nonzero-hit-rate assertion on this, so it can
-    #: still run against older checkouts).
-    COUNTS_DEDUP_HITS = True
-
     _ABSENT = object()
 
     def __init__(

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import InvalidOperationError
-from repro.host.batching import OP_CLASS, OpClassCoalescer
+from repro.host.batching import OP_CLASS, OpClassCoalescer, fold_writes
 from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.overlay import WriteOverlay
 from repro.host.results import OpStatus
@@ -101,8 +101,8 @@ class MixedReport:
     #: :attr:`wall_s` class (``{"lookup": {"count", "mean", "p50",
     #: "p95", "p99", ...}, ...}``).
     latency_percentiles_by_op: dict = field(default_factory=dict)
-    #: batches cut per flush reason during this run
-    #: (``size-full`` / ``write-dependency`` / ``drain``).
+    #: batches cut per flush reason during this run (``size-full`` /
+    #: ``key-conflict`` / ``dep-order`` / ``drain`` / ``deadline``).
     flush_reasons: dict = field(default_factory=dict)
     #: merge-compaction installs run by this dispatch surface (the
     #: memtable write-absorption path; 0 when it is disabled).
@@ -119,6 +119,11 @@ class MixedReport:
     #: (:meth:`repro.gpusim.streams.StreamOverlapStats.as_dict`): serial
     #: vs pipelined makespan, seconds hidden by double-buffering.
     stream_overlap: dict = field(default_factory=dict)
+    #: update ops whose device row a later write of the same key in the
+    #: same batch carried (a write batch launches one row per key, see
+    #: :func:`repro.host.batching.fold_writes`); their hit/miss is that
+    #: row's and is counted above.
+    folded: int = 0
     #: ops served host-side by store-to-load forwarding, per op class —
     #: a read on a key with a queued write is answered from the pending
     #: overlay (and a write on a definitely-absent key short-circuits to
@@ -130,22 +135,10 @@ class MixedReport:
         return (self.lookups + self.updates + self.deletes
                 + self.inserts + self.scans)
 
-    def mean_latency_us(self, kind: str) -> float:
-        """Measured mean host latency per operation of one class, in
-        microseconds (0.0 if that class never ran)."""
-        count = {
-            "lookup": self.lookups, "update": self.updates,
-            "delete": self.deletes, "insert": self.inserts,
-            "scan": self.scans, "write": self.updates + self.deletes,
-        }[kind]
-        if not count:
-            return 0.0
-        return self.wall_s.get(kind, 0.0) / count * 1e6
-
     _COUNT_FIELDS = (
         "lookups", "updates", "deletes", "inserts", "scans", "hits",
         "misses", "update_misses", "delete_misses", "inserts_deferred",
-        "records_scanned", "batches", "compactions",
+        "records_scanned", "batches", "compactions", "folded",
     )
     _SUM_DICTS = (
         "batches_by_op", "wall_s", "flush_reasons", "ops_by_status",
@@ -460,7 +453,13 @@ class BatchPipeline:
         rep = self.report
         n = len(entries)
         rows = self._rows(kind, entries)
-        res = self._submit(kind, rows, f"mixed.{kind}")
+        if kind == "write":
+            # one device row per key; each op reads its key's outcome
+            dev_rows, back = fold_writes(rows)
+            rep.folded += n - len(dev_rows)
+            res = self._submit(kind, dev_rows, f"mixed.{kind}").take(back)
+        else:
+            res = self._submit(kind, rows, f"mixed.{kind}")
         values = restated = None
         if kind == "lookup":
             values, restated = self._restate(rows, res)

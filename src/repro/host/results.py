@@ -216,6 +216,23 @@ class BatchResult(_SequenceABC):
             OpStatus(int(c)).name: int(n) for c, n in zip(codes, counts)
         }
 
+    def take(self, index: np.ndarray) -> "BatchResult":
+        """The result at ``index`` (positions may repeat): fans a folded
+        batch's per-row outcome back out to every op that shared a
+        row."""
+        overrides = {i: self._overrides[j] for i, j in enumerate(index)
+                     if j in self._overrides} if self._overrides else None
+        return BatchResult(
+            self.op, found=self.found_array[index],
+            values=(None if self.value_array is None
+                    else self.value_array[index]),
+            overrides=overrides,
+            status=None if self._status is None else self._status[index],
+            attempts=(None if self._attempts is None
+                      else self._attempts[index]),
+            summary=self.summary,
+        )
+
     def to_list(self) -> list:
         """The Python-object result list (memoized): values-with-``None``
         for lookups, found booleans for write ops."""

@@ -17,22 +17,11 @@ by the vectorized device kernels.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import KeyEncodingError
-
-#: escape hatch: setting ``REPRO_SCALAR_ENCODER=1`` routes
-#: :func:`keys_to_matrix` through the original per-key loop.  Kept for one
-#: PR so the benchmark harness can measure the pre-vectorization host path
-#: (``BENCH_seed.json``); scheduled for removal afterwards.
-_SCALAR_ENV = "REPRO_SCALAR_ENCODER"
-
-
-def _use_scalar_encoder() -> bool:
-    return os.environ.get(_SCALAR_ENV, "") not in ("", "0")
 
 
 def encode_int(value: int, width: int = 8) -> bytes:
@@ -99,11 +88,8 @@ def keys_to_matrix(
     length vector is carried along).
 
     The whole batch is encoded in one vectorized pass (see
-    :func:`encode_key_batch`); ``REPRO_SCALAR_ENCODER=1`` restores the
-    original per-key loop for benchmarking the pre-vectorization path.
+    :func:`encode_key_batch`).
     """
-    if _use_scalar_encoder():
-        return _keys_to_matrix_scalar(keys, width)
     return encode_key_batch(keys, width=width)
 
 

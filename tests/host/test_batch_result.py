@@ -113,6 +113,25 @@ class TestCanonicalAccessors:
         )
         assert res.to_list() == [99, None]
 
+    def test_take_fans_rows_out(self):
+        """``take`` repeats rows: every op of a folded row reads the
+        row's found flag, status and attempts."""
+        res = BatchResult(
+            "write", found=np.array([True, False]),
+            status=np.array([OpStatus.RETRIED, OpStatus.NOT_FOUND],
+                            dtype=np.uint8),
+            attempts=np.array([2, 1]),
+        )
+        out = res.take(np.array([0, 1, 0, 0]))
+        assert out.op == "write"
+        assert out.to_list() == [True, False, True, True]
+        assert out.counts_by_status() == {"RETRIED": 3, "NOT_FOUND": 1}
+        assert out.attempts.tolist() == [2, 1, 2, 2]
+        vals = np.array([NIL, 5], dtype=np.uint64)
+        res = BatchResult("lookup", found=np.array([True, True]),
+                          values=vals, overrides={0: 99})
+        assert res.take(np.array([1, 0, 0])).to_list() == [5, 99, 99]
+
     def test_insert_summary_via_attribute(self):
         res = BatchResult(
             "insert", found=np.array([True]),

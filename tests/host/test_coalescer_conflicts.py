@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.host.batching import OpClassCoalescer
+from repro.host.batching import OpClassCoalescer, fold_writes
 from repro.host.engine import CuartEngine
 from repro.workloads.synthetic import random_keys
 
@@ -26,7 +26,7 @@ class TestKeyLevelCoalescing:
             assert coal.add("update", f"u{i}", (f"u{i}", i)) == ()
             assert coal.add("delete", f"d{i}", f"d{i}") == ()
         assert len(coal) == 60
-        assert coal.flush_reasons()["write-dependency"] == 0
+        assert "write-dependency" not in coal.flush_reasons()
         assert coal.flush_reasons()["key-conflict"] == 0
 
     def test_same_key_read_after_write_records_edge(self):
@@ -84,6 +84,26 @@ class TestKeyLevelCoalescing:
         assert reasons["size-full"] == 1
         assert reasons["dep-order"] == 1
 
+    def test_write_batch_limit_counts_distinct_keys(self):
+        """A write batch launches one row per key, so repeats of a key
+        do not fill it; a lookup batch launches one row per op."""
+        coal = OpClassCoalescer(4)
+        for i in range(10):
+            assert coal.add("update", "k", ("k", i)) == ()
+        assert coal.add("update", "a", ("a", 1)) == ()
+        assert coal.add("delete", "b", ("b", None)) == ()
+        assert _flushed(coal.add("update", "c", ("c", 1))) == [("write", 13)]
+        for _ in range(3):
+            assert coal.add("lookup", "k", "k") == ()
+        assert _flushed(coal.add("lookup", "k", "k")) == [("lookup", 4)]
+        assert coal.flush_reasons()["size-full"] == 2
+
+    def test_fold_writes_keeps_each_keys_last_row_in_stream_order(self):
+        rows = [("a", 1), ("b", 2), ("a", 3), ("c", None), ("b", None)]
+        out, back = fold_writes(rows)
+        assert out == [("a", 3), ("c", None), ("b", None)]
+        assert back.tolist() == [0, 2, 0, 1, 2]
+
     def test_update_then_delete_of_one_key_share_a_write_batch(self):
         """The write launch runs its delete stage after its update stage
         — serial order — so a delete joins queued updates of its key."""
@@ -120,8 +140,7 @@ class TestKeyLevelCoalescing:
     def test_flush_reason_schema_complete(self):
         coal = OpClassCoalescer(8)
         assert set(coal.flush_reasons()) == {
-            "size-full", "write-dependency", "key-conflict",
-            "dep-order", "drain", "deadline",
+            "size-full", "key-conflict", "dep-order", "drain", "deadline",
         }
 
 

@@ -123,15 +123,22 @@ class TestDiffMechanics:
 
 
 class TestValidateBenchHook:
-    def test_failure_path_prints_attribution(self, capsys):
-        """validate_bench --baseline failure must print the bench_diff
-        attribution table before the INVALID verdict."""
+    def test_failure_path_prints_attribution(self, tmp_path, capsys):
+        """A validate_bench --baseline failure prints the bench_diff
+        attribution table before the INVALID verdict: here the bucketed
+        table's transactions regress to linear probing's."""
         vb = _load("validate_bench.py")
-        rc = vb.main([
-            str(_REPO / "BENCH_pr5.json"),
-            "--baseline", str(_REPO / "BENCH_pr6.json"),
-        ])
+        cand = _bench("BENCH_pr15.json")
+        ht = cand["ops"]["update_high_conflict"]["hashtable"]
+        ht["bucketed"]["transactions"] = ht["linear"]["transactions"]
+        ht["tx_ratio"] = 1.0
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(cand))
+        rc = vb.main([str(path), "--baseline",
+                      str(_REPO / "BENCH_pr15.json")])
         assert rc == 1
         err = capsys.readouterr().err
+        assert "ops.update_high_conflict.hashtable.tx_ratio: 1.0 fails" in err
         assert "stage attribution" in err
         assert "kernel/hash-table" in err
+        assert "INVALID" in err.rstrip().splitlines()[-1]

@@ -45,25 +45,32 @@ def test_mixed_run_fills_registry(built):
         assert summary["count"] > 0
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
         assert op in report.latency_percentiles_by_op
-    # key-level conflict tracking retires the batch-granularity
-    # write-dependency flushes; only genuine key conflicts (none here,
+    # key-level conflict tracking retired the batch-granularity
+    # write-dependency reason; only genuine key conflicts (none here,
     # thanks to store-to-load forwarding) or scans/drain cut batches
-    assert report.flush_reasons["write-dependency"] == 0
+    assert "write-dependency" not in report.flush_reasons
     assert "key-conflict" in report.flush_reasons
     assert report.flush_reasons["drain"] >= 1
     assert sum(report.flush_reasons.values()) == report.batches
     # engine counters saw every query the report did, minus the ones
-    # the executor answered host-side via store-to-load forwarding
+    # the executor answered host-side via store-to-load forwarding and
+    # the updates folded into a later same-key row of their batch
     fwd = report.forwarded
+    assert report.folded > 0
     assert (reg.value("engine_queries_total", op="update")
-            == report.updates - fwd.get("update", 0))
+            == report.updates - fwd.get("update", 0) - report.folded)
     assert (reg.value("engine_queries_total", op="delete")
             == report.deletes - fwd.get("delete", 0))
-    # write kernels accounted their dedup outcomes
+    # write kernels accounted their dedup outcomes: a folded batch hands
+    # the kernel one row per key, so no thread loses; every queued
+    # update's key is resident (updates on deleted keys are answered
+    # host-side), so every folded update is a hit
     winners = reg.value("write_dedup_winners_total", op="update")
     losers = reg.value("write_dedup_losers_total", op="update")
     assert winners is not None and winners > 0
-    assert winners + losers == report.updates - report.update_misses
+    assert losers == 0
+    assert (winners + losers
+            == report.updates - report.update_misses - report.folded)
 
 
 def test_mixed_trace_has_nested_spans_with_sim_kernels(built):
