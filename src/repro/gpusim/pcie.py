@@ -40,21 +40,6 @@ class PcieLink:
             injector.on_transfer(nbytes, direction=direction, op=op)
         return self.transfer_time(nbytes)
 
-    def batch_transfer_times(
-        self, queries: int, key_bytes: int, *, result_bytes: int = 8
-    ) -> tuple[float, float]:
-        """(h2d, d2h) seconds for one batch of ``queries`` operations.
-
-        The forward leg ships the fixed-width key matrix; the return leg
-        ships one result word per query.  The two directions ride
-        separate full-duplex DMA channels, so a stream scheduler may
-        overlap them with each other and with kernel execution.
-        """
-        return (
-            self.transfer_time(queries * key_bytes),
-            self.transfer_time(queries * result_bytes),
-        )
-
 
 #: Gen3 x16 (GTX1070-era): 15.75 GB/s raw, ~12.5 effective.
 PCIE3_X16 = PcieLink(name="PCIe 3.0 x16", bandwidth=12.5e9)

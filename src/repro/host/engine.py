@@ -115,10 +115,12 @@ class EngineReport:
     pipeline_bottleneck: str
     transactions_per_query: float
     bytes_per_query: float
-    #: per device batch, whether its rows carried the 8-byte value word
-    #: to the device (write operations; empty: every batch of an
-    #: update/insert/write does, no lookup/delete batch does).
-    value_batches: tuple = ()
+    #: per device launch, in launch order: ``(rows, h2d_bytes,
+    #: kernel_s)`` — the rows it ran (one result word each comes back),
+    #: the bytes it shipped to the device (keys, plus the 8-byte value
+    #: word of rows in a batch holding updates or inserts) and its own
+    #: simulated kernel time.  ``submit`` charges one stream event each.
+    launches: tuple = ()
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -325,7 +327,8 @@ class _EngineBase:
             return coalesce_encoded(mat, lens, self.batch_size), mat.shape[1]
 
     # -- async dispatch ----------------------------------------------------
-    def submit(self, kind: str, payloads: Sequence) -> BatchResult:
+    def submit(self, kind: str, payloads: Sequence, *,
+               lookups: Optional[Sequence[bytes]] = None):
         """Asynchronously dispatch one coalesced op-class batch.
 
         The pipelined counterpart of calling :meth:`lookup` /
@@ -335,43 +338,60 @@ class _EngineBase:
         staging, kernel, return DMA — is accounted against the
         double-buffered :class:`~repro.gpusim.streams.StreamScheduler`,
         so batch *i+1*'s host→device staging overlaps batch *i*'s kernel.
+        Each device launch is one stream event, charged the rows and
+        bytes it ships and its own kernel time.
         Call :meth:`drain` to close the submit window and read the
         overlap statistics.  ``payloads`` are keys for
         ``lookup``/``delete``, ``(key, value)`` pairs for
         ``update``/``insert``, and ``write`` rows — ``(key, value)``
         updates and ``(key, None)`` deletes — for ``write``.
+
+        ``lookups`` (keys; ``write`` batches only) hands in a lookup
+        batch that must read the state *before* the write batch: the
+        call returns ``(lookup_result, write_result)``.  The lookup
+        result's ``summary["host_s"]`` is the host time spent on the
+        lookup rows.  Here they run as their own launch ahead of the
+        write batch's; :class:`CuartEngine` runs them as stage 0 of the
+        write launch instead.
         """
+        if lookups is not None:
+            if kind != "write":
+                raise ReproError(
+                    f"lookups ride write batches, not {kind!r} batches"
+                )
+            return self._submit_with_lookups(payloads, lookups)
         op = getattr(self, kind, None)
         if kind not in SUBMIT_KINDS or op is None:
             raise ReproError(
                 f"cannot submit {kind!r} batches to {type(self).__name__}"
             )
         result = op(payloads)
+        self._charge_launches(kind)
+        return result
+
+    def _charge_launches(self, kind: str) -> None:
+        """One stream event per device launch of the last ``kind`` call
+        (:attr:`EngineReport.launches`), into :attr:`last_events`."""
         rep = self.last_report
         events: list = []
-        if rep is not None and rep.operation == kind and rep.batches > 0:
-            if kind in ("lookup", "delete"):
-                width = max((len(k) for k in payloads), default=1)
-            else:
-                width = max((len(k) for k, _ in payloads), default=1)
-            # the value word rides with each key of a batch that holds
-            # update or insert rows
-            carries = rep.value_batches or (
-                (kind not in ("lookup", "delete"),) * rep.batches
-            )
-            per_batch_q = max(rep.queries // rep.batches, 1)
-            times = {
-                c: self._pcie.batch_transfer_times(per_batch_q, width + 8 * c)
-                for c in set(carries)
-            }
-            for c in carries:
-                h2d_s, d2h_s = times[c]
+        if rep is not None and rep.operation == kind:
+            link = self._pcie
+            for rows, h2d_bytes, kernel_s in rep.launches:
                 events.append(self.streams.submit(
-                    kind, h2d_s=h2d_s, kernel_s=rep.kernel_s_per_batch,
-                    d2h_s=d2h_s,
+                    kind, h2d_s=link.transfer_time(h2d_bytes),
+                    kernel_s=kernel_s, d2h_s=link.transfer_time(8 * rows),
                 ))
         self.last_events = events
-        return result
+
+    def _submit_with_lookups(self, rows: Sequence, lookups: Sequence):
+        """Two launches: the lookup batch, then the write batch."""
+        t0 = time.perf_counter()
+        lres = self.submit("lookup", lookups)
+        events = self.last_events
+        lres.summary = {"host_s": time.perf_counter() - t0}
+        res = self.submit("write", rows)
+        self.last_events = events + self.last_events
+        return lres, res
 
     def write(self, rows: Sequence) -> BatchResult:
         """Apply ``(key, value)`` update rows through :meth:`update`.
@@ -398,11 +418,19 @@ class _EngineBase:
     def _report(
         self, operation: str, queries: int, batches: int, logs: list[TransactionLog],
         key_bytes: int, *, rows_by_op: Optional[dict] = None,
+        shipped: Optional[list] = None,
     ) -> EngineReport:
         """Publish one operation's metrics and set :attr:`last_report`.
         ``rows_by_op`` splits ``engine_queries_total`` by row kind (a
-        write call's update and delete rows); by default every query
-        counts under ``operation``."""
+        write call's lookup, update and delete rows); by default every
+        query counts under ``operation``.  ``shipped`` gives each log's
+        launch ``(rows, h2d_bytes)``; by default a launch ships its
+        threads' keys, each with the value word unless ``operation`` is
+        a lookup or delete."""
+        if shipped is None:
+            row_bytes = key_bytes + 8 * (operation not in ("lookup", "delete"))
+            shipped = [(log.launched_threads, log.launched_threads * row_bytes)
+                       for log in logs]
         total_tx = sum(log.total_transactions for log in logs)
         total_bytes = sum(log.total_bytes for log in logs)
         timings = [self.cost_model.kernel_time(log) for log in logs]
@@ -445,9 +473,202 @@ class _EngineBase:
             pipeline_bottleneck=pipe.bottleneck.name,
             transactions_per_query=total_tx / max(queries, 1),
             bytes_per_query=total_bytes / max(queries, 1),
+            launches=tuple(
+                (rows, h2d, t.total_s)
+                for (rows, h2d), t in zip(shipped, timings)
+            ),
         )
         self.last_report = report
         return report
+
+
+class _LookupStage:
+    """One lookup call's rows on their way to answers.
+
+    The hot-key cache answers what it can (repeats collapse into one
+    probe per distinct key); the rest are device rows, coalesced into
+    batches that launch on their own (:meth:`launch`) or ride a write
+    launch as its stage 0 (:meth:`kernel`, then :meth:`answer`).  A
+    batch the resilience layer degrades is answered on the CPU.
+    :meth:`result` resolves host-leaf signals, fills the cache and
+    builds the :class:`BatchResult`.  ``host_s`` sums the host seconds
+    spent in these steps."""
+
+    def __init__(self, eng: "CuartEngine", keys) -> None:
+        t0 = time.perf_counter()
+        self.eng = eng
+        #: lookup rows of the call, cache hits included.
+        self.n = len(keys)
+        self.track = track = eng._dispatcher is not None
+        self.logs: list = []
+        #: (inverse, values, overrides, miss positions, attempts,
+        #: degraded) over the distinct keys while the cache is on.
+        self.cached = None
+        dev_keys = keys
+        cache = eng.cache
+        if cache is not None:
+            # Hot-key cache path: hot keys repeat by definition, so
+            # dedupe the stream first and probe the LRU once per
+            # *distinct* key; only cold distinct keys reach the kernels.
+            # A dict over the raw bytes keys beats encoding the whole
+            # stream: bytes objects cache their hash, so a repeat costs
+            # one dict probe and the encoder only ever sees the cold
+            # distinct keys.
+            idx_of: dict = {}
+            setdef = idx_of.setdefault
+            inverse = np.array(
+                [setdef(k, len(idx_of)) for k in keys], dtype=np.int64
+            )
+            uniq_keys = list(idx_of)
+            if len(keys) > len(uniq_keys):
+                # repeats collapsed by the in-call dedup are cache hits:
+                # the hot-key tier (this dict plus the LRU) serves them
+                # without touching the device; routed through the
+                # cache's accounting API so registry, stats view and
+                # BENCH JSON always agree
+                cache.record_dedup_hits(len(keys) - len(uniq_keys))
+            n_u = len(uniq_keys)
+            values = np.full(n_u, np.uint64(NIL_VALUE), dtype=np.uint64)
+            overrides: dict[int, Optional[int]] = {}
+            miss_pos: list[int] = []
+            get = cache.get
+            for j, k in enumerate(uniq_keys):
+                hit, val = get(k)
+                if not hit:
+                    miss_pos.append(j)
+                elif type(val) is int:
+                    values[j] = val
+                elif val is not None:
+                    overrides[j] = val
+            self.cached = (
+                inverse, values, overrides, miss_pos,
+                np.ones(n_u, dtype=np.int32) if track else None,
+                np.zeros(n_u, dtype=bool) if track else None,
+            )
+            dev_keys = [uniq_keys[j] for j in miss_pos]
+        #: the device rows and their answers (attempt/degraded tracking
+        #: only exists under a resilience policy)
+        self.keys = dev_keys
+        n = len(dev_keys)
+        self.values = np.full(n, np.uint64(NIL_VALUE), dtype=np.uint64)
+        self.refs = np.full(n, -1, dtype=np.int64)
+        self.overrides: dict[int, Optional[int]] = {}
+        self.attempts = np.ones(n, dtype=np.int32) if track else None
+        self.degraded = np.zeros(n, dtype=bool) if track else None
+        if dev_keys or cache is None:
+            batches, self.width = eng._coalesce_stream(dev_keys)
+        else:
+            batches, self.width = [], 1
+        #: device batches not answered yet, in launch order.
+        self.pending = deque(batches)
+        #: the call's BatchResult, once :meth:`result` built it.
+        self.out: Optional[BatchResult] = None
+        self.host_s = time.perf_counter() - t0
+
+    def launch(self, *, keep: int = 0) -> None:
+        """Launch the pending batches on their own, all but the last
+        ``keep`` (which then ride a write launch)."""
+        t0 = time.perf_counter()
+        eng = self.eng
+        while len(self.pending) > keep:
+            b = self.pending[0]
+
+            def call(b=b):
+                # resolve layout / root table at call time: a mid-stream
+                # recovery re-map must be visible to the retry
+                return lookup_batch(
+                    eng.layout, b.keys_mat, b.key_lens,
+                    root_table=eng.root_table, injector=eng._injector,
+                )
+            res, att = eng._device_batch(
+                "lookup", call, n=b.size, h2d_bytes=b.keys_mat.nbytes
+            )
+            if res is not None:
+                self.logs.append(res.log)
+            self._scatter(res, att)
+        self.host_s += time.perf_counter() - t0
+
+    def kernel(self, log: TransactionLog):
+        """Stage 0 of a write launch: the oldest pending batch's lookups,
+        recorded into the launch's log ahead of its write stages (the
+        launch gate has fired), so they read the state before the
+        launch."""
+        t0 = time.perf_counter()
+        eng = self.eng
+        b = self.pending[0]
+        res = lookup_batch(
+            eng.layout, b.keys_mat, b.key_lens, root_table=eng.root_table,
+            log=log,
+        )
+        self.host_s += time.perf_counter() - t0
+        return res
+
+    def answer(self, res, att: int) -> None:
+        """Take the oldest pending batch's answers from the write launch
+        it rode (``res`` None: the launch degraded, the CPU answers)."""
+        t0 = time.perf_counter()
+        self._scatter(res, att)
+        self.host_s += time.perf_counter() - t0
+
+    def _scatter(self, res, att: int) -> None:
+        b = self.pending.popleft()
+        if res is None:
+            self.eng._dispatcher.note_degraded("lookup")
+            vals, ovr = self.eng._cpu_lookup_rows(b)
+            self.values[b.origin] = vals
+            for p, v in ovr.items():
+                self.overrides[int(b.origin[p])] = v
+            self.degraded[b.origin] = True
+            self.attempts[b.origin] = att
+            return
+        self.values[b.origin] = res.values
+        self.refs[b.origin] = res.host_refs
+        if self.track:
+            self.attempts[b.origin] = att
+
+    def result(self) -> BatchResult:
+        """The call's :class:`BatchResult`, once every batch answered;
+        cold keys' answers go into the cache."""
+        t0 = time.perf_counter()
+        eng = self.eng
+        layout = eng.layout
+        overrides, refs = self.overrides, self.refs
+        if layout.host_leaves:
+            # long keys stored via HOST_LINK: the CPU resolves the
+            # device's host-leaf signals (rare rows only)
+            for i in np.flatnonzero(refs >= 0):
+                hk, hv = layout.host_leaves[int(refs[i])]
+                overrides[int(i)] = hv if hk == self.keys[int(i)] else None
+        if self.cached is None:
+            out = eng._lookup_result(
+                self.values, overrides, self.attempts, self.degraded
+            )
+        else:
+            inverse, values, c_ovr, miss_pos, attempts, degraded = self.cached
+            if miss_pos:
+                pos_arr = np.asarray(miss_pos)
+                values[pos_arr] = self.values
+                if self.track:
+                    attempts[pos_arr] = self.attempts
+                    degraded[pos_arr] = self.degraded
+                put = eng.cache.put
+                for k, v in zip(self.keys,
+                                values_to_list(self.values, overrides)):
+                    put(k, v)
+                for p, val in overrides.items():
+                    c_ovr[miss_pos[p]] = val
+            out_ovr: dict[int, Optional[int]] = {}
+            for j, val in c_ovr.items():
+                for pos in np.flatnonzero(inverse == j):
+                    out_ovr[int(pos)] = val
+            out = eng._lookup_result(
+                values[inverse], out_ovr,
+                attempts[inverse] if self.track else None,
+                degraded[inverse] if self.track else None,
+            )
+        self.out = out
+        self.host_s += time.perf_counter() - t0
+        return out
 
 
 class CuartEngine(_EngineBase):
@@ -809,64 +1030,6 @@ class CuartEngine(_EngineBase):
         self._needs_remap = True
 
     # -- stage 3: queries ----------------------------------------------------
-    def _lookup_dispatch(self, keys: Sequence[bytes], encoded=None):
-        """Run one lookup stream through the kernels (CPU-serving the
-        batches the resilience layer degrades); returns the raw value
-        vector, host-leaf resolutions, device batch count, width, logs
-        and the per-query attempt/degraded vectors.  ``encoded`` passes
-        an already-encoded ``(mat, lens)`` pair for the same keys to
-        skip a second encoding pass."""
-        if encoded is None:
-            batches, width = self._coalesce_stream(keys)
-        else:
-            mat, lens = encoded
-            batches = coalesce_encoded(mat, lens, self.batch_size)
-            width = mat.shape[1]
-        values = np.full(len(keys), np.uint64(NIL_VALUE), dtype=np.uint64)
-        refs = np.full(len(keys), -1, dtype=np.int64)
-        # attempt/degraded tracking only exists under a resilience policy;
-        # the fast path returns None vectors (BatchResult defaults apply)
-        track = self._dispatcher is not None
-        attempts = np.ones(len(keys), dtype=np.int32) if track else None
-        degraded = np.zeros(len(keys), dtype=bool) if track else None
-        overrides: dict[int, Optional[int]] = {}
-        logs = []
-        n_dev_batches = 0
-        for batch in batches:
-            def call(b=batch):
-                # resolve layout / root table at call time: a mid-stream
-                # recovery re-map must be visible to the retry
-                return lookup_batch(
-                    self.layout, b.keys_mat, b.key_lens,
-                    root_table=self.root_table, injector=self._injector,
-                )
-            res, att = self._device_batch(
-                "lookup", call, n=batch.size, h2d_bytes=batch.keys_mat.nbytes
-            )
-            if res is None:
-                self._dispatcher.note_degraded("lookup")
-                vals, ovr = self._cpu_lookup_rows(batch)
-                values[batch.origin] = vals
-                for p, v in ovr.items():
-                    overrides[int(batch.origin[p])] = v
-                degraded[batch.origin] = True
-                attempts[batch.origin] = att
-                continue
-            logs.append(res.log)
-            n_dev_batches += 1
-            values[batch.origin] = res.values
-            refs[batch.origin] = res.host_refs
-            if track:
-                attempts[batch.origin] = att
-        layout = self.layout
-        if layout.host_leaves:
-            # long keys stored via HOST_LINK: the CPU resolves the
-            # device's host-leaf signals (rare rows only)
-            for i in np.flatnonzero(refs >= 0):
-                hk, hv = layout.host_leaves[int(refs[i])]
-                overrides[int(i)] = hv if hk == keys[int(i)] else None
-        return values, overrides, n_dev_batches, width, logs, attempts, degraded
-
     def lookup(self, keys: Sequence[bytes]) -> BatchResult:
         """Batched exact lookups; the result lists values (``None`` for
         misses) and carries per-query :class:`OpStatus` codes.
@@ -897,79 +1060,22 @@ class CuartEngine(_EngineBase):
             status=status, attempts=attempts,
         )
 
-    def _lookup(self, keys) -> BatchResult:
+    def _lookup_stage(self, keys) -> "_LookupStage":
         layout = self._require_layout()
         if self._dispatcher is None:
             # no resilience: surface staleness immediately (the kernels
             # check too; this keeps the error at the call site).  With a
             # dispatcher the kernel-level check routes through recovery.
             layout.check_fresh()
-        if self.cache is None:
-            values, overrides, n_batches, width, logs, attempts, degraded = (
-                self._lookup_dispatch(keys)
-            )
-            self._report("lookup", len(keys), n_batches, logs, width)
-            return self._lookup_result(values, overrides, attempts, degraded)
-        # Hot-key cache path: hot keys repeat by definition, so dedupe
-        # the stream first and probe the LRU once per *distinct* key;
-        # only cold distinct keys reach the kernels.  A dict over the
-        # raw bytes keys beats encoding the whole stream: bytes objects
-        # cache their hash, so a repeat costs one dict probe and the
-        # encoder only ever sees the cold distinct keys.
-        idx_of: dict = {}
-        setdef = idx_of.setdefault
-        inverse = np.array(
-            [setdef(k, len(idx_of)) for k in keys], dtype=np.int64
-        )
-        uniq_keys = list(idx_of)
-        if len(keys) > len(uniq_keys):
-            # repeats collapsed by the in-call dedup are cache hits: the
-            # hot-key tier (this dict plus the LRU) serves them without
-            # touching the device; routed through the cache's accounting
-            # API so registry, stats view and BENCH JSON always agree
-            self.cache.record_dedup_hits(len(keys) - len(uniq_keys))
-        values = np.full(len(uniq_keys), np.uint64(NIL_VALUE), dtype=np.uint64)
-        track = self._dispatcher is not None
-        attempts_u = np.ones(len(uniq_keys), dtype=np.int32) if track else None
-        degraded_u = np.zeros(len(uniq_keys), dtype=bool) if track else None
-        overrides: dict[int, Optional[int]] = {}
-        miss_pos: list[int] = []
-        get = self.cache.get
-        for j, k in enumerate(uniq_keys):
-            hit, val = get(k)
-            if not hit:
-                miss_pos.append(j)
-            elif type(val) is int:
-                values[j] = val
-            elif val is not None:
-                overrides[j] = val
-        n_batches, width, logs = 0, 1, []
-        if miss_pos:
-            miss_keys = [uniq_keys[j] for j in miss_pos]
-            mvals, movr, n_batches, width, logs, m_att, m_deg = (
-                self._lookup_dispatch(miss_keys)
-            )
-            pos_arr = np.asarray(miss_pos)
-            values[pos_arr] = mvals
-            if track:
-                attempts_u[pos_arr] = m_att
-                degraded_u[pos_arr] = m_deg
-            put = self.cache.put
-            for k, v in zip(miss_keys, values_to_list(mvals, movr)):
-                put(k, v)
-            for p, val in movr.items():
-                overrides[miss_pos[p]] = val
-        out_vals = values[inverse]
-        out_ovr: dict[int, Optional[int]] = {}
-        for j, val in overrides.items():
-            for pos in np.flatnonzero(inverse == j):
-                out_ovr[int(pos)] = val
-        self._report("lookup", len(keys), n_batches, logs, width)
-        return self._lookup_result(
-            out_vals, out_ovr,
-            attempts_u[inverse] if track else None,
-            degraded_u[inverse] if track else None,
-        )
+        return _LookupStage(self, keys)
+
+    def _lookup(self, keys) -> BatchResult:
+        stage = self._lookup_stage(keys)
+        stage.launch()
+        result = stage.result()
+        self._report("lookup", len(keys), len(stage.logs), stage.logs,
+                     stage.width)
+        return result
 
     def _get_updater(self) -> UpdateEngine:
         """The layout-bound update engine, rebuilt after a re-map or a
@@ -994,6 +1100,31 @@ class CuartEngine(_EngineBase):
                 metrics=self.metrics, injector=self._injector,
             )
         return engine
+
+    def _submit_with_lookups(self, rows: Sequence, lookups: Sequence):
+        """One launch: the lookup rows run as stage 0 of the write
+        launch (see :meth:`_write`), so the pair costs one PCIe round
+        trip and one launch overhead.  With one side empty this is the
+        plain launch of the other."""
+        rows = list(rows) if not isinstance(rows, (list, tuple)) else rows
+        if not isinstance(lookups, (list, tuple)):
+            lookups = list(lookups)
+        if not rows or not lookups:
+            return super()._submit_with_lookups(rows, lookups)
+        t0 = time.perf_counter()
+        with self.tracer.span(
+            "engine.write", {"n": len(rows), "lookups": len(lookups)}
+        ):
+            stage = self._lookup_stage(lookups)
+            res = self._write(rows, "write", stage)
+        write_s = time.perf_counter() - t0 - stage.host_s
+        lres = stage.out
+        lres.summary = {"host_s": stage.host_s}
+        for op, n, dt in (("lookup", len(lookups), stage.host_s),
+                          ("write", len(rows), write_s)):
+            self._m_op_latency.labels(op=op).observe(dt / n * 1e6, n)
+        self._charge_launches("write")
+        return lres, res
 
     def write(self, rows: Sequence) -> BatchResult:
         """Batched §3.4 writes; an update row is ``(key, value)``, a
@@ -1028,20 +1159,26 @@ class CuartEngine(_EngineBase):
         with self._timed_op("delete", len(keys)):
             return self._write([(k, None) for k in keys], "delete")
 
-    def _write_batch(self, b: QueryBatch, values, dels, label: str):
+    def _write_batch(self, b: QueryBatch, values, dels, label: str,
+                     stage: Optional[_LookupStage] = None):
         """One write launch over batch ``b``: its update rows, then its
         delete rows (``dels``), as stages of one kernel that records one
-        transaction log (an empty stage is skipped).  The launch fires
-        its fault hooks once, before either stage changes the layout, so
-        an aborted batch replays as-is.  ``label`` names the op for the
-        hooks.  Returns ``(found, log)``."""
+        transaction log (an empty stage is skipped).  With ``stage``,
+        that lookup stage's oldest pending batch runs first, as stage 0:
+        it reads the state before the launch, which is what a lookup
+        launch sent first would read.  The launch fires its fault hooks
+        once, before any stage runs, so an aborted launch replays
+        as-is.  ``label`` names the op for the hooks.  Returns
+        ``(found, log, stage-0 LookupResult or None)``."""
         layout = self.layout
         layout.check_fresh()
-        launch_kernel(label, b.size, injector=self._injector)
+        threads = b.size + (stage.pending[0].size if stage else 0)
+        launch_kernel(label, threads, injector=self._injector)
         if self._injector is not None:
             self._injector.on_hashtable(label, b.size)
         updater = self._get_updater()
         log = TransactionLog()
+        looked = stage.kernel(log) if stage else None
         found = np.zeros(b.size, dtype=bool)
         upd = np.flatnonzero(~dels)
         rem = np.flatnonzero(dels)
@@ -1056,10 +1193,16 @@ class CuartEngine(_EngineBase):
                 root_table=self.root_table, table=updater.conflict_table(),
                 metrics=self.metrics,
             ).deleted
-        log.launched_threads = b.size
-        return found, log
+        log.launched_threads = threads
+        return found, log, looked
 
-    def _write(self, rows, op: str) -> BatchResult:
+    def _write(self, rows, op: str,
+               stage: Optional[_LookupStage] = None) -> BatchResult:
+        """The write loop.  With ``stage`` (a lookup call that must read
+        the state before these rows), its last pending batch rides the
+        first write launch as stage 0 and the batches before it launch
+        on their own first; with no write rows they all do.  The lookup
+        answers reach the cache before any write row refreshes it."""
         self._require_layout()
         n = len(rows)
         if op == "update":
@@ -1085,7 +1228,15 @@ class CuartEngine(_EngineBase):
         attempts = np.ones(n, dtype=np.int32) if track else None
         degraded = np.zeros(n, dtype=bool) if track else None
         logs = []
-        value_batches = []
+        shipped = []
+        if stage is not None:
+            stage.launch(keep=1 if batches else 0)
+            logs += stage.logs
+            shipped += [(log.launched_threads,
+                         log.launched_threads * stage.width)
+                        for log in stage.logs]
+            if not stage.pending:
+                stage.result()
         queue = deque(batches)
         while queue:
             batch = queue.popleft()
@@ -1096,17 +1247,24 @@ class CuartEngine(_EngineBase):
                 label = "update"
             else:
                 label = "write" if carries else "delete"
-            def call(b=batch, d=dels, label=label):
-                return self._write_batch(b, values, d, label)
+            ride = stage if stage is not None and stage.pending else None
+            threads = batch.size
+            h2d_bytes = batch.keys_mat.nbytes + 8 * batch.size * carries
+            if ride is not None:
+                threads += ride.pending[0].size
+                h2d_bytes += ride.pending[0].keys_mat.nbytes
+
+            def call(b=batch, d=dels, label=label, ride=ride):
+                return self._write_batch(b, values, d, label, ride)
             try:
                 res, att = self._device_batch(
-                    label, call, n=batch.size,
-                    h2d_bytes=batch.keys_mat.nbytes + 8 * batch.size * carries,
+                    label, call, n=threads, h2d_bytes=h2d_bytes,
                 )
             except HashTableFullError:
                 # genuine capacity pressure the growth recovery could not
                 # absorb (cap reached): halve the dispatch so fewer
-                # distinct keys contend for the table
+                # distinct keys contend for the table (stage 0 rides
+                # the first half)
                 if self._dispatcher is None:
                     raise
                 if batch.size > 1:
@@ -1116,14 +1274,21 @@ class CuartEngine(_EngineBase):
                     raise
                 res, att = None, 0
             if res is None:
+                # the CPU answers the lookups before it applies the rows
+                if ride is not None:
+                    ride.answer(None, att)
+                    ride.result()
                 self._dispatcher.note_degraded(label)
                 self._degraded_write_rows(batch, values, dels, found)
                 degraded[batch.origin] = True
                 attempts[batch.origin] = att
                 continue
-            batch_found, log = res
+            batch_found, log, looked = res
+            if ride is not None:
+                ride.answer(looked, att)
+                ride.result()
             logs.append(log)
-            value_batches.append(carries)
+            shipped.append((threads, h2d_bytes))
             found[batch.origin] = batch_found
             if track:
                 attempts[batch.origin] = att
@@ -1131,11 +1296,15 @@ class CuartEngine(_EngineBase):
         if not (track and bool(degraded.any())):
             self.layout.mark_synced()
         rows_by_op = None
+        queries = n
         if op == "write":
             n_del = int(np.count_nonzero(is_del))
             rows_by_op = {"update": n - n_del, "delete": n_del}
-        rep = self._report(op, n, len(logs), logs, width, rows_by_op=rows_by_op)
-        rep.value_batches = tuple(value_batches)
+            if stage is not None:
+                rows_by_op["lookup"] = stage.n
+                queries += stage.n
+        self._report(op, queries, len(logs), logs, width,
+                     rows_by_op=rows_by_op, shipped=shipped)
         self._refresh_device_gauges()
         status = (
             status_codes(found, attempts=attempts, degraded=degraded)

@@ -18,7 +18,10 @@ otherwise queues the op in its class queue
 (:class:`repro.host.batching.OpClassCoalescer`: ``lookup``, ``write``
 for updates and deletes in one device launch, ``insert``).  Each
 flushed batch is submitted to the engine's double-buffered stream
-pipeline, its snapshot reads restated, and its outcomes tallied into a
+pipeline — a lookup batch that a flush group releases directly before
+a write batch rides that batch's launch as its stage 0, so the pair
+costs one launch — its snapshot reads restated, and its outcomes
+tallied into a
 :class:`MixedReport`: hit/miss counts straight from
 :attr:`repro.host.results.BatchResult.found_array`, per-op
 :class:`~repro.host.results.OpStatus` codes in
@@ -231,10 +234,12 @@ class BatchPipeline:
     """One batch pipeline over one engine (see the module docstring).
 
     Per op, :meth:`_route` answers it host-side or queues it; per
-    flushed batch, :meth:`_dispatch` submits it, restates snapshot
-    reads, tallies the report, stamps flight records and records host
-    wall time; :meth:`flush` dispatches everything queued, installs the
-    memtable and closes the simulated stream window.
+    coalescer flush group, :meth:`_dispatch_group` sends each device
+    launch through :meth:`_dispatch`, which submits it, restates
+    snapshot reads, tallies the report, stamps flight records and
+    records each class's host wall time; :meth:`flush` dispatches
+    everything queued, installs the memtable and closes the simulated
+    stream window.
 
     This class is also the offline door: :meth:`run` queues light
     entries — ``(key, seq)`` for a lookup (``seq`` indexes the results),
@@ -401,8 +406,7 @@ class BatchPipeline:
         if self._fl_on:
             self._fr_queued.setdefault(OP_CLASS.get(kind, kind), []).append(
                 self.flight.begin(kind, key, self.shard))
-        for k, ps in self._coal.add(kind, key, entry):
-            self._dispatch(k, ps)
+        self._dispatch_group(self._coal.add(kind, key, entry))
         return None
 
     def _answer(self, kind: str, key, found: bool, *, absorbed: bool
@@ -444,22 +448,76 @@ class BatchPipeline:
 
     # -- per batch -------------------------------------------------------
 
-    def _dispatch(self, kind: str, entries: list) -> None:
-        """Run one flushed class batch (``lookup`` / ``write`` /
-        ``insert``) through the device and account it; a write batch's
-        rows are ``(key, value)`` updates and ``(key, None)`` deletes."""
+    def _dispatch_group(self, group) -> int:
+        """Run one coalescer flush group's batches in order; a lookup
+        batch followed directly by a write batch goes out as one device
+        launch.  Returns the number of ops dispatched."""
+        n = 0
+        i = 0
+        while i < len(group):
+            kind, entries = group[i]
+            if (kind == "lookup" and i + 1 < len(group)
+                    and group[i + 1][0] == "write"):
+                writes = group[i + 1][1]
+                self._dispatch("write", writes, lookups=entries)
+                n += len(entries) + len(writes)
+                i += 2
+            else:
+                self._dispatch(kind, entries)
+                n += len(entries)
+                i += 1
+        return n
+
+    def _dispatch(self, kind: str, entries: list, lookups=None) -> None:
+        """Run one device launch and account it: one flushed class batch
+        (``lookup`` / ``write`` / ``insert``; a write batch's rows are
+        ``(key, value)`` updates and ``(key, None)`` deletes), or with
+        ``lookups`` a lookup batch and the write batch flushed directly
+        after it.  Their launch runs the lookups as stage 0, ahead of
+        the writes, so they read what a lookup launch sent first would
+        (:meth:`repro.host.engine.CuartEngine.submit`).  Each class is
+        accounted with its own host time: the lookups' row preparation
+        and settling plus the engine's measured host time on their
+        rows, and the write batch the rest of the dispatch."""
         t0 = time.perf_counter()
         td = self.flight.now_us() if self._fl_on else 0.0
-        rep = self.report
         n = len(entries)
+        lookup_s = 0.0
+        l_rows = None
+        if lookups is not None:
+            l_rows = self._rows("lookup", lookups)
+            lookup_s = time.perf_counter() - t0
         rows = self._rows(kind, entries)
+        back = None
+        dev_rows = rows
         if kind == "write":
             # one device row per key; each op reads its key's outcome
             dev_rows, back = fold_writes(rows)
-            rep.folded += n - len(dev_rows)
-            res = self._submit(kind, dev_rows, f"mixed.{kind}").take(back)
-        else:
-            res = self._submit(kind, rows, f"mixed.{kind}")
+            self.report.folded += n - len(dev_rows)
+        res = self._submit(kind, dev_rows, f"mixed.{kind}", lookups=l_rows)
+        self._launched(n + (len(lookups) if lookups is not None else 0))
+        if lookups is not None:
+            lres, res = res
+            t1 = time.perf_counter()
+            self._settle("lookup", lookups, l_rows, lres, td)
+            lookup_s += lres.summary["host_s"] + time.perf_counter() - t1
+            self._account("lookup", len(lookups), lookup_s)
+        if back is not None:
+            res = res.take(back)
+        self._settle(kind, entries, rows, res, td)
+        self._account(kind, n, time.perf_counter() - t0 - lookup_s)
+
+    def _launched(self, n: int) -> None:
+        """Hook: one foreground launch carrying ``n`` ops was just
+        submitted (the server's virtual device cursor advances here)."""
+
+    def _settle(self, kind: str, entries: list, rows: list, res,
+                td: float) -> None:
+        """Tally one dispatched class batch into the report, restate its
+        snapshot reads, hand its outcomes to its ops and stamp their
+        flight records."""
+        rep = self.report
+        n = len(entries)
         values = restated = None
         if kind == "lookup":
             values, restated = self._restate(rows, res)
@@ -495,16 +553,21 @@ class BatchPipeline:
             del queued[:n]
             if recs:
                 self._stamp(recs, td, res, n)
-        self._account(kind, n, time.perf_counter() - t0)
 
-    def _submit(self, kind: str, rows: list, span: str):
-        """Submit one batch to the engine's stream pipeline; records the
-        class's simulated end-to-end rate."""
+    def _submit(self, kind: str, rows: list, span: str, lookups=None):
+        """Submit one launch to the engine's stream pipeline (with
+        ``lookups``, a lookup batch riding a write batch: returns both
+        results); records each class's simulated end-to-end rate."""
         with self.tracer.span(span, {"n": len(rows)}):
-            res = self.engine.submit(kind, rows)
+            if lookups is None:
+                res = self.engine.submit(kind, rows)
+            else:
+                res = self.engine.submit(kind, rows, lookups=lookups)
         last = self.engine.last_report
         if last is not None:
             self.report.simulated_mops[kind] = last.end_to_end_mops
+            if lookups is not None:
+                self.report.simulated_mops["lookup"] = last.end_to_end_mops
         return res
 
     def _restate(self, keys: list, res) -> tuple[list, dict]:
@@ -598,11 +661,7 @@ class BatchPipeline:
     # -- drain -----------------------------------------------------------
 
     def _dispatch_all(self) -> int:
-        n = 0
-        for k, ps in self._coal.drain():
-            n += len(ps)
-            self._dispatch(k, ps)
-        return n
+        return self._dispatch_group(self._coal.drain())
 
     def flush(self) -> int:
         """Dispatch everything queued (end of stream, scan barrier,

@@ -390,13 +390,14 @@ class ShardedEngine:
             status=status, attempts=attempts, summary=summary,
         )
 
-    def _set_last_report(self, parts, groups) -> None:
-        """Adopt the busiest shard's report (per-op throughput probe)."""
+    def _set_last_report(self, rows_by_shard) -> None:
+        """Adopt the busiest shard's report (per-op throughput probe);
+        ``rows_by_shard`` is ``[(shard id, rows it ran), ...]``."""
         best = None
-        for (sid, idx), _ in zip(groups, parts):
+        for sid, n in rows_by_shard:
             rep = self.shards[sid].last_report
-            if rep is not None and (best is None or idx.size > best[0]):
-                best = (idx.size, rep)
+            if rep is not None and (best is None or n > best[0]):
+                best = (n, rep)
         if best is not None:
             self.last_report = best[1]
 
@@ -453,7 +454,7 @@ class ShardedEngine:
             part = [payloads[j] for j in idx]
             parts.append((idx, shard.submit(kind, part) if submit
                           else getattr(shard, kind)(part)))
-        self._set_last_report(parts, groups)
+        self._set_last_report((sid, idx.size) for sid, idx in groups)
         return self._merge_results(kind, len(payloads), parts)
 
     def lookup(self, keys: Sequence[bytes]) -> BatchResult:
@@ -483,16 +484,46 @@ class ShardedEngine:
         return rows
 
     # -- async dispatch --------------------------------------------------
-    def submit(self, kind: str, payloads: Sequence) -> BatchResult:
+    def submit(self, kind: str, payloads: Sequence, *,
+               lookups: Optional[Sequence[bytes]] = None):
         """Pipelined dispatch: route the batch, submit each sub-batch on
         its shard's own :class:`StreamScheduler` — shards are
         independent devices, so their submit windows run concurrently
-        in simulated time."""
+        in simulated time.  With ``lookups`` (``write`` batches only)
+        each shard gets its share of both row sets in one call, the
+        lookups riding its write launch
+        (:meth:`~repro.host.engine.CuartEngine.submit`), and the call
+        returns ``(lookup_result, write_result)``."""
         if kind not in SUBMIT_KINDS:
             raise ReproError(
                 f"cannot submit {kind!r} batches to ShardedEngine"
             )
-        return self._routed(kind, payloads, submit=True)
+        if lookups is None:
+            return self._routed(kind, payloads, submit=True)
+        if kind != "write":
+            raise ReproError(
+                f"lookups ride write batches, not {kind!r} batches"
+            )
+        rows = list(payloads)
+        lookups = list(lookups)
+        wsids = self.router.route([k for k, _ in rows])
+        lsids = self.router.route(lookups)
+        lparts, wparts, sizes = [], [], []
+        for sid, shard in enumerate(self.shards):
+            lidx = np.flatnonzero(lsids == sid)
+            widx = np.flatnonzero(wsids == sid)
+            if not (lidx.size or widx.size):
+                continue
+            lres, wres = shard.submit(
+                "write", [rows[j] for j in widx],
+                lookups=[lookups[j] for j in lidx],
+            )
+            lparts.append((lidx, lres))
+            wparts.append((widx, wres))
+            sizes.append((sid, lidx.size + widx.size))
+        self._set_last_report(sizes)
+        return (self._merge_results("lookup", len(lookups), lparts),
+                self._merge_results("write", len(rows), wparts))
 
     def drain(self) -> StreamOverlapStats:
         """Close every shard's submit window and fold the concurrent

@@ -294,8 +294,10 @@ class ServerCore(BatchPipeline):
         #: simulated time the device is busy through (the virtual
         #: device cursor: completions serialize behind it).
         self.device_free_us = 0.0
-        #: clock time the batch being dispatched left its queue.
+        #: clock time the launch being dispatched left its queues, and
+        #: the virtual time it completes.
         self._t_dispatch = 0.0
+        self._t_done = 0.0
         #: EWMA of simulated per-op service time, for retry-after hints.
         self.service_ewma_us = 0.0
         self.admitted = 0
@@ -487,9 +489,7 @@ class ServerCore(BatchPipeline):
             if oldest is None:
                 continue  # flushed as an ancestor of an earlier class
             if now >= oldest.t_enqueue_us + self.deadline_us:
-                for k, ops in coal.flush_due(kind):
-                    dispatched += len(ops)
-                    self._dispatch(k, ops)
+                dispatched += self._dispatch_group(coal.flush_due(kind))
         return dispatched
 
     # -- batch dispatch --------------------------------------------------
@@ -499,15 +499,15 @@ class ServerCore(BatchPipeline):
             return [o.key for o in ops]
         return [(o.key, o.value_arg) for o in ops]
 
-    def _dispatch(self, kind: str, ops: list) -> None:
-        # the batch leaves its queue now, on the server clock
+    def _dispatch(self, kind: str, ops: list, lookups=None) -> None:
+        # the launch's batches leave their queues now, on the server clock
         self._t_dispatch = self.clock()
-        super()._dispatch(kind, ops)
+        super()._dispatch(kind, ops, lookups)
 
     def _sim_us(self, n: int) -> float:
-        """Simulated service time (µs) of the batch just submitted: its
+        """Simulated service time (µs) of the launch just submitted: its
         stream events, or ``n`` ops at the end-to-end rate on engines
-        without per-batch events (the sharded wrapper)."""
+        without per-launch events (the sharded wrapper)."""
         engine = self.engine
         sim_us = 0.0
         for ev in getattr(engine, "last_events", ()):
@@ -519,20 +519,28 @@ class ServerCore(BatchPipeline):
                 sim_us = n / rate
         return sim_us
 
-    def _complete(self, kind: str, ops: list, res, values,
-                  restated) -> None:
-        """Complete a dispatched batch's ServedOps on the virtual device
-        cursor: the batch's simulated service time serializes behind
-        whatever the device is already busy with."""
-        n = len(ops)
+    def _launched(self, n: int) -> None:
+        """Occupy the virtual device cursor with the launch just
+        submitted (``n`` ops): its simulated service time serializes
+        behind whatever the device is already busy with, once per
+        launch, and every batch it carries completes when it ends."""
         td = self._t_dispatch
         sim_us = self._sim_us(n)
-        t_done = self.device_free_us = max(td, self.device_free_us) + sim_us
+        self._t_done = self.device_free_us = (
+            max(td, self.device_free_us) + sim_us)
         per_op = sim_us / n
         self.service_ewma_us = (
             per_op if self.service_ewma_us == 0.0
             else 0.8 * self.service_ewma_us + 0.2 * per_op
         )
+
+    def _complete(self, kind: str, ops: list, res, values,
+                  restated) -> None:
+        """Complete a dispatched batch's ServedOps when its launch ends
+        on the virtual device cursor (:meth:`_launched`)."""
+        n = len(ops)
+        td = self._t_dispatch
+        t_done = self._t_done
         self.backlog -= n
         tb = self.tenant_backlog
         codes = res.status

@@ -23,7 +23,10 @@ from repro.cuart.insert import InsertEngine
 from repro.cuart.layout import CuartLayout
 from repro.cuart.lookup import lookup_batch
 from repro.cuart.update import UpdateEngine
+from repro.errors import TransientKernelError
 from repro.host.engine import CuartEngine
+from repro.host.resilience import ResiliencePolicy
+from repro.host.results import OpStatus
 from repro.util.keys import keys_to_matrix
 from repro.util.packing import link_indices, link_types
 from repro.workloads.synthetic import random_keys
@@ -157,6 +160,60 @@ def _write_rows(rng, pool, n_keys):
     return rows
 
 
+#: stage-0 lockstep cases: engine configurations a lookup riding a
+#: write launch must not notice.
+STAGE0_CASES = ["plain", "cache", "abort", "open-circuit", "halving"]
+
+
+class _FaultHooks:
+    """Fault hooks that abort the first kernel launch (``abort_first``)
+    or every circuit probe (``fail_probes``) and pass everything else."""
+
+    def __init__(self, *, abort_first=False, fail_probes=False):
+        self.abort_first = abort_first
+        self.fail_probes = fail_probes
+
+    def on_kernel_launch(self, op, batch_size):
+        if self.abort_first or (self.fail_probes and op == "probe"):
+            self.abort_first = False
+            raise TransientKernelError(
+                "injected launch abort", fault="kernel_abort", op=op,
+                batch_size=batch_size,
+            )
+
+    def on_transfer(self, nbytes, *, direction, op=None):
+        pass
+
+    def on_hashtable(self, op, n_keys):
+        pass
+
+    def on_alloc(self, nbytes, what, *, op=None):
+        pass
+
+
+def _stage0_engine(keys, case):
+    cfg = {"batch_size": 512, "spare": 0.5}
+    if case == "cache":
+        cfg["cache_size"] = 256
+    elif case == "halving":
+        # growth is capped at the table's size: a full table halves the
+        # launch instead
+        cfg["hash_slots"] = 32
+        cfg["resilience"] = ResiliencePolicy(max_hash_slots=32)
+    elif case != "plain":
+        cfg["resilience"] = ResiliencePolicy()
+    eng = CuartEngine(**cfg)
+    eng.populate([(k, i + 1) for i, k in enumerate(keys)])
+    eng.map_to_device()
+    if case == "abort":
+        eng._injector = _FaultHooks(abort_first=True)
+    elif case == "open-circuit":
+        eng._injector = _FaultHooks(fail_probes=True)
+        for _ in range(eng.device_health.unhealthy_after):
+            eng.device_health.mark_failure()
+    return eng
+
+
 class TestFusedWriteLockstep:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_mixed_write_batch_matches_scalar_oracle(self, seed):
@@ -201,6 +258,87 @@ class TestFusedWriteLockstep:
         _assert_layouts_equal(fused.layout, oracle.layout)
         # the deferred host-tree mirror replays the launch order too
         assert dict(fused.tree.items()) == model
+
+    @pytest.mark.parametrize("case", STAGE0_CASES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stage0_lookups_match_two_launches_and_oracle(self, seed, case):
+        """Lookup rows riding a write launch as stage 0 — including
+        lookups of keys the same launch updates or deletes — read the
+        state before the launch: their answers, the write results and
+        the canonical serialized layout equal two separate launches
+        (lookups first) and the serial oracle, with the hot-key cache
+        on, under a launch abort, through an open circuit's CPU path
+        and across ``HashTableFullError`` halving."""
+        rng = np.random.default_rng(seed)
+        keys = random_keys(256, 12, seed=seed)
+        pool = keys + random_keys(32, 12, seed=seed + 999)  # some misses
+        rows = _write_rows(rng, pool, 160)
+        written = list(dict.fromkeys(k for k, _ in rows))
+        lookups = [pool[i] for i in rng.integers(0, len(pool), size=96)]
+        lookups += written[:40]  # keys this launch updates or deletes
+        rng.shuffle(lookups)
+        assert any(v is None for k, v in rows if k in set(lookups))
+
+        fused, two, oracle = (_stage0_engine(keys, case) for _ in range(3))
+        if case == "cache":
+            # warm part of the lookup keys, so stage 0 ships only misses
+            for eng in (fused, two):
+                eng.lookup(lookups[::3])
+        lres, wres = fused.submit("write", rows, lookups=lookups)
+        two_l = two.submit("lookup", lookups)
+        two_w = two.submit("write", rows)
+
+        # the serial oracle: single-row lookups, then single-row writes
+        before = [lookup_batch(oracle.layout, *keys_to_matrix([k]))
+                  for k in lookups]
+        expect_l = [None if r.values[0] == np.uint64(NIL_VALUE)
+                    else int(r.values[0]) for r in before]
+        updater = UpdateEngine(oracle.layout)
+        expect_w = []
+        model = dict(oracle.tree.items())
+        for k, v in rows:
+            mat, lens = keys_to_matrix([k])
+            if v is None:
+                expect_w.append(bool(delete_batch(
+                    oracle.layout, mat, lens).deleted[0]))
+                model.pop(k, None)
+            else:
+                expect_w.append(bool(updater.apply(
+                    mat, lens, np.array([v], dtype=np.uint64)).found[0]))
+                if k in model:
+                    model[k] = v
+
+        assert lres.to_list() == two_l.to_list() == expect_l
+        assert wres.found_array.tolist() == two_w.found_array.tolist() \
+            == expect_w
+        if case == "halving":
+            assert fused.last_report.batches > 1  # the launch was split
+        elif case != "open-circuit":
+            assert fused.last_report.batches == 1  # one launch
+        if case == "abort":
+            assert set(lres.status) == set(wres.status) == {
+                int(OpStatus.RETRIED)}
+        if case == "open-circuit":
+            # the CPU answered the lookups before it applied the rows;
+            # once the circuit closes, both engines re-map alike
+            assert set(lres.status) == set(wres.status) == {
+                int(OpStatus.DEGRADED_CPU)}
+            for eng in (fused, two):
+                eng._injector = None
+                eng.device_health.recover()
+                eng.map_to_device()
+            _assert_layouts_equal(fused.layout, two.layout)
+        else:
+            _assert_layouts_equal(fused.layout, oracle.layout)
+            _assert_layouts_equal(two.layout, oracle.layout)
+        assert dict(fused.tree.items()) == dict(two.tree.items()) == model
+        if case == "cache":
+            # stage 0 filled the cache first, then the write rows
+            # refreshed it: the cache holds the written values
+            looked = written[:40]
+            hits = fused.cache.stats.hits
+            assert fused.lookup(looked) == [model.get(k) for k in looked]
+            assert fused.cache.stats.hits - hits == len(looked)
 
     def test_rows_run_in_launch_order_not_row_order(self):
         """Outside the coalescer's contract (an update after a delete of

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ReproError
 from repro.host.batching import OpClassCoalescer, fold_writes
 from repro.host.engine import CuartEngine
 from repro.workloads.synthetic import random_keys
@@ -206,6 +207,79 @@ class TestEngineSubmitDrain:
         assert ev_up.h2d_s == a.last_events[0].h2d_s
         assert ev_del.h2d_s == b.last_events[0].h2d_s
         assert ev_del.h2d_s < ev_up.h2d_s
+
+    def test_each_launch_is_charged_its_own_batch(self, eng):
+        """A call of 2.5 batches gets three stream events, each charged
+        the rows its batch ships and that batch's own kernel time —
+        exactly what submitting each batch alone costs."""
+        eng, keys = eng
+        eng.submit("lookup", list(keys[:320]))  # 128 + 128 + 64 rows
+        link = eng._pcie
+        assert [ev.d2h_s for ev in eng.last_events] == [
+            link.transfer_time(8 * n) for n in (128, 128, 64)]
+        for ev, lo, hi in zip(eng.last_events, (0, 128, 256),
+                              (128, 256, 320)):
+            alone = self._fresh(keys)
+            alone.submit("lookup", list(keys[lo:hi]))
+            (ea,) = alone.last_events
+            assert (ev.h2d_s, ev.kernel_s, ev.d2h_s) == (
+                ea.h2d_s, ea.kernel_s, ea.d2h_s)
+
+    def test_cache_hits_ship_nothing(self):
+        """A lookup call that is mostly hot-key cache hits (and in-call
+        repeats) ships only its misses to the device."""
+        keys = random_keys(512, 12, seed=4)
+        eng = CuartEngine(batch_size=128, cache_size=256)
+        eng.populate([(k, i + 1) for i, k in enumerate(keys)])
+        eng.map_to_device()
+        eng.lookup(list(keys[:100]))  # now cached
+        misses = list(keys[100:110])
+        res = eng.submit("lookup", list(keys[:100]) * 3 + misses)
+        assert res.to_list()[-10:] == [i + 1 for i in range(100, 110)]
+        (ev,) = eng.last_events
+        alone = self._fresh(keys)
+        alone.submit("lookup", misses)
+        (ea,) = alone.last_events
+        assert (ev.h2d_s, ev.kernel_s, ev.d2h_s) == (
+            ea.h2d_s, ea.kernel_s, ea.d2h_s)
+        assert ev.d2h_s == eng._pcie.transfer_time(8 * len(misses))
+
+    def test_lookups_riding_a_write_launch_are_one_event(self, eng):
+        """Lookup rows handed in with a write batch run as its stage 0:
+        one stream event carrying every row's key plus 8 B per write
+        row, one launch overhead, and 8 B back per row; the answers are
+        the pre-launch state, as two launches would give."""
+        eng, keys = eng
+        rows = [(k, 7) for k in keys[:64]] + [(k, None) for k in keys[64:96]]
+        lookups = list(keys[200:300]) + list(keys[:10]) + list(keys[64:70])
+        lres, wres = eng.submit("write", rows, lookups=lookups)
+        (ev,) = eng.last_events
+        n, m, w = len(rows), len(lookups), len(keys[0])
+        link = eng._pcie
+        assert ev.op == "write"
+        assert ev.h2d_s == link.transfer_time((n + m) * w + 8 * n)
+        assert ev.d2h_s == link.transfer_time(8 * (n + m))
+        assert lres.summary["host_s"] > 0
+
+        a, b = self._fresh(keys), self._fresh(keys)
+        two_l = a.submit("lookup", lookups)
+        (ea,) = a.last_events
+        two_w = b.submit("write", rows)
+        (eb,) = b.last_events
+        assert lres.to_list() == two_l.to_list()
+        assert lres.to_list()[-16:] == [i + 1 for i in range(10)] + [
+            i + 1 for i in range(64, 70)]  # read before the launch
+        assert wres.found_array.tolist() == two_w.found_array.tolist()
+        overhead = eng.device.launch_overhead_s
+        assert ev.kernel_s - overhead < (ea.kernel_s - overhead) + (
+            eb.kernel_s - overhead)
+        assert eng.lookup(list(keys[:10]) + list(keys[64:70])) == (
+            [7] * 10 + [None] * 6)
+
+    def test_lookups_only_ride_write_batches(self, eng):
+        eng, keys = eng
+        with pytest.raises(ReproError):
+            eng.submit("update", [(keys[0], 1)], lookups=[keys[1]])
 
     @staticmethod
     def _fresh(keys):

@@ -86,3 +86,57 @@ class TestExecutor:
         stream = [("lookup", keys[i % len(keys)]) for i in range(600)]
         _, report = MixedWorkloadExecutor(eng).run(stream)
         assert report.batches >= 3  # 600 lookups / 256 batch size
+
+
+def _events(stats):
+    return [(ev.op, ev.h2d_s, ev.kernel_s, ev.d2h_s) for ev in stats.events]
+
+
+class TestLaunchAccounting:
+    """Class batches versus device launches: a flush group's lookup
+    batch and the write batch right after it share one launch, every
+    other class batch keeps a launch of its own."""
+
+    @staticmethod
+    def _twin(keys):
+        eng = CuartEngine(batch_size=256, spare=0.25)
+        eng.populate((k, i) for i, k in enumerate(keys))
+        eng.map_to_device()
+        return eng
+
+    def test_fused_group_is_one_launch(self, engine):
+        eng, keys = engine
+        lookups = list(keys[:40]) + list(keys[100:110])
+        rows = [(k, 900 + i) for i, k in enumerate(keys[100:130])]
+        rows += [(k, None) for k in keys[200:210]]
+        stream = [("lookup", k) for k in lookups]
+        stream += [("update", r) if r[1] is not None else ("delete", r[0])
+                   for r in rows]
+        ex = MixedWorkloadExecutor(eng)
+        results, report = ex.run(stream)
+        # lookups of keys the group writes read the state before it
+        assert results == list(range(40)) + list(range(100, 110))
+        assert report.batches_by_op == {"lookup": 1, "write": 1}
+        assert report.flush_reasons["drain"] == 2
+        assert report.stream_overlap["batches"] == 1
+        assert set(report.wall_s) == {"lookup", "write"}
+        twin = self._twin(keys)
+        twin.submit("write", rows, lookups=lookups)
+        assert _events(ex.last_overlap_stats) == _events(twin.drain())
+
+    @pytest.mark.parametrize("kind", ["lookup", "write"])
+    def test_single_class_group_keeps_its_launch(self, engine, kind):
+        eng, keys = engine
+        if kind == "lookup":
+            payloads = list(keys[:50])
+            stream = [("lookup", k) for k in payloads]
+        else:
+            payloads = [(k, 5) for k in keys[:40]] + [
+                (k, None) for k in keys[40:50]]
+            stream = [("update", r) if r[1] is not None else ("delete", r[0])
+                      for r in payloads]
+        ex = MixedWorkloadExecutor(eng)
+        ex.run(stream)
+        twin = self._twin(keys)
+        twin.submit(kind, payloads)
+        assert _events(ex.last_overlap_stats) == _events(twin.drain())

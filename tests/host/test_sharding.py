@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.gpusim.streams import StreamOverlapStats
 from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine
@@ -152,6 +152,27 @@ class TestShardedEngineOps:
         # shard's, so well under the summed serial cost
         assert stats.makespan_s < stats.serial_s / 2
         assert stats.streams == 4 * eng.config.streams
+
+    def test_lookups_ride_each_shards_write_launch(self, keys):
+        """Both row sets are routed: each shard runs its lookup rows as
+        stage 0 of its write launch, one launch per shard, and the
+        merged answers equal a single engine's two launches."""
+        eng = _sharded(keys, 4)
+        single = CuartEngine(batch_size=256)
+        single.populate([(k, i + 1) for i, k in enumerate(keys)])
+        single.map_to_device()
+        rows = [(keys[i], 50 + i) for i in range(0, 400, 2)]
+        rows += [(keys[i], None) for i in range(401, 500, 2)]
+        lookups = keys[300:700] + [b"missing-key\x00"]
+        lres, wres = eng.submit("write", rows, lookups=lookups)
+        assert lres == single.submit("lookup", lookups)
+        assert wres == single.submit("write", rows)
+        assert lres.summary["host_s"] > 0
+        stats = eng.drain()
+        assert stats.batches == 4
+        assert sorted(eng.items()) == sorted(single.tree.items())
+        with pytest.raises(ReproError):
+            eng.submit("update", rows[:1], lookups=lookups[:1])
 
     def test_single_shard_drain_matches_plain_engine(self, keys):
         sharded = _sharded(keys, 1)

@@ -304,6 +304,40 @@ def test_fused_write_launch_fires_fault_hooks_once():
     assert calls[0] == ("h2d", "delete", 10 * len(keys[200]), True)
 
 
+def test_stage0_lookups_share_the_write_launch_fault_hooks():
+    """Lookup rows riding a write launch as stage 0 add no hook of
+    their own: their keys ride its one H2D transfer, their result words
+    its one D2H transfer, and the one kernel gate covers every row."""
+    keys = dense_keys(256)
+    eng = CuartEngine(EngineConfig(batch_size=64))
+    eng.populate([(k, i) for i, k in enumerate(keys)])
+    eng.map_to_device()
+    calls = []
+
+    class Recorder:
+        def on_kernel_launch(self, op, batch_size):
+            calls.append(("kernel", op, batch_size))
+
+        def on_transfer(self, nbytes, *, direction, op=None):
+            calls.append((direction, op, nbytes))
+
+        def on_hashtable(self, op, n_keys):
+            calls.append(("hashtable", op, n_keys))
+
+    eng._injector = Recorder()
+    rows = _write_batches(keys, seed=5, n_batches=1)[0]
+    lookups = [k for k, _ in rows[:6]] + keys[100:118]
+    eng.submit("write", rows, lookups=lookups)
+    n, m = len(rows), len(lookups)
+    key_bytes = (n + m) * len(keys[0])
+    assert calls == [
+        ("h2d", "write", key_bytes + 8 * n),
+        ("d2h", "write", 8 * (n + m)),
+        ("kernel", "write", n + m),
+        ("hashtable", "write", n),
+    ]
+
+
 def test_fused_write_faults_replay_exactly_once(tmp_path):
     """Faults injected on write batches carrying same-key update→delete
     pairs are retried until the launch runs clean: per-row results,

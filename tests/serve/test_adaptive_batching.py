@@ -290,3 +290,30 @@ class TestConfigValidation:
     def test_virtual_clock_rejects_rewind(self):
         with pytest.raises(ReproError):
             VirtualClock().advance(-1.0)
+
+
+class TestVirtualDeviceCursor:
+    def test_fused_group_advances_the_cursor_once(self):
+        """A full write batch flushes the lookup batch it depends on
+        first (``dep-order``), in one flush group: the two are one
+        launch, so the virtual device cursor advances once, by that
+        launch's simulated time, and both batches complete when it
+        ends.  The lookups read the state before the writes."""
+        core, clock = make_core(max_batch=8)
+        clock.advance(10.0)
+        lookups = [core.offer("lookup", k) for k in KEYS[:3]]
+        writes = [core.offer("update", (k, 500)) for k in KEYS[:7]]
+        assert core.backlog == 10
+        writes.append(core.offer("delete", KEYS[20]))  # write batch full
+        (ev,) = core.engine.last_events
+        done = 10.0 + (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
+        assert core.device_free_us == pytest.approx(done)
+        assert {op.t_done_us for op in lookups + writes} == {
+            core.device_free_us}
+        assert [op.value for op in lookups] == [0, 1, 2]
+        assert all(op.value is True for op in writes)
+        rep = core.report_snapshot()
+        assert rep.batches_by_op == {"lookup": 1, "write": 1}
+        assert rep.flush_reasons["size-full"] == 1
+        assert rep.flush_reasons["dep-order"] == 1
+        assert core.engine.lookup(list(KEYS[:3])) == [500] * 3
