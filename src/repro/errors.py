@@ -25,17 +25,6 @@ buffer, re-map the layout, fix the input).
 from __future__ import annotations
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warnings raised by this library's own back-compat
-    shims (e.g. the legacy accessors on
-    :class:`repro.host.results.BatchResult`).
-
-    A distinct category so CI can escalate every *other*
-    ``DeprecationWarning`` to an error (``-W error::DeprecationWarning``)
-    while allow-listing ours
-    (``-W default::repro.errors.ReproDeprecationWarning``)."""
-
-
 class ReproError(Exception):
     """Base class for all library errors.
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -134,6 +134,31 @@ class EngineReport:
 #: op kinds an engine's ``submit`` dispatches.
 SUBMIT_KINDS = ("lookup", "update", "delete", "insert", "write")
 
+#: what a serving engine provides: the attributes the batch pipeline
+#: (:class:`repro.host.mixed.BatchPipeline`) and the layers behind it
+#: (overlay, memtable, server) read.  :class:`CuartEngine` and
+#: :class:`repro.host.sharding.ShardedEngine` provide all of them; the
+#: GRT baseline has no ``submit`` / ``drain`` / ``last_events`` /
+#: ``device_health`` and serves the figures only.
+SERVING_CONTRACT = (
+    "lookup", "batch_size", "submit", "drain", "contains", "range",
+    "last_events", "device_health", "metrics", "tracer", "flight",
+)
+
+
+def require_serving_engine(engine) -> None:
+    """Raise :class:`ReproError` naming every :data:`SERVING_CONTRACT`
+    attribute ``engine`` lacks.  Called where an engine enters the
+    serving stack, so a mismatch fails at construction, not partway
+    through a stream."""
+    missing = [a for a in SERVING_CONTRACT if not hasattr(engine, a)]
+    if missing:
+        raise ReproError(
+            f"{type(engine).__name__!r} is not a serving engine (no "
+            f"{', '.join(missing)}): serve a CuartEngine or a "
+            "ShardedEngine"
+        )
+
 
 def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
@@ -180,9 +205,6 @@ class _EngineBase:
             if config.flight_recorder is not None
             else NULL_FLIGHT_RECORDER
         )
-        #: StreamEvents of the most recent ``submit`` call (the flight
-        #: recorder maps records onto device sub-batches through this).
-        self.last_events: list = []
         m = self.metrics
         self._m_queries = m.counter(
             "engine_queries_total", "queries served, by operation",
@@ -202,15 +224,6 @@ class _EngineBase:
             "simulated kernel time per device batch, by operation",
             labels=("op",),
         )
-        #: the PCIe link feeding the simulated device (always modeled;
-        #: the fault injector additionally guards its transfers).
-        self._pcie = link_for_device(config.device.name)
-        #: pipelined dispatch clock — the async ``submit``/``drain``
-        #: surface accounts every batch here.  The GRT baseline's
-        #: synchronous API pins it to one stream regardless of config.
-        self.streams = StreamScheduler(
-            config.streams if api == "cuda" else 1, metrics=self.metrics
-        )
 
     @contextmanager
     def _timed_op(self, op: str, n: int):
@@ -221,17 +234,6 @@ class _EngineBase:
         if n > 0:
             dt_us = (time.perf_counter() - t0) * 1e6
             self._m_op_latency.labels(op=op).observe(dt_us / n, n)
-
-    @property
-    def device_health(self):
-        """Circuit-breaker state (:class:`repro.host.resilience.DeviceHealth`)
-        of this engine's device, or ``None`` when no resilience policy is
-        configured.  The serving front-end layers its admission control
-        on this: an open circuit shrinks the effective queue bound so
-        backpressure engages before degraded CPU serving piles up
-        latency."""
-        d = getattr(self, "_dispatcher", None)
-        return d.health if d is not None else None
 
     @property
     def tree(self) -> AdaptiveRadixTree:
@@ -284,7 +286,7 @@ class _EngineBase:
             self._populate(items)
 
     def _populate(self, items: list) -> None:
-        if items and len(self.tree) == 0 and getattr(self, "layout", None) is None:
+        if items and len(self.tree) == 0 and self.layout is None:
             dedup = None
             try:
                 # common case first: distinct keys need no dedup pass
@@ -325,94 +327,6 @@ class _EngineBase:
         with self.tracer.span("encode", {"n": len(keys)}):
             mat, lens = keys_to_matrix(keys)
             return coalesce_encoded(mat, lens, self.batch_size), mat.shape[1]
-
-    # -- async dispatch ----------------------------------------------------
-    def submit(self, kind: str, payloads: Sequence, *,
-               lookups: Optional[Sequence[bytes]] = None):
-        """Asynchronously dispatch one coalesced op-class batch.
-
-        The pipelined counterpart of calling :meth:`lookup` /
-        :meth:`write` / :meth:`update` / :meth:`delete` / :meth:`insert`
-        directly: the operation executes eagerly (results are exact and
-        immediately available), while its simulated timeline — PCIe
-        staging, kernel, return DMA — is accounted against the
-        double-buffered :class:`~repro.gpusim.streams.StreamScheduler`,
-        so batch *i+1*'s host→device staging overlaps batch *i*'s kernel.
-        Each device launch is one stream event, charged the rows and
-        bytes it ships and its own kernel time.
-        Call :meth:`drain` to close the submit window and read the
-        overlap statistics.  ``payloads`` are keys for
-        ``lookup``/``delete``, ``(key, value)`` pairs for
-        ``update``/``insert``, and ``write`` rows — ``(key, value)``
-        updates and ``(key, None)`` deletes — for ``write``.
-
-        ``lookups`` (keys; ``write`` batches only) hands in a lookup
-        batch that must read the state *before* the write batch: the
-        call returns ``(lookup_result, write_result)``.  The lookup
-        result's ``summary["host_s"]`` is the host time spent on the
-        lookup rows.  Here they run as their own launch ahead of the
-        write batch's; :class:`CuartEngine` runs them as stage 0 of the
-        write launch instead.
-        """
-        if lookups is not None:
-            if kind != "write":
-                raise ReproError(
-                    f"lookups ride write batches, not {kind!r} batches"
-                )
-            return self._submit_with_lookups(payloads, lookups)
-        op = getattr(self, kind, None)
-        if kind not in SUBMIT_KINDS or op is None:
-            raise ReproError(
-                f"cannot submit {kind!r} batches to {type(self).__name__}"
-            )
-        result = op(payloads)
-        self._charge_launches(kind)
-        return result
-
-    def _charge_launches(self, kind: str) -> None:
-        """One stream event per device launch of the last ``kind`` call
-        (:attr:`EngineReport.launches`), into :attr:`last_events`."""
-        rep = self.last_report
-        events: list = []
-        if rep is not None and rep.operation == kind:
-            link = self._pcie
-            for rows, h2d_bytes, kernel_s in rep.launches:
-                events.append(self.streams.submit(
-                    kind, h2d_s=link.transfer_time(h2d_bytes),
-                    kernel_s=kernel_s, d2h_s=link.transfer_time(8 * rows),
-                ))
-        self.last_events = events
-
-    def _submit_with_lookups(self, rows: Sequence, lookups: Sequence):
-        """Two launches: the lookup batch, then the write batch."""
-        t0 = time.perf_counter()
-        lres = self.submit("lookup", lookups)
-        events = self.last_events
-        lres.summary = {"host_s": time.perf_counter() - t0}
-        res = self.submit("write", rows)
-        self.last_events = events + self.last_events
-        return lres, res
-
-    def write(self, rows: Sequence) -> BatchResult:
-        """Apply ``(key, value)`` update rows through :meth:`update`.
-        Engines with a delete kernel take ``(key, None)`` delete rows
-        too (:meth:`CuartEngine.write` overrides this); here they are
-        refused before any row is applied."""
-        rows = list(rows) if not isinstance(rows, (list, tuple)) else rows
-        if any(v is None for _, v in rows):
-            raise ReproError(
-                f"{type(self).__name__} has no delete kernel: "
-                "write rows need a value"
-            )
-        found = self.update(rows).found_array
-        self.last_report = replace(self.last_report, operation="write")
-        return BatchResult("write", found=found)
-
-    def drain(self) -> StreamOverlapStats:
-        """Close the current submit window: wait (in simulated time) for
-        every in-flight batch and return the accumulated
-        :class:`~repro.gpusim.streams.StreamOverlapStats`."""
-        return self.streams.drain()
 
     # -- reporting ---------------------------------------------------------
     def _report(
@@ -697,6 +611,16 @@ class CuartEngine(_EngineBase):
         :mod:`repro.host.resilience`)."""
         super().__init__(config, api="cuda", **kwargs)
         config = self.config
+        #: the PCIe link feeding the simulated device (always modeled;
+        #: the fault injector additionally guards its transfers).
+        self._pcie = link_for_device(config.device.name)
+        #: pipelined dispatch clock — the async ``submit``/``drain``
+        #: surface accounts every launch here.
+        self.streams = StreamScheduler(config.streams, metrics=self.metrics)
+        #: StreamEvents of the most recent ``submit`` call: the serving
+        #: path's simulated clock (the server's device cursor and the
+        #: flight recorder's device stages read it).
+        self.last_events: list = []
         self.root_table_depth = config.root_table_depth
         self.long_keys = config.long_keys
         self.hash_slots = config.hash_slots
@@ -1101,6 +1025,79 @@ class CuartEngine(_EngineBase):
             )
         return engine
 
+    # -- async dispatch ----------------------------------------------------
+    @property
+    def device_health(self):
+        """Circuit-breaker state (:class:`repro.host.resilience.DeviceHealth`)
+        of this engine's device, or ``None`` when no resilience policy is
+        configured.  The serving front-end layers its admission control
+        on this: an open circuit shrinks the effective queue bound so
+        backpressure engages before degraded CPU serving piles up
+        latency."""
+        d = self._dispatcher
+        return d.health if d is not None else None
+
+    def submit(self, kind: str, payloads: Sequence, *,
+               lookups: Optional[Sequence[bytes]] = None):
+        """Asynchronously dispatch one coalesced op-class batch.
+
+        The pipelined counterpart of calling :meth:`lookup` /
+        :meth:`write` / :meth:`update` / :meth:`delete` / :meth:`insert`
+        directly: the operation executes eagerly (results are exact and
+        immediately available), while its simulated timeline — PCIe
+        staging, kernel, return DMA — is accounted against the
+        double-buffered :class:`~repro.gpusim.streams.StreamScheduler`,
+        so batch *i+1*'s host→device staging overlaps batch *i*'s kernel.
+        Each device launch is one stream event, charged the rows and
+        bytes it ships and its own kernel time; :attr:`last_events`
+        holds the call's events (none when no launch ran: all cache
+        hits, or a batch the CPU served while degraded).
+        Call :meth:`drain` to close the submit window and read the
+        overlap statistics.  ``payloads`` are keys for
+        ``lookup``/``delete``, ``(key, value)`` pairs for
+        ``update``/``insert``, and ``write`` rows — ``(key, value)``
+        updates and ``(key, None)`` deletes — for ``write``.
+
+        ``lookups`` (keys; ``write`` batches only) hands in a lookup
+        batch that must read the state *before* the write batch: the
+        call returns ``(lookup_result, write_result)``.  The lookup rows
+        run as stage 0 of the write launch.  The lookup result's
+        ``summary["host_s"]`` is the host time spent on the lookup rows.
+        """
+        if lookups is not None:
+            if kind != "write":
+                raise ReproError(
+                    f"lookups ride write batches, not {kind!r} batches"
+                )
+            return self._submit_with_lookups(payloads, lookups)
+        if kind not in SUBMIT_KINDS:
+            raise ReproError(
+                f"cannot submit {kind!r} batches to {type(self).__name__}"
+            )
+        result = getattr(self, kind)(payloads)
+        self._charge_launches(kind)
+        return result
+
+    def _charge_launches(self, kind: str) -> None:
+        """One stream event per device launch of the last ``kind`` call
+        (:attr:`EngineReport.launches`), into :attr:`last_events`."""
+        rep = self.last_report
+        events: list = []
+        if rep is not None and rep.operation == kind:
+            link = self._pcie
+            for rows, h2d_bytes, kernel_s in rep.launches:
+                events.append(self.streams.submit(
+                    kind, h2d_s=link.transfer_time(h2d_bytes),
+                    kernel_s=kernel_s, d2h_s=link.transfer_time(8 * rows),
+                ))
+        self.last_events = events
+
+    def drain(self) -> StreamOverlapStats:
+        """Close the current submit window: wait (in simulated time) for
+        every in-flight batch and return the accumulated
+        :class:`~repro.gpusim.streams.StreamOverlapStats`."""
+        return self.streams.drain()
+
     def _submit_with_lookups(self, rows: Sequence, lookups: Sequence):
         """One launch: the lookup rows run as stage 0 of the write
         launch (see :meth:`_write`), so the pair costs one PCIe round
@@ -1110,7 +1107,13 @@ class CuartEngine(_EngineBase):
         if not isinstance(lookups, (list, tuple)):
             lookups = list(lookups)
         if not rows or not lookups:
-            return super()._submit_with_lookups(rows, lookups)
+            t0 = time.perf_counter()
+            lres = self.submit("lookup", lookups)
+            lres.summary = {"host_s": time.perf_counter() - t0}
+            events = self.last_events
+            res = self.submit("write", rows)
+            self.last_events = events + self.last_events
+            return lres, res
         t0 = time.perf_counter()
         with self.tracer.span(
             "engine.write", {"n": len(rows), "lookups": len(lookups)}
@@ -1546,8 +1549,11 @@ class GrtEngine(_EngineBase):
     """The baseline: GRT single-buffer layout with synchronous dispatch.
 
     Shares :class:`EngineConfig` with :class:`CuartEngine`; the
-    CuART-only knobs (root table, long keys, spare, cache, faults,
-    resilience) are ignored here."""
+    CuART-only knobs (root table, long keys, spare, cache, streams,
+    faults, resilience) are ignored here.  It serves the figures'
+    comparisons through direct ``lookup`` / ``update`` / ``range``
+    calls only: with no delete kernel and no ``submit`` / ``drain``
+    pipeline it is not a serving engine (:data:`SERVING_CONTRACT`)."""
 
     def __init__(
         self, config: Optional[EngineConfig] = None, **kwargs

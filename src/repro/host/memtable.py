@@ -80,6 +80,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import ReproError
+from repro.host.engine import require_serving_engine
 from repro.host.overlay import WriteOverlay
 from repro.obs.metrics import MetricsRegistry
 
@@ -199,16 +200,12 @@ class Memtable:
         *,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        contains = getattr(engine, "contains", None)
-        if contains is None:
-            raise ReproError(
-                "memtable requires an engine with a contains() probe"
-            )
+        require_serving_engine(engine)
         self.engine = engine
         self.config = config if config is not None else MemtableConfig()
         #: the delta: definite per-key pending effects + the memoized
         #: base-existence probe (absorb resolves hit/miss through it).
-        self.delta = WriteOverlay(contains)
+        self.delta = WriteOverlay(engine.contains)
         self.active = Segment(0)
         self.sealed: deque = deque()
         #: monotonic layout version, bumped once per compaction install.
@@ -226,9 +223,7 @@ class Memtable:
         self.folded_away = 0
         self.max_debt_seen = 0
 
-        m = metrics if metrics is not None else (
-            getattr(engine, "metrics", None) or MetricsRegistry()
-        )
+        m = metrics if metrics is not None else engine.metrics
         self.metrics = m
         self._m_absorbed = m.counter(
             "memtable_absorbed_total",
@@ -359,13 +354,9 @@ class Memtable:
         self._writer_seq[key] = seg.seq
         self.absorbed[op] = self.absorbed.get(op, 0) + 1
         self._m_absorbed.labels(op=op).inc()
-        # hot-key cache coherence: an absorbed write must refresh (or
-        # negative-cache) the key's LRU entry *now* — the device-applied
-        # patch in the engine write path only runs at compaction time,
-        # long after a reader could see the stale cached value.
-        cache = getattr(self.engine, "cache", None)
-        if cache is not None:
-            cache.update_if_cached(key, entry[1])
+        # the hot-key cache mirrors installed state: the write path
+        # refreshes a resident key when compaction installs this row,
+        # and until then reads of the key are answered from the delta
         if len(seg.ops) >= self.config.segment_ops:
             self.seal()
 
@@ -385,7 +376,7 @@ class Memtable:
         """False while the engine's device circuit is open — compaction
         holds (the debt is the replay log) rather than scattering into
         the degraded CPU path."""
-        health = getattr(self.engine, "device_health", None)
+        health = self.engine.device_health
         return health is None or health.healthy
 
     def should_compact(self) -> bool:
@@ -403,10 +394,10 @@ class Memtable:
         """Drain the sealed segments into the device layout.
 
         ``dispatch(kind, payloads)`` scatters one folded class batch,
-        ``write`` then ``insert`` (defaults to ``engine.submit`` / the
-        engine method) — owners pass their own hook so compaction
-        batches are accounted like any other flush.  ``force=True`` additionally seals the active
-        segment and dispatches even while the circuit is open (end of
+        ``write`` then ``insert`` (defaults to ``engine.submit``) —
+        owners pass their own hook so compaction batches are accounted
+        like any other flush.  ``force=True`` additionally seals the
+        active segment and dispatches even while the circuit is open (end of
         stream: correctness over cost; the engine's degrade path still
         applies the writes).  Returns a summary dict, or ``None`` when
         nothing was compacted (no debt, or deferred on an open
@@ -475,7 +466,7 @@ class Memtable:
                         shield[key] = self.base_read(key)
 
         if dispatch is None:
-            dispatch = self._default_dispatch
+            dispatch = engine.submit
         # absorb order within each row kind keeps free-list push order (a
         # serialized part of the layout) identical to serial execution;
         # folded keys are distinct, so updates-then-deletes in one write
@@ -524,13 +515,6 @@ class Memtable:
             "superseded": superseded,
             "epoch": self.epoch,
         }
-
-    def _default_dispatch(self, kind: str, payloads: list):
-        engine = self.engine
-        submit = getattr(engine, "submit", None)
-        if submit is not None and getattr(engine, "drain", None) is not None:
-            return submit(kind, payloads)
-        return getattr(engine, kind)(payloads)
 
     # -- reporting ------------------------------------------------------
 

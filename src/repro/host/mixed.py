@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.errors import InvalidOperationError
 from repro.host.batching import OP_CLASS, OpClassCoalescer, fold_writes
+from repro.host.engine import require_serving_engine
 from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.overlay import WriteOverlay
 from repro.host.results import OpStatus
@@ -51,27 +52,6 @@ _STATUS_NAMES = {int(s): s.name for s in OpStatus}
 #: host-side ``(found, value)`` answers of a write: hit and miss.
 _HIT = (True, True)
 _MISS = (False, False)
-
-
-def merge_percentile_summaries(cur: dict | None, other: dict | None) -> dict:
-    """Merge two histogram summary dicts (count/mean/p50/p95/p99/min/max)
-    as count-weighted means — an estimate, exact only when the two
-    distributions match — with exact count/min/max."""
-    if not cur or not cur.get("count"):
-        return dict(other or {})
-    if not other or not other.get("count"):
-        return dict(cur)
-    n1, n2 = cur["count"], other["count"]
-    total = n1 + n2
-    merged = {"count": total}
-    for k in ("mean", "p50", "p95", "p99"):
-        if k in cur and k in other:
-            merged[k] = (cur[k] * n1 + other[k] * n2) / total
-    if "min" in cur and "min" in other:
-        merged["min"] = min(cur["min"], other["min"])
-    if "max" in cur and "max" in other:
-        merged["max"] = max(cur["max"], other["max"])
-    return merged
 
 
 @dataclass
@@ -93,8 +73,6 @@ class MixedReport:
     batches: int = 0
     #: batches dispatched per op class (fragmentation visibility).
     batches_by_op: dict = field(default_factory=dict)
-    #: end-to-end simulated MOps/s per op type (last batch of each).
-    simulated_mops: dict = field(default_factory=dict)
     #: measured host wall-clock seconds of the pipeline's batches, per
     #: batch class (``lookup`` / ``write`` / ``insert`` / ``scan`` and
     #: ``compact-*`` compaction batches).
@@ -120,7 +98,8 @@ class MixedReport:
     ops_by_status: dict = field(default_factory=dict)
     #: simulated multi-stream overlap accounting of the run
     #: (:meth:`repro.gpusim.streams.StreamOverlapStats.as_dict`): serial
-    #: vs pipelined makespan, seconds hidden by double-buffering.
+    #: vs pipelined makespan, seconds hidden by double-buffering.  The
+    #: run's simulated rate is ``operations / makespan_s``.
     stream_overlap: dict = field(default_factory=dict)
     #: update ops whose device row a later write of the same key in the
     #: same batch carried (a write batch launches one row per key, see
@@ -168,9 +147,9 @@ class MixedReport:
         combined :attr:`stream_overlap` makespan is the max of the two
         and stream counts add; ``concurrent=False`` means the runs were
         sequential (e.g. segments separated by a scan barrier), so
-        makespans add.  Latency percentiles are merged as count-weighted
-        means — an estimate, exact only when the distributions match —
-        with exact count/min/max.
+        makespans add.  :attr:`latency_percentiles_by_op` is left alone:
+        it reads registry histograms, which the caller merges
+        (:meth:`repro.host.sharding.ShardedMixedExecutor.run`).
         """
         for name in self._COUNT_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -178,14 +157,6 @@ class MixedReport:
             mine = getattr(self, name)
             for k, v in getattr(other, name).items():
                 mine[k] = mine.get(k, 0) + v
-        # per-op simulated throughput records the *last* batch of each
-        # class; across shards keep the best observed rate per class
-        for k, v in other.simulated_mops.items():
-            self.simulated_mops[k] = max(self.simulated_mops.get(k, 0.0), v)
-        for op, s in other.latency_percentiles_by_op.items():
-            self.latency_percentiles_by_op[op] = merge_percentile_summaries(
-                self.latency_percentiles_by_op.get(op), s
-            )
         so, oo = self.stream_overlap, other.stream_overlap
         if not so:
             self.stream_overlap = dict(oo)
@@ -257,6 +228,7 @@ class BatchPipeline:
 
     def __init__(self, engine, batch_size: int, memtable=None, *,
                  shard=None) -> None:
+        require_serving_engine(engine)
         self.engine = engine
         #: the engine's observability surface: pipeline, engine, cache
         #: and write-kernel series land in one registry snapshot.
@@ -557,18 +529,11 @@ class BatchPipeline:
     def _submit(self, kind: str, rows: list, span: str, lookups=None):
         """Submit one launch to the engine's stream pipeline (with
         ``lookups``, a lookup batch riding a write batch: returns both
-        results); records each class's simulated end-to-end rate."""
+        results)."""
         with self.tracer.span(span, {"n": len(rows)}):
             if lookups is None:
-                res = self.engine.submit(kind, rows)
-            else:
-                res = self.engine.submit(kind, rows, lookups=lookups)
-        last = self.engine.last_report
-        if last is not None:
-            self.report.simulated_mops[kind] = last.end_to_end_mops
-            if lookups is not None:
-                self.report.simulated_mops["lookup"] = last.end_to_end_mops
-        return res
+                return self.engine.submit(kind, rows)
+            return self.engine.submit(kind, rows, lookups=lookups)
 
     def _restate(self, keys: list, res) -> tuple[list, dict]:
         """A lookup batch's values, restated at the batch's snapshot
@@ -604,7 +569,7 @@ class BatchPipeline:
         if res is not None:
             statuses = [_STATUS_NAMES[int(c)] for c in res.status]
             attempts = res.attempts
-            events = getattr(self.engine, "last_events", None)
+            events = self.engine.last_events
         self.flight.complete(
             recs, batch_id=self._coal.batches_flushed, t_dispatch_us=td,
             statuses=statuses, attempts=attempts, sim_events=events,
@@ -700,6 +665,7 @@ class MixedWorkloadExecutor:
     :class:`BatchPipeline` (coalescer, overlay, memtable and report)."""
 
     def __init__(self, engine, *, shard=None, memtable=None) -> None:
+        require_serving_engine(engine)
         self.engine = engine
         #: shard id stamped onto flight records (set by the sharded
         #: executor; None when serving a single device).

@@ -22,9 +22,8 @@ write that entered the queues:
 
 Entries stay valid after their queues flush: the overlay then merely
 restates what the applied batches already did to the engine's state.
-The overlay degrades to inert no-ops when the engine lacks a
-``contains`` probe (``enabled`` is False): nothing is recorded, every
-read misses the overlay, and every write proceeds to the device.
+The ``contains`` probe is required: every serving engine provides it
+(:data:`repro.host.engine.SERVING_CONTRACT`).
 
 :meth:`snapshot` is the promotion hook: it exposes the pending-effect
 map in one stable shape so a future in-memory memtable (ROADMAP item 3)
@@ -59,18 +58,13 @@ class WriteOverlay:
 
     __slots__ = ("entries", "_exists_memo", "_contains")
 
-    def __init__(self, contains: Optional[Callable] = None) -> None:
+    def __init__(self, contains: Callable) -> None:
         #: key -> (status, value); probe with ``entries.get`` on the
-        #: read fast path.  Stays empty when forwarding is disabled.
+        #: read fast path.
         self.entries: dict = {}
         # base-existence memo for "maybe" keys (one probe per key).
         self._exists_memo: dict = {}
         self._contains = contains
-
-    @property
-    def enabled(self) -> bool:
-        """Forwarding is active (the engine exposes ``contains``)."""
-        return self._contains is not None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -108,8 +102,7 @@ class WriteOverlay:
         entries = self.entries
         st = entries.get(key)
         if st is None:
-            if self._contains is not None:
-                entries[key] = ("maybe", value)
+            entries[key] = ("maybe", value)
             return True
         if st[0] == "absent":
             return False
@@ -123,14 +116,12 @@ class WriteOverlay:
         st = self.entries.get(key)
         if st is not None and st[0] == "absent":
             return False
-        if self._contains is not None:
-            self.entries[key] = _ABSENT
+        self.entries[key] = _ABSENT
         return True
 
     def note_insert(self, key, value) -> None:
         """Record a pending insert: the key is definitely present."""
-        if self._contains is not None:
-            self.entries[key] = ("present", value)
+        self.entries[key] = ("present", value)
 
     def snapshot(self) -> dict:
         """Stable copy of the pending-effect map: ``{key: (status,
@@ -161,5 +152,4 @@ class WriteOverlay:
         self._exists_memo.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "enabled" if self.enabled else "disabled"
-        return f"WriteOverlay({state}, pending={len(self.entries)})"
+        return f"WriteOverlay(pending={len(self.entries)})"

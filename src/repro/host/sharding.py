@@ -61,15 +61,10 @@ from repro.gpusim.pcie import link_for_device
 from repro.gpusim.streams import StreamOverlapStats
 from repro.host.config import EngineConfig
 from repro.host.engine import SUBMIT_KINDS, CuartEngine
-from repro.host.mixed import (
-    MixedReport,
-    MixedWorkloadExecutor,
-    merge_percentile_summaries,
-    split_op,
-)
+from repro.host.mixed import MixedReport, MixedWorkloadExecutor, split_op
 from repro.host.results import BatchResult
 from repro.obs.flightrec import NULL_FLIGHT_RECORDER
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 
 SHARDING_MODES = ("hash", "range")
@@ -268,7 +263,9 @@ class ShardedEngine:
             else NULL_FLIGHT_RECORDER
         )
         self.router = ShardRouter(self.sharding)
-        self.last_report = None
+        #: StreamEvents of the most recent ``submit``: the share of the
+        #: shard that ran longest (see :meth:`submit`).
+        self.last_events: list = []
         self._pcie = link_for_device(config.device.name)
         self.shards: list[CuartEngine] = []
         subtrack = getattr(self.tracer, "subtrack", None)
@@ -337,18 +334,6 @@ class ShardedEngine:
                 first = h
         return first
 
-    def _route_groups(
-        self, keys: Sequence[bytes], *, record: bool = True
-    ) -> list[tuple[int, np.ndarray]]:
-        """Split one key batch into per-shard index groups."""
-        sids = self.router.route(keys, record=record)
-        out = []
-        for i in range(self.n_shards):
-            idx = np.nonzero(sids == i)[0]
-            if idx.size:
-                out.append((i, idx))
-        return out
-
     # -- scatter-merge ---------------------------------------------------
     def _merge_results(
         self, op: str, n: int, parts: list[tuple[np.ndarray, BatchResult]]
@@ -390,27 +375,16 @@ class ShardedEngine:
             status=status, attempts=attempts, summary=summary,
         )
 
-    def _set_last_report(self, rows_by_shard) -> None:
-        """Adopt the busiest shard's report (per-op throughput probe);
-        ``rows_by_shard`` is ``[(shard id, rows it ran), ...]``."""
-        best = None
-        for sid, n in rows_by_shard:
-            rep = self.shards[sid].last_report
-            if rep is not None and (best is None or n > best[0]):
-                best = (n, rep)
-        if best is not None:
-            self.last_report = best[1]
-
     # -- lifecycle -------------------------------------------------------
     def populate(self, items: Iterable[tuple[bytes, int]]) -> None:
         """Route ``(key, value)`` pairs to their owning shards' host
         trees (no heat recorded — placement, not traffic)."""
         items = list(items)
-        groups = self._route_groups(
-            [k for k, _ in items], record=False
-        )
-        for sid, idx in groups:
-            self.shards[sid].populate([items[j] for j in idx])
+        sids = self.router.route([k for k, _ in items], record=False)
+        for sid, shard in enumerate(self.shards):
+            idx = np.flatnonzero(sids == sid)
+            if idx.size:
+                shard.populate([items[j] for j in idx])
 
     def map_to_device(self) -> None:
         for shard in self.shards:
@@ -433,12 +407,13 @@ class ShardedEngine:
 
     # -- batched ops -----------------------------------------------------
     def _routed(self, kind: str, payloads: Sequence, *,
-                submit: bool = False) -> BatchResult:
+                submit: bool = False, lookups=None):
         """Route one batch per key, run each shard's sub-batch (through
-        its ``submit`` pipeline when ``submit``), and scatter-merge the
-        results back into stream order.  ``payloads`` are keys for
-        ``lookup``/``delete`` and ``(key, value)`` pairs — or
-        ``(key, None)`` delete rows in a ``write`` — otherwise."""
+        its ``submit`` pipeline when ``submit``, with its share of
+        ``lookups`` riding its write launch when given), and
+        scatter-merge the results back into stream order.  ``payloads``
+        are keys for ``lookup``/``delete`` and ``(key, value)`` pairs —
+        or ``(key, None)`` delete rows in a ``write`` — otherwise."""
         payloads = (
             list(payloads) if not isinstance(payloads, (list, tuple))
             else payloads
@@ -447,15 +422,39 @@ class ShardedEngine:
             keys = payloads
         else:
             keys = [k for k, _ in payloads]
-        groups = self._route_groups(keys)
-        parts = []
-        for sid, idx in groups:
-            shard = self.shards[sid]
+        sids = self.router.route(keys)
+        if lookups is not None:
+            lookups = list(lookups)
+            lsids = self.router.route(lookups)
+        parts, lparts, shares = [], [], []
+        for sid, shard in enumerate(self.shards):
+            idx = np.flatnonzero(sids == sid)
             part = [payloads[j] for j in idx]
-            parts.append((idx, shard.submit(kind, part) if submit
-                          else getattr(shard, kind)(part)))
-        self._set_last_report((sid, idx.size) for sid, idx in groups)
-        return self._merge_results(kind, len(payloads), parts)
+            if lookups is not None:
+                lidx = np.flatnonzero(lsids == sid)
+                if not (idx.size or lidx.size):
+                    continue
+                lres, res = shard.submit(
+                    kind, part, lookups=[lookups[j] for j in lidx]
+                )
+                lparts.append((lidx, lres))
+            elif not idx.size:
+                continue
+            elif submit:
+                res = shard.submit(kind, part)
+            else:
+                res = getattr(shard, kind)(part)
+            parts.append((idx, res))
+            shares.append(shard.last_events)
+        if submit:
+            self.last_events = max(
+                shares, key=lambda evs: sum(ev.serial_s for ev in evs),
+                default=[],
+            )
+        res = self._merge_results(kind, len(payloads), parts)
+        if lookups is None:
+            return res
+        return self._merge_results("lookup", len(lookups), lparts), res
 
     def lookup(self, keys: Sequence[bytes]) -> BatchResult:
         return self._routed("lookup", keys)
@@ -493,37 +492,21 @@ class ShardedEngine:
         each shard gets its share of both row sets in one call, the
         lookups riding its write launch
         (:meth:`~repro.host.engine.CuartEngine.submit`), and the call
-        returns ``(lookup_result, write_result)``."""
+        returns ``(lookup_result, write_result)``.
+
+        :attr:`last_events` becomes the events of the shard whose share
+        ran longest: the shards start the launch together, so that share
+        finishes last, and a sharded launch completes when its slowest
+        shard does."""
         if kind not in SUBMIT_KINDS:
             raise ReproError(
                 f"cannot submit {kind!r} batches to ShardedEngine"
             )
-        if lookups is None:
-            return self._routed(kind, payloads, submit=True)
-        if kind != "write":
+        if lookups is not None and kind != "write":
             raise ReproError(
                 f"lookups ride write batches, not {kind!r} batches"
             )
-        rows = list(payloads)
-        lookups = list(lookups)
-        wsids = self.router.route([k for k, _ in rows])
-        lsids = self.router.route(lookups)
-        lparts, wparts, sizes = [], [], []
-        for sid, shard in enumerate(self.shards):
-            lidx = np.flatnonzero(lsids == sid)
-            widx = np.flatnonzero(wsids == sid)
-            if not (lidx.size or widx.size):
-                continue
-            lres, wres = shard.submit(
-                "write", [rows[j] for j in widx],
-                lookups=[lookups[j] for j in lidx],
-            )
-            lparts.append((lidx, lres))
-            wparts.append((widx, wres))
-            sizes.append((sid, lidx.size + widx.size))
-        self._set_last_report(sizes)
-        return (self._merge_results("lookup", len(lookups), lparts),
-                self._merge_results("write", len(rows), wparts))
+        return self._routed(kind, payloads, submit=True, lookups=lookups)
 
     def drain(self) -> StreamOverlapStats:
         """Close every shard's submit window and fold the concurrent
@@ -729,17 +712,24 @@ class ShardedMixedExecutor:
         by["OK"] = by.get("OK", 0) + 1
 
     def _merged_percentiles(self, total: MixedReport) -> dict:
-        """Per-op latency summaries merged across shards.
+        """Per-op latency summaries over every shard's observations.
 
-        The registry histograms are cumulative per shard (Prometheus
-        semantics), so read each shard's final summary once rather than
-        folding per-segment snapshots (which would double-count)."""
+        Each shard's pipeline observes its own
+        ``mixed_op_latency_us{op,shard}`` child, cumulative over the
+        shard engine's lifetime (Prometheus semantics); their bucket
+        counts, count, sum, min and max add into the histogram one
+        child fed every shard's observations would hold (its sum up to
+        floating-point summation order)."""
         merged: dict = {}
-        for ex in self._inner:
-            for op in total.wall_s:
-                summary = ex.metrics.value("mixed_op_latency_us", op=op)
-                if summary and summary.get("count"):
-                    merged[op] = merge_percentile_summaries(
-                        merged.get(op), summary
-                    )
+        for op in total.wall_s:
+            hist = None
+            for ex in self._inner:
+                child = ex.metrics.child("mixed_op_latency_us", op=op)
+                if child is None or not child.count:
+                    continue
+                if hist is None:
+                    hist = Histogram(child.bounds)
+                hist.merge(child)
+            if hist is not None:
+                merged[op] = hist.summary()
         return merged

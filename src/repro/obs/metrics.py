@@ -105,6 +105,20 @@ class Histogram:
         if value > self.max:
             self.max = value
 
+    def merge(self, other: "Histogram") -> None:
+        """Add another histogram's observations (same bounds): the
+        result is the histogram one fed both observation sets would be
+        (its ``sum`` up to floating-point summation order)."""
+        if other.bounds != self.bounds:
+            raise ReproError("cannot merge histograms with other bounds")
+        counts = self.bucket_counts
+        for i, n in enumerate(other.bucket_counts):
+            counts[i] += n
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -250,6 +264,10 @@ class ScopedRegistry:
         the probe)."""
         return self._registry.value(name, **labels, **self._const)
 
+    def child(self, name: str, **labels):
+        """One scoped series' metric object, or ``None``."""
+        return self._registry.child(name, **labels, **self._const)
+
     # shared reporting surface: delegate unscoped
     def families(self):
         return self._registry.families()
@@ -326,14 +344,19 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Family]:
         return self._families.get(name)
 
-    def value(self, name: str, **labels):
-        """Read one child's current value (counters/gauges) or summary
-        (histograms); ``None`` when the series does not exist yet."""
+    def child(self, name: str, **labels):
+        """One series' metric object (:class:`Counter`, :class:`Gauge`
+        or :class:`Histogram`), or ``None`` when it does not exist yet;
+        never creates it."""
         fam = self._families.get(name)
         if fam is None:
             return None
-        key = tuple(str(v) for v in labels.values())
-        child = fam.children.get(key)
+        return fam.children.get(tuple(str(v) for v in labels.values()))
+
+    def value(self, name: str, **labels):
+        """Read one child's current value (counters/gauges) or summary
+        (histograms); ``None`` when the series does not exist yet."""
+        child = self.child(name, **labels)
         if child is None:
             return None
         if isinstance(child, Histogram):

@@ -371,7 +371,7 @@ class ServerCore(BatchPipeline):
 
     def _effective_depth(self) -> int:
         depth = self.config.queue_depth
-        health = getattr(self.engine, "device_health", None)
+        health = self.engine.device_health
         if health is not None and not health.healthy:
             depth = max(int(depth * self.config.degraded_depth_factor), 1)
         return depth
@@ -504,19 +504,16 @@ class ServerCore(BatchPipeline):
         self._t_dispatch = self.clock()
         super()._dispatch(kind, ops, lookups)
 
-    def _sim_us(self, n: int) -> float:
-        """Simulated service time (µs) of the launch just submitted: its
-        stream events, or ``n`` ops at the end-to-end rate on engines
-        without per-launch events (the sharded wrapper)."""
-        engine = self.engine
+    def _sim_us(self) -> float:
+        """Simulated service time (µs) of the launch just submitted: the
+        serial time of the engine's stream events for it
+        (:attr:`~repro.host.engine.CuartEngine.last_events`; on a
+        :class:`~repro.host.sharding.ShardedEngine`, the slowest
+        shard's).  A batch with no launch — all cache hits, or served
+        by the CPU while degraded — costs the device nothing."""
         sim_us = 0.0
-        for ev in getattr(engine, "last_events", ()):
+        for ev in self.engine.last_events:
             sim_us += (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
-        if sim_us == 0.0:
-            last = engine.last_report
-            rate = last.end_to_end_mops if last is not None else 0.0
-            if rate > 0.0:
-                sim_us = n / rate
         return sim_us
 
     def _launched(self, n: int) -> None:
@@ -525,7 +522,7 @@ class ServerCore(BatchPipeline):
         behind whatever the device is already busy with, once per
         launch, and every batch it carries completes when it ends."""
         td = self._t_dispatch
-        sim_us = self._sim_us(n)
+        sim_us = self._sim_us()
         self._t_done = self.device_free_us = (
             max(td, self.device_free_us) + sim_us)
         per_op = sim_us / n
@@ -572,7 +569,7 @@ class ServerCore(BatchPipeline):
         td = self.clock()
         res = super()._compact_dispatch(kind, rows)
         self.device_free_us = (max(td, self.device_free_us)
-                               + self._sim_us(len(rows)))
+                               + self._sim_us())
         return res
 
     # -- offline Dispatch conformance ------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from repro.errors import ReproError
 from repro.host.mixed import MixedReport, MixedWorkloadExecutor
 from repro.host.sharding import ShardedEngine, ShardedMixedExecutor
 
@@ -58,20 +57,13 @@ def make_dispatch(target) -> Dispatch:
       (executors, servers, user implementations);
     - a :class:`~repro.host.sharding.ShardedEngine` gets a
       :class:`~repro.host.sharding.ShardedMixedExecutor`;
-    - a single engine exposing the batch-op surface the pipeline
-      drives (``lookup``, ``batch_size``, ``submit``, ``drain`` and
-      ``contains``) gets a :class:`~repro.host.mixed.MixedWorkloadExecutor`.
+    - anything else gets a :class:`~repro.host.mixed.MixedWorkloadExecutor`,
+      which refuses (:class:`~repro.errors.ReproError`) an object that
+      is not a serving engine
+      (:data:`~repro.host.engine.SERVING_CONTRACT`).
     """
     if isinstance(target, Dispatch):
         return target
     if isinstance(target, ShardedEngine):
         return ShardedMixedExecutor(target)
-    missing = [a for a in ("lookup", "batch_size", "submit", "drain",
-                           "contains") if not hasattr(target, a)]
-    if not missing:
-        return MixedWorkloadExecutor(target)
-    raise ReproError(
-        f"cannot build a Dispatch from {type(target).__name__!r} (no "
-        f"{', '.join(missing)}): pass an engine, a sharded engine, or an "
-        "object with run(stream)"
-    )
+    return MixedWorkloadExecutor(target)

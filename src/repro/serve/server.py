@@ -32,8 +32,11 @@ __all__ = ["CuartServer", "SyncCuartServer"]
 
 
 class CuartServer:
-    """Async serving front-end over one engine (single-device, GRT or
-    key-space-sharded — anything with the batch-op surface).
+    """Async serving front-end over one serving engine: a
+    :class:`~repro.host.engine.CuartEngine` or a key-space-sharded
+    :class:`~repro.host.sharding.ShardedEngine`
+    (:data:`~repro.host.engine.SERVING_CONTRACT`, checked at
+    construction).
 
     >>> server = CuartServer(engine, deadline_us=200.0)
     >>> await server.start()

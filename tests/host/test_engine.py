@@ -5,7 +5,7 @@ import pytest
 
 from repro.cuart.layout import LongKeyStrategy
 from repro.errors import ReproError
-from repro.host.engine import CuartEngine, GrtEngine
+from repro.host.engine import CuartEngine, GrtEngine, require_serving_engine
 from repro.workloads import lookup_queries, random_keys, update_queries
 
 
@@ -130,25 +130,19 @@ class TestGrtEngine:
         assert found == [True, True]
         assert eng.lookup(keys[:2]) == [999, 888]
 
-    def test_default_write_runs_per_kind_methods(self, workload):
-        """The inherited write() applies update rows through update();
-        submit("write") accounts them as one write report, and a call
-        holding a delete row is refused before any row is applied (GRT
-        has no delete kernel)."""
-        keys, _ = workload
+    def test_is_not_a_serving_engine(self):
+        """GRT is the figures' baseline: no delete kernel and no
+        submit/drain pipeline, so the serving contract refuses it by
+        name, and nothing of CuART's serving surface is left on it."""
         eng = GrtEngine(batch_size=512)
-        eng.populate((k, i) for i, k in enumerate(keys))
-        eng.map_to_device()
-        res = eng.submit("write", [(keys[0], 5), (b"missing", 6)])
-        assert res.found_array.tolist() == [True, False]
-        assert eng.last_report.operation == "write"
-        assert len(eng.last_events) == 1
-        assert eng.lookup(keys[:1]) == [5]
-        with pytest.raises(ReproError):
-            eng.write([(keys[1], None)])
-        with pytest.raises(ReproError):
-            eng.write([(keys[2], 7), (keys[1], None)])
-        assert eng.lookup(keys[1:3]) == [1, 2]
+        for attr in ("submit", "drain", "write", "streams", "last_events",
+                     "device_health"):
+            assert not hasattr(eng, attr), attr
+        with pytest.raises(
+            ReproError, match="submit, drain, last_events, device_health"
+        ):
+            require_serving_engine(eng)
+        require_serving_engine(CuartEngine())
 
     def test_engines_agree(self, workload):
         keys, _ = workload

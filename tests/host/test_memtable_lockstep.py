@@ -34,6 +34,7 @@ from repro.host.sharding import (
     ShardedMixedExecutor,
     ShardingConfig,
 )
+from repro.serve import ServerCore, VirtualClock
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import random_keys
 from tests.cuart.test_write_path_lockstep import _assert_layouts_equal
@@ -43,6 +44,13 @@ SEEDS = [3, 17, 91]
 #: tiny segments + minimal debt budget: compactions race mid-stream
 #: instead of only firing at the end-of-run drain.
 RACY = MemtableConfig(segment_ops=8, max_debt=1)
+
+#: each seed with the hot-key cache off, then on: the cache mirrors
+#: installed state, so it must not change a single answer.
+CACHED_SEEDS = (
+    [pytest.param(s, 0, id=str(s)) for s in SEEDS]
+    + [pytest.param(s, 64, id=f"cache64-{s}") for s in SEEDS]
+)
 
 
 def _engine(keys, *, batch_size=16, cache_size=0) -> CuartEngine:
@@ -78,11 +86,12 @@ def _canonical_engine(eng) -> CuartEngine:
     return canon
 
 
-def _assert_lockstep(keys, stream, *, config=RACY, tmp_path=None):
+def _assert_lockstep(keys, stream, *, config=RACY, tmp_path=None,
+                     cache_size=0):
     """Memtable-path run vs scalar oracle: identical per-op results and
     byte-identical serialized layouts (only valid for streams without
     inserts — slot reuse is order-free for update/delete traffic)."""
-    absorbed = _engine(keys)
+    absorbed = _engine(keys, cache_size=cache_size)
     scalar = _engine(keys)
     ex = MixedWorkloadExecutor(absorbed, memtable=config)
     results, report = ex.run(stream)
@@ -101,12 +110,13 @@ def _assert_lockstep(keys, stream, *, config=RACY, tmp_path=None):
 
 
 class TestMemtableLockstep:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_generated_mixed_stream(self, seed, tmp_path):
+    @pytest.mark.parametrize("seed,cache_size", CACHED_SEEDS)
+    def test_generated_mixed_stream(self, seed, cache_size, tmp_path):
         keys = random_keys(256, 12, seed=seed)
         mix = QueryMix(lookups=0.5, updates=0.35, deletes=0.15)
         stream = mixed_queries(keys, 600, mix, seed=seed + 1)
-        ex, report = _assert_lockstep(keys, stream, tmp_path=tmp_path)
+        ex, report = _assert_lockstep(keys, stream, tmp_path=tmp_path,
+                                      cache_size=cache_size)
         assert report.operations == 600
         # every write acked host-side; debt fully drained at end of run
         assert sum(report.absorbed.values()) == (
@@ -142,14 +152,15 @@ class TestMemtableLockstep:
         assert ex.memtable.folded_away > 0
         assert ex.memtable.absorbed_write_ratio() > 0.0
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_compaction_races_mid_stream(self, seed, tmp_path):
+    @pytest.mark.parametrize("seed,cache_size", CACHED_SEEDS)
+    def test_compaction_races_mid_stream(self, seed, cache_size, tmp_path):
         """Debt-triggered compactions must fire *during* the stream (not
         just at the final drain) and still stay lockstep with serial."""
         mix = QueryMix(lookups=0.3, updates=0.5, deletes=0.2)
         keys = random_keys(128, 12, seed=seed)
         stream = mixed_queries(keys, 800, mix, seed=seed + 5)
-        ex, report = _assert_lockstep(keys, stream, tmp_path=tmp_path)
+        ex, report = _assert_lockstep(keys, stream, tmp_path=tmp_path,
+                                      cache_size=cache_size)
         # > 1: at least one mid-stream install plus the end-of-run drain
         assert report.compactions > 1
 
@@ -301,31 +312,46 @@ class TestSnapshotIsolation:
 
 
 class TestCacheCoherence:
-    def test_no_stale_read_after_absorbed_update(self):
-        """Regression: an absorbed update must refresh the hot-key LRU
-        entry immediately — the device-applied patch only runs at
-        compaction time, long after a cached reader could go stale."""
+    """The hot-key cache mirrors *installed* state: an absorbed write
+    reaches it when compaction installs the write (the engine's write
+    path refreshes resident keys), and until then the pipeline answers
+    the key from the delta."""
+
+    def test_direct_reads_see_installed_state_until_compaction(self):
+        """Cached and uncached keys alike: a direct engine read returns
+        the installed value while the write sits in the memtable, and
+        the new one once compaction installs it."""
         keys = random_keys(32, 12, seed=12)
         eng = _engine(keys, cache_size=16)
-        k = keys[0]
-        assert eng.lookup([k]) == [1]
-        assert eng.lookup([k]) == [1]  # k is now LRU-resident
-
+        cached, cold = keys[0], keys[9]
+        assert eng.lookup([cached]) == [1]  # now LRU-resident
         mt = Memtable(eng, MemtableConfig(segment_ops=64, max_debt=4))
-        assert mt.absorb_update(k, 4242) is True
-        # nothing compacted yet: the device still holds the old value,
-        # but the cached read path must already serve the new one
+        assert mt.absorb_update(cached, 111) is True
+        assert mt.absorb_update(cold, 222) is True
+        assert mt.absorb_delete(keys[1]) is True
         assert mt.debt == 0 and mt.epoch == 0
-        assert eng.lookup([k]) == [4242]
+        assert eng.lookup([cached, cold, keys[1]]) == [1, 10, 2]
+        assert mt.compact(force=True) is not None
+        assert eng.lookup([cached, cold, keys[1]]) == [111, 222, None]
 
-    def test_no_stale_read_after_absorbed_delete(self):
+    @pytest.mark.parametrize("door", ["executor", "server-core"])
+    def test_door_reads_give_the_serial_answer(self, door):
+        """A lookup queued before an absorbed write of its key reads
+        the state before the write, the lookup after it reads the
+        write, with the key resident in the cache."""
         keys = random_keys(32, 12, seed=13)
+        k = keys[3]
         eng = _engine(keys, cache_size=16)
-        k = keys[0]
-        assert eng.lookup([k]) == [1]
-        mt = Memtable(eng, MemtableConfig(segment_ops=64, max_debt=4))
-        assert mt.absorb_delete(k) is True
-        assert eng.lookup([k]) == [None]
+        assert eng.lookup([k]) == [4]  # now LRU-resident
+        stream = [("lookup", k), ("update", (k, 999)), ("lookup", k)]
+        if door == "executor":
+            dispatch = MixedWorkloadExecutor(eng, memtable=MemtableConfig())
+        else:
+            dispatch = ServerCore(eng, clock=VirtualClock(),
+                                  memtable=MemtableConfig())
+        results, _ = dispatch.run(stream)
+        assert results == _scalar_oracle(_engine(keys), stream) == [4, 999]
+        assert eng.lookup([k]) == [999]  # installed at the end-of-run drain
 
     def test_cold_keys_never_pollute_the_lru(self):
         """update_if_cached semantics carry over: absorbing a write to a

@@ -74,12 +74,16 @@ class TestExecutor:
         assert eng.lookup([keys[4]]) == [4]
 
     def test_simulated_rates_recorded(self, engine):
+        """The run's simulated rate is its operations over the stream
+        scheduler's makespan; the report carries no second model."""
         eng, keys = engine
         stream = [("lookup", keys[0]), ("update", (keys[1], 5))]
         _, report = MixedWorkloadExecutor(eng).run(stream)
-        assert "lookup" in report.simulated_mops
-        assert "write" in report.simulated_mops
-        assert all(v > 0 for v in report.simulated_mops.values())
+        so = report.stream_overlap
+        assert so["batches"] == 1  # the lookups ride the write launch
+        assert so["makespan_s"] > 0
+        assert so["makespan_s"] == pytest.approx(so["serial_s"])
+        assert not hasattr(report, "simulated_mops")
 
     def test_batch_size_splits_runs(self, engine):
         eng, keys = engine

@@ -161,15 +161,6 @@ class TestMemoizedExistence:
 
 
 class TestDisabledDegradation:
-    def test_no_contains_means_inert(self):
-        overlay = WriteOverlay(None)
-        assert not overlay.enabled
-        assert overlay.note_update(b"k", 1)  # always proceed to device
-        assert overlay.note_delete(b"k")
-        overlay.note_insert(b"k", 2)
-        assert len(overlay) == 0  # nothing recorded
-        assert overlay.read(b"k") is None
-
     def test_delete_still_short_circuits_when_enabled(self):
         overlay = WriteOverlay(lambda k: False)
         assert overlay.note_delete(b"k")  # first delete goes to device

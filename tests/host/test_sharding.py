@@ -16,14 +16,14 @@ from repro.errors import ReproError, SimulationError
 from repro.gpusim.streams import StreamOverlapStats
 from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine
-from repro.host.mixed import MixedWorkloadExecutor
+from repro.host.mixed import BatchPipeline, MixedWorkloadExecutor
 from repro.host.sharding import (
     ShardedEngine,
     ShardedMixedExecutor,
     ShardingConfig,
     ShardRouter,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LATENCY_US_BUCKETS, Histogram, MetricsRegistry
 from repro.workloads.distributions import uniform_indices, zipf_indices
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import random_keys
@@ -405,6 +405,28 @@ class TestShardedMixedExecutor:
         for summary in rep.latency_percentiles_by_op.values():
             assert summary["count"] > 0
             assert summary["p50"] <= summary["p95"] <= summary["p99"]
+
+    def test_merged_percentiles_are_exact(self, keys, monkeypatch):
+        """The merged per-op summary is the one a single histogram fed
+        every shard's observations gives, not a count-weighted blend
+        of the shards' percentiles."""
+        fed: dict = {}
+        account = BatchPipeline._account
+
+        def spy(pipe, label, n, dt):
+            fed.setdefault(label, Histogram(LATENCY_US_BUCKETS)).observe(
+                dt / n * 1e6, n)
+            account(pipe, label, n, dt)
+
+        monkeypatch.setattr(BatchPipeline, "_account", spy)
+        eng = _sharded(keys, 4)
+        stream = list(mixed_queries(keys, 2_000, QueryMix(), seed=6))
+        _, rep = ShardedMixedExecutor(eng).run(stream)
+        assert set(rep.latency_percentiles_by_op) == set(fed)
+        for op, summary in rep.latency_percentiles_by_op.items():
+            want = fed[op].summary()
+            assert summary.pop("mean") == pytest.approx(want.pop("mean"))
+            assert summary == want, op
 
     def test_config_kwargs_conflict_rejected(self):
         with pytest.raises(TypeError):

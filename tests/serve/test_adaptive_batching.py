@@ -11,9 +11,11 @@ import pytest
 
 from repro.errors import ReproError
 from repro.host.engine import CuartEngine
+from repro.host.mixed import MixedWorkloadExecutor
 from repro.host.results import OpStatus
+from repro.host.sharding import ShardedEngine, ShardingConfig
 from repro.serve import ServerConfig, ServerCore, VirtualClock
-from repro.workloads import random_keys
+from repro.workloads import QueryMix, mixed_queries, random_keys
 
 KEYS = random_keys(256, 8, seed=21)
 
@@ -317,3 +319,62 @@ class TestVirtualDeviceCursor:
         assert rep.flush_reasons["size-full"] == 1
         assert rep.flush_reasons["dep-order"] == 1
         assert core.engine.lookup(list(KEYS[:3])) == [500] * 3
+
+    @pytest.mark.parametrize("memtable", [None, True],
+                             ids=["memtable-off", "memtable-on"])
+    def test_sharded_launch_advances_by_the_slowest_shard(self, memtable):
+        """Over a 2-shard engine the cursor reads the shards' stream
+        events, as on one device: a launch completes when its slowest
+        shard does, so each launch advances ``device_free_us`` by the
+        serial time of that shard's events (the clock stays at 0, so
+        launches queue back to back).  Results equal the single-engine
+        executor's."""
+        stream = mixed_queries(KEYS, 600, QueryMix(), seed=23)
+        single = build_engine()
+        expected, _ = MixedWorkloadExecutor(single).run(list(stream))
+
+        eng = ShardedEngine(sharding=ShardingConfig(n_shards=2),
+                            batch_size=64)
+        eng.populate((k, i) for i, k in enumerate(KEYS))
+        eng.map_to_device()
+        core = ServerCore(eng, max_batch=64, clock=VirtualClock(),
+                          memtable=memtable)
+        launches = []  # (cursor before, slowest share's serial µs)
+        submit = eng.submit
+
+        def spy(kind, rows, **kw):
+            before = [s.last_events for s in eng.shards]
+            cursor = core.device_free_us
+            res = submit(kind, rows, **kw)
+            shares = [s.last_events for s, b in zip(eng.shards, before)
+                      if s.last_events is not b]
+            serial = [sum(ev.serial_s for ev in sh) for sh in shares]
+            slowest = shares[serial.index(max(serial))]
+            assert eng.last_events is slowest
+            launches.append((cursor, sum(
+                (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6 for ev in slowest)))
+            return res
+
+        eng.submit = spy
+        results, _ = core.run(list(stream))
+        assert results == expected
+        assert len(launches) > 1
+        ends = [c for c, _ in launches[1:]] + [core.device_free_us]
+        for (cursor, sim_us), end in zip(launches, ends):
+            assert sim_us > 0
+            assert end == pytest.approx(cursor + sim_us)
+
+    def test_cache_hit_batch_costs_the_device_nothing(self):
+        """A lookup batch the hot-key cache answers entirely launches
+        nothing, so it advances the cursor by 0: its ops complete at
+        their dispatch time."""
+        eng = build_engine(cache_size=64)
+        assert eng.lookup(list(KEYS[:8])) == list(range(8))  # warm
+        clock = VirtualClock(10.0)
+        core = ServerCore(eng, clock=clock, max_batch=8, deadline_us=100.0)
+        ops = [core.offer("lookup", k) for k in KEYS[:8]]  # size-full
+        assert all(op.done for op in ops)
+        assert [op.value for op in ops] == list(range(8))
+        assert core.engine.last_events == []
+        assert core.device_free_us == 10.0
+        assert {op.t_done_us for op in ops} == {10.0}

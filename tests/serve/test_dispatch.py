@@ -12,6 +12,7 @@ rules.
 import pytest
 
 from repro.host.engine import CuartEngine, GrtEngine
+from repro.host.memtable import Memtable
 from repro.host.mixed import MixedReport, MixedWorkloadExecutor
 from repro.host.sharding import (
     ShardedEngine,
@@ -115,16 +116,25 @@ class TestDeterministicRun:
         assert expected[2]["deadline"] == 0
 
 
+#: every way an engine enters the serving stack.
+DOORS = (make_dispatch, MixedWorkloadExecutor, ServerCore, CuartServer,
+         Memtable)
+
+
 class TestMakeDispatch:
     def test_single_engine_gets_executor(self):
         d = make_dispatch(single_engine())
         assert isinstance(d, MixedWorkloadExecutor)
 
-    def test_grt_engine_gets_executor(self):
+    def test_grt_engine_is_refused(self):
+        """GRT has no delete kernel and no submit pipeline: every door
+        refuses it at construction, not at the first delete."""
         eng = GrtEngine(batch_size=64)
         eng.populate((k, i) for i, k in enumerate(KEYS))
         eng.map_to_device()
-        assert isinstance(make_dispatch(eng), MixedWorkloadExecutor)
+        for door in DOORS:
+            with pytest.raises(ReproError, match="submit, drain"):
+                door(eng)
 
     def test_sharded_engine_gets_sharded_executor(self):
         d = make_dispatch(sharded_engine())
@@ -147,5 +157,6 @@ class TestMakeDispatch:
             def lookup(self, keys):
                 return [None] * len(keys)
 
-        with pytest.raises(ReproError, match="submit, drain, contains"):
-            make_dispatch(LookupOnly())
+        for door in DOORS:
+            with pytest.raises(ReproError, match="submit, drain, contains"):
+                door(LookupOnly())
