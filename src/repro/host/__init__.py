@@ -22,7 +22,7 @@ from repro.host.hybrid import (
 )
 from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine, EngineReport, GrtEngine
-from repro.host.memtable import Memtable, MemtableConfig, MemtableSnapshot
+from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.overlay import WriteOverlay
 from repro.host.resilience import (
     DeviceHealth,
@@ -70,7 +70,6 @@ __all__ = [
     "WriteOverlay",
     "Memtable",
     "MemtableConfig",
-    "MemtableSnapshot",
     "DeviceHealth",
     "ResiliencePolicy",
     "ResilientDispatcher",

@@ -678,10 +678,7 @@ class CuartEngine(_EngineBase):
         )
         self._gauge_children = None
         #: monotonic device-layout version: bumped every time a freshly
-        #: mapped layout is adopted (map / remap / recovery).  The
-        #: memtable's snapshot epoch tracks compaction installs; this
-        #: tracks wholesale layout swaps — together they version every
-        #: way the device state can move under a reader.
+        #: mapped layout is adopted (map / remap / recovery).
         self.layout_epoch = 0
         self._g_layout_epoch = m.gauge(
             "device_layout_epoch",

@@ -1,14 +1,12 @@
 """Log-structured write absorption: host memtable + merge-compaction.
 
-ROADMAP item "log-structured write absorption with snapshot reads":
-heavy write traffic used to pay a device round-trip per coalesced
+Heavy write traffic used to pay a device round-trip per coalesced
 batch — every update/insert/delete burst was scattered into the §3.4
 device kernels synchronously, so sustained write throughput was bounded
 by PCIe + kernel makespan even when readers would be satisfied
 host-side.  This module absorbs writes the way an LSM engine does
 (LUDA's GPU-assisted-compaction idea, PAPERS.md, transplanted to an
-index; FliX is the frame for how reads interleave with in-flight
-updates):
+index):
 
 * **absorb** — a write acks in O(1): its hit/miss outcome is resolved
   host-side against the delta + one memoized ``contains`` probe, the
@@ -35,20 +33,11 @@ Reads stay *serially correct* throughout: the delta is a
 :class:`~repro.host.overlay.WriteOverlay` with definite per-key
 statuses, so read-your-writes is one dict probe, and keys without a
 pending write read the device layout, which the compactor only ever
-moves *forward* to a folded prefix of the absorbed history.
-
-**Snapshot reads (MVCC-lite).**  A reader that must not observe a
-compaction install pins :meth:`Memtable.pin`: the snapshot copies the
-delta at pin time and records the *epoch* (monotonic, bumped once per
-compaction install).  Before the compactor mutates the device state it
-*shields* every live snapshot — for each key it is about to install
-that the snapshot's pinned delta does not already answer, it captures
-the pre-install base value into the snapshot.  A snapshot read is then
-``shield -> pinned delta -> device``, so a reader pinned at epoch N
-never observes epoch N+1 writes, at zero cost while no snapshot is
-live.  The serving layers pin one snapshot per in-flight lookup batch,
-which is what keeps batched reads byte-identical to a serial oracle
-even when a debt-triggered compaction races mid-stream.
+moves *forward* to a folded prefix of the absorbed history.  The batch
+pipeline (:class:`repro.host.mixed.BatchPipeline`) launches its queued
+lookups before each compaction installs, so a lookup queued before a
+compaction reads the pre-install state, by launch order, as a serial
+run does.
 
 **Byte-identity.**  For update/delete traffic the folded batches are
 byte-identical to serial execution: updates write leaf value words in
@@ -84,7 +73,7 @@ from repro.host.engine import require_serving_engine
 from repro.host.overlay import WriteOverlay
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["Memtable", "MemtableConfig", "MemtableSnapshot", "Segment"]
+__all__ = ["Memtable", "MemtableConfig", "Segment"]
 
 
 @dataclass(frozen=True)
@@ -131,60 +120,6 @@ class Segment:
         return f"Segment(seq={self.seq}, ops={len(self.ops)})"
 
 
-class MemtableSnapshot:
-    """A pinned read view: the delta as of :meth:`Memtable.pin` plus a
-    shield of pre-install base values the compactor fills in before it
-    moves the device state.  Read order: shield -> pinned delta ->
-    device.  Release (or use as a context manager) when done — live
-    snapshots cost the compactor one base read per installed key.
-    """
-
-    __slots__ = ("epoch", "pinned", "shield", "_mt", "released")
-
-    def __init__(self, mt: "Memtable", epoch: int, pinned: dict) -> None:
-        self.epoch = epoch
-        #: ``{key: (status, value)}`` — memtable entries are always
-        #: definite ("present"/"absent"), resolved at absorb time.
-        self.pinned = pinned
-        #: ``{key: (found, value)}`` pre-install base state, filled by
-        #: the compactor for keys it installs that ``pinned`` does not
-        #: already answer.
-        self.shield: dict = {}
-        self._mt = mt
-        self.released = False
-
-    def read(self, key) -> tuple[bool, object]:
-        """``(found, value)`` exactly as a reader pinned at
-        :attr:`epoch` would observe the key."""
-        hit = self.shield.get(key)
-        if hit is not None:
-            return hit
-        entry = self.pinned.get(key)
-        if entry is not None:
-            status, val = entry
-            if status == "absent":
-                return False, None
-            return True, val
-        return self._mt.base_read(key)
-
-    def release(self) -> None:
-        if not self.released:
-            self.released = True
-            self._mt._unpin(self)
-
-    def __enter__(self) -> "MemtableSnapshot":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "released" if self.released else "live"
-        return (f"MemtableSnapshot(epoch={self.epoch}, "
-                f"pinned={len(self.pinned)}, shield={len(self.shield)}, "
-                f"{state})")
-
-
 class Memtable:
     """Host-side log-structured delta over one engine (module
     docstring).  Owned by a dispatch surface (mixed executor / server
@@ -208,13 +143,10 @@ class Memtable:
         self.delta = WriteOverlay(engine.contains)
         self.active = Segment(0)
         self.sealed: deque = deque()
-        #: monotonic layout version, bumped once per compaction install.
-        self.epoch = 0
         #: key -> seq of the segment holding its newest op (retirement
         #: and superseded-op detection at compaction time).
         self._writer_seq: dict = {}
         self._op_seq = 0
-        self._snapshots: list = []
         # -- lifetime stats (the BENCH write_burst scenario reads these)
         self.absorbed: dict = {}
         self.dropped: dict = {}
@@ -254,9 +186,6 @@ class Memtable:
         self._g_delta = m.gauge(
             "memtable_delta_keys", "keys with a pending effect in the delta",
         )
-        self._g_epoch = m.gauge(
-            "memtable_epoch", "layout version (compaction installs)",
-        )
 
     # -- read side -----------------------------------------------------
 
@@ -273,29 +202,6 @@ class Memtable:
         """Read-your-writes: ``None`` when the key has no pending
         effect (go to the device), else ``(found, value)``."""
         return self.delta.read(key)
-
-    def base_read(self, key) -> tuple[bool, object]:
-        """``(found, value)`` against the engine's *applied* state,
-        bypassing the delta — what the device would answer now."""
-        tree = getattr(self.engine, "tree", None)
-        if tree is not None:
-            val = tree.search(key)
-            return (val is not None, val)
-        res = self.engine.lookup([key])
-        val = res[0]
-        return (val is not None, val)
-
-    def pin(self) -> MemtableSnapshot:
-        """Pin the current read view (see :class:`MemtableSnapshot`)."""
-        snap = MemtableSnapshot(self, self.epoch, self.delta.snapshot())
-        self._snapshots.append(snap)
-        return snap
-
-    def _unpin(self, snap: MemtableSnapshot) -> None:
-        try:
-            self._snapshots.remove(snap)
-        except ValueError:  # pragma: no cover - double release
-            pass
 
     # -- write side (the O(1) ack path) --------------------------------
 
@@ -396,12 +302,13 @@ class Memtable:
         ``dispatch(kind, payloads)`` scatters one folded class batch,
         ``write`` then ``insert`` (defaults to ``engine.submit``) —
         owners pass their own hook so compaction batches are accounted
-        like any other flush.  ``force=True`` additionally seals the
-        active segment and dispatches even while the circuit is open (end of
-        stream: correctness over cost; the engine's degrade path still
-        applies the writes).  Returns a summary dict, or ``None`` when
-        nothing was compacted (no debt, or deferred on an open
-        circuit).
+        like any other flush, and launch their queued lookups before
+        calling, so those read the pre-install state.  ``force=True``
+        additionally seals the active segment and dispatches even while
+        the circuit is open (end of stream: correctness over cost; the
+        engine's degrade path still applies the writes).  Returns a
+        summary dict, or ``None`` when nothing was compacted (no debt,
+        or deferred on an open circuit).
         """
         if force:
             self.seal()
@@ -449,22 +356,6 @@ class Memtable:
 
         n_rows = len(updates) + len(inserts) + len(deletes)
 
-        # shield live snapshots before the device state moves: capture
-        # the pre-install base value for every key we are about to
-        # install that the snapshot's pinned delta does not answer
-        if self._snapshots and n_rows:
-            install_keys = (
-                [k for k, _, _ in updates]
-                + [k for k, _, _ in inserts]
-                + [k for k, _ in deletes]
-            )
-            for snap in self._snapshots:
-                shield = snap.shield
-                pinned = snap.pinned
-                for key in install_keys:
-                    if key not in pinned and key not in shield:
-                        shield[key] = self.base_read(key)
-
         if dispatch is None:
             dispatch = engine.submit
         # absorb order within each row kind keeps free-list push order (a
@@ -490,7 +381,6 @@ class Memtable:
             else:  # pragma: no cover - retired key rewritten mid-compact
                 delta.forget_exists(key)
 
-        self.epoch += 1
         self.compactions += 1
         self.dispatched_rows += n_rows
         self.folded_away += n_ops - n_rows
@@ -504,7 +394,6 @@ class Memtable:
             self._m_rows.labels(op="insert").inc(len(inserts))
         self._g_debt.set(len(self.sealed))
         self._g_delta.set(len(delta.entries))
-        self._g_epoch.set(self.epoch)
         return {
             "ops_folded": n_ops,
             "keys": len(fold),
@@ -513,7 +402,6 @@ class Memtable:
             "deletes": len(deletes),
             "inserts": len(inserts),
             "superseded": superseded,
-            "epoch": self.epoch,
         }
 
     # -- reporting ------------------------------------------------------
@@ -540,7 +428,6 @@ class Memtable:
             "folded_away": self.folded_away,
             "absorbed_write_ratio": round(self.absorbed_write_ratio(), 4),
             "compactions": self.compactions,
-            "epoch": self.epoch,
             "debt": len(self.sealed),
             "max_debt_seen": self.max_debt_seen,
             "pending_ops": self.pending_ops(),
@@ -548,5 +435,6 @@ class Memtable:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Memtable(epoch={self.epoch}, debt={len(self.sealed)}, "
+        return (f"Memtable(compactions={self.compactions}, "
+                f"debt={len(self.sealed)}, "
                 f"pending={self.pending_ops()})")

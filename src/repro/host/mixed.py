@@ -16,12 +16,14 @@ miss without device work, and with the memtable on
 (:mod:`repro.host.memtable`) writes are absorbed in O(1) — and
 otherwise queues the op in its class queue
 (:class:`repro.host.batching.OpClassCoalescer`: ``lookup``, ``write``
-for updates and deletes in one device launch, ``insert``).  Each
-flushed batch is submitted to the engine's double-buffered stream
-pipeline — a lookup batch that a flush group releases directly before
-a write batch rides that batch's launch as its stage 0, so the pair
-costs one launch — its snapshot reads restated, and its outcomes
-tallied into a
+for updates and deletes in one device launch, ``insert``).  With the
+memtable on, lookups are the only class queued, and they launch before
+each compaction installs: a lookup queued before a compaction reads the
+pre-install state, as a serial run does.  Each flushed batch is
+submitted to the engine's double-buffered stream pipeline — a lookup
+batch that a flush group releases directly before a write batch rides
+that batch's launch as its stage 0, so the pair costs one launch — and
+its outcomes tallied into a
 :class:`MixedReport`: hit/miss counts straight from
 :attr:`repro.host.results.BatchResult.found_array`, per-op
 :class:`~repro.host.results.OpStatus` codes in
@@ -206,11 +208,11 @@ class BatchPipeline:
 
     Per op, :meth:`_route` answers it host-side or queues it; per
     coalescer flush group, :meth:`_dispatch_group` sends each device
-    launch through :meth:`_dispatch`, which submits it, restates
-    snapshot reads, tallies the report, stamps flight records and
-    records each class's host wall time; :meth:`flush` dispatches
-    everything queued, installs the memtable and closes the simulated
-    stream window.
+    launch through :meth:`_dispatch`, which submits it, tallies the
+    report, stamps flight records and records each class's host wall
+    time; :meth:`_maybe_compact` launches the queued lookups before a
+    compaction installs; :meth:`flush` dispatches everything queued,
+    installs the memtable and closes the simulated stream window.
 
     This class is also the offline door: :meth:`run` queues light
     entries — ``(key, seq)`` for a lookup (``seq`` indexes the results),
@@ -254,10 +256,6 @@ class BatchPipeline:
             self.memtable.delta if self.memtable is not None
             else WriteOverlay(engine.contains)
         )
-        #: snapshot pinned by the oldest queued device lookup (None
-        #: while no lookup is queued): every lookup batch answers at ONE
-        #: memtable epoch, and releases it at its dispatch.
-        self._read_snap = None
         #: StreamOverlapStats of the closed stream windows (with their
         #: event timelines, for repro.obs.critical_path.attribute_stats).
         self.overlap = None
@@ -309,13 +307,12 @@ class BatchPipeline:
         """Device rows of one flushed batch's queued entries."""
         return [e[0] for e in entries] if kind == "lookup" else entries
 
-    def _complete(self, kind: str, entries: list, res, values,
-                  restated) -> None:
+    def _complete(self, kind: str, entries: list, res) -> None:
         """Hand a dispatched batch's outcomes back to its ops: here,
         lookup values into the run's results."""
         if kind == "lookup":
             results = self._results
-            for (_, seq), v in zip(entries, values):
+            for (_, seq), v in zip(entries, res.to_list()):
                 results[seq] = v
 
     # -- per op ----------------------------------------------------------
@@ -334,16 +331,6 @@ class BatchPipeline:
                 return ans
             if self._admit is not None and not self._admit(entry):
                 return None
-            if mt is not None:
-                # a queued lookup batch is pinned to ONE layout epoch: if
-                # a compaction installed since it pinned, dispatch it at
-                # its own epoch (the snapshot's shield keeps its answers
-                # exact) before this read opens a window on the new one
-                snap = self._read_snap
-                if snap is not None and snap.epoch != mt.epoch:
-                    self._dispatch_all()
-                if self._read_snap is None:
-                    self._read_snap = mt.pin()
         elif mt is not None:
             # absorbed: acked here, its folded device row rides a
             # background compaction batch; never queued, never shed
@@ -485,16 +472,12 @@ class BatchPipeline:
 
     def _settle(self, kind: str, entries: list, rows: list, res,
                 td: float) -> None:
-        """Tally one dispatched class batch into the report, restate its
-        snapshot reads, hand its outcomes to its ops and stamp their
-        flight records."""
+        """Tally one dispatched class batch into the report, hand its
+        outcomes to its ops and stamp their flight records."""
         rep = self.report
         n = len(entries)
-        values = restated = None
         if kind == "lookup":
-            values, restated = self._restate(rows, res)
-            hits = (sum(1 for v in values if v is not None) if restated
-                    else int(np.count_nonzero(res.found_array)))
+            hits = int(np.count_nonzero(res.found_array))
             rep.lookups += n
             rep.hits += hits
             rep.misses += n - hits
@@ -506,15 +489,7 @@ class BatchPipeline:
         by = rep.ops_by_status
         for name, c in res.counts_by_status().items():
             by[name] = by.get(name, 0) + c
-        if restated:
-            # answered from the pinned snapshot, not the device
-            codes = res.status
-            for i, found in restated.items():
-                old = _STATUS_NAMES[int(codes[i])]
-                new = "OK" if found else "NOT_FOUND"
-                by[old] -= 1
-                by[new] = by.get(new, 0) + 1
-        self._complete(kind, entries, res, values, restated)
+        self._complete(kind, entries, res)
         if self._fl_on:
             queued = self._fr_queued.get(kind)
             recs = []
@@ -534,33 +509,6 @@ class BatchPipeline:
             if lookups is None:
                 return self.engine.submit(kind, rows)
             return self.engine.submit(kind, rows, lookups=lookups)
-
-    def _restate(self, keys: list, res) -> tuple[list, dict]:
-        """A lookup batch's values, restated at the batch's snapshot
-        epoch: if a compaction installed newer writes since the batch
-        pinned, their keys answer from the snapshot's shield / pinned
-        delta.  Returns ``(values, {index: found})`` of the restated
-        rows."""
-        values = res.to_list()
-        restated: dict = {}
-        snap = self._read_snap
-        if snap is None:
-            return values, restated
-        self._read_snap = None
-        shield, pinned = snap.shield, snap.pinned
-        if shield or pinned:
-            values = list(values)
-            for i, key in enumerate(keys):
-                ent = shield.get(key)
-                if ent is None:
-                    pe = pinned.get(key)
-                    if pe is not None:
-                        ent = (pe[0] != "absent", pe[1])
-                if ent is not None:
-                    restated[i] = ent[0]
-                    values[i] = ent[1] if ent[0] else None
-        snap.release()
-        return values, restated
 
     def _stamp(self, recs: list, td: float, res, n: int) -> None:
         """Stamp a batch's sampled flight records with dispatch time,
@@ -598,6 +546,9 @@ class BatchPipeline:
     def _maybe_compact(self, force: bool = False) -> None:
         mt = self.memtable
         if mt is not None and (force or mt.should_compact()):
+            # the queued lookups launch first, so they read the state
+            # before the install, as a serial run does
+            self._dispatch_all()
             if mt.compact(self._compact_dispatch, force=force) is not None:
                 self.report.compactions += 1
 

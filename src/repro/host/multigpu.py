@@ -25,14 +25,14 @@ its measured makespans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import SimulationError
 from repro.gpusim.cost_model import KernelTiming
 from repro.gpusim.devices import CpuSpec, DeviceSpec
-from repro.gpusim.pcie import PcieLink, link_for_device
-from repro.gpusim.streams import PipelineResult, PipelineStage, pipeline
-from repro.host.dispatcher import DispatchConfig
+from repro.gpusim.pcie import PcieLink
+from repro.gpusim.streams import PipelineResult, pipeline
+from repro.host.dispatcher import DispatchConfig, pipeline_throughput
 
 
 @dataclass(frozen=True)
@@ -71,42 +71,25 @@ def multi_gpu_throughput(
     to the device owning their key, so the device stages divide by
     ``n`` for reads and writes alike (host stage still shared).
     """
-    if pcie is None:
-        pcie = link_for_device(device.name)
-    B = dispatch.batch_size
-    hc = dispatch.host_costs
-    threads = min(dispatch.host_threads, cpu.threads)
-    n = config.n_devices
-
-    t_host = hc.per_batch_s + B * hc.per_query_s
-    t_up = pcie.transfer_time(B * dispatch.key_bytes)
-    t_down = pcie.transfer_time(B * dispatch.result_bytes)
-    t_pcie = max(t_up, t_down)
-
-    overlap = min(
-        float(threads), max(1.0, device.max_resident_threads / max(B, 1))
-    )
-    effective_kernel = max(
-        kernel.command_bound_s,
-        kernel.latency_bound_s / overlap,
-        kernel.compute_bound_s / overlap,
-    ) + kernel.launch_overhead_s / overlap
-
+    # one device's async §4.1 stages (every replica runs CuART's
+    # streams, whatever the dispatch style)
+    host, link, kern = pipeline_throughput(
+        kernel, replace(dispatch, api="cuda"), device, cpu, pcie
+    ).stages
     if config.workload in ("lookup", "sharded"):
         # replicated reads fan out; sharded placement routes *every* op
         # (reads and writes alike) to the one device owning its key, so
         # each device carries 1/n of the batches either way
-        device_scale = float(n)
+        device_scale = float(config.n_devices)
     else:
         # broadcast writes: n replicas each run the full update batch; no
         # read scaling is bought and PCIe must carry n copies
         device_scale = 1.0
-    stages = [
-        PipelineStage("host", t_host, parallelism=threads),
-        PipelineStage("pcie", t_pcie, parallelism=device_scale),
-        PipelineStage("kernel", effective_kernel, parallelism=device_scale),
-    ]
-    return pipeline(stages, B)
+    return pipeline([
+        host,
+        replace(link, parallelism=device_scale),
+        replace(kern, parallelism=device_scale),
+    ], dispatch.batch_size)
 
 
 def scaling_curve(

@@ -24,11 +24,6 @@ Entries stay valid after their queues flush: the overlay then merely
 restates what the applied batches already did to the engine's state.
 The ``contains`` probe is required: every serving engine provides it
 (:data:`repro.host.engine.SERVING_CONTRACT`).
-
-:meth:`snapshot` is the promotion hook: it exposes the pending-effect
-map in one stable shape so a future in-memory memtable (ROADMAP item 3)
-or a checkpointer can fold queued-but-unflushed writes into durable
-state without reaching into executor internals.
 """
 
 from __future__ import annotations
@@ -123,12 +118,6 @@ class WriteOverlay:
         """Record a pending insert: the key is definitely present."""
         self.entries[key] = ("present", value)
 
-    def snapshot(self) -> dict:
-        """Stable copy of the pending-effect map: ``{key: (status,
-        value)}`` with status in ``"present"`` / ``"absent"`` /
-        ``"maybe"`` — the hook a memtable / checkpointer consumes."""
-        return dict(self.entries)
-
     def forget(self, key) -> None:
         """Retire one key's pending effect *and* its base-existence memo.
 
@@ -144,12 +133,6 @@ class WriteOverlay:
         pending).  Used when a compaction changes applied state under a
         key whose newest write lives in a still-active segment."""
         self._exists_memo.pop(key, None)
-
-    def clear(self) -> None:
-        """Forget all pending effects (e.g. after a full drain when the
-        caller wants overlay reads to reflect only applied state)."""
-        self.entries.clear()
-        self._exists_memo.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WriteOverlay(pending={len(self.entries)})"

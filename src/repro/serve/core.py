@@ -531,8 +531,7 @@ class ServerCore(BatchPipeline):
             else 0.8 * self.service_ewma_us + 0.2 * per_op
         )
 
-    def _complete(self, kind: str, ops: list, res, values,
-                  restated) -> None:
+    def _complete(self, kind: str, ops: list, res) -> None:
         """Complete a dispatched batch's ServedOps when its launch ends
         on the virtual device cursor (:meth:`_launched`)."""
         n = len(ops)
@@ -542,15 +541,12 @@ class ServerCore(BatchPipeline):
         tb = self.tenant_backlog
         codes = res.status
         found = res.found_array
+        values = res.to_list() if kind == "lookup" else None
         for i, op in enumerate(ops):
             tb[op.tenant] -= 1
             self._m_queue_wait.observe(max(td - op.t_enqueue_us, 0.0))
             status = int(codes[i])
             if kind == "lookup":
-                if restated and i in restated:
-                    status = int(
-                        OpStatus.OK if restated[i] else OpStatus.NOT_FOUND
-                    )
                 value = values[i]
             elif kind == "insert":
                 value = status != int(OpStatus.FAILED)

@@ -2,10 +2,11 @@
 
 The memtable acks writes host-side in O(1), folds them per key with
 last-writer-wins semantics, and merge-compacts sealed segments into the
-device layout in the background — while readers pin snapshot epochs so
-a compaction install never changes an in-flight batch's answers.  These
-tests pin the whole stack — absorb, seal, fold, classify, scatter,
-snapshot shield — against the one-op-at-a-time scalar oracle:
+device layout in the background — and the batch pipeline launches its
+queued lookups before each install, so a compaction never changes a
+queued lookup's answer.  These tests pin the whole stack — absorb,
+seal, fold, classify, scatter, the lookup barrier — against the
+one-op-at-a-time scalar oracle:
 
 * update/delete traffic must leave **byte-identical serialized device
   layouts** (updates scatter in place, deletes clear leaves without
@@ -14,8 +15,8 @@ snapshot shield — against the one-op-at-a-time scalar oracle:
 * insert / delete-then-reinsert traffic may legitimately reuse leaf
   slots in a different order, so it is compared through a canonical
   re-serialization of the surviving content;
-* a reader pinned at epoch N must never observe epoch N+1 writes, even
-  when a debt-triggered compaction races mid-batch.
+* a lookup queued before a compaction reads the pre-install state, on
+  both doors, even when a debt-triggered compaction races mid-batch.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine
 from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.mixed import MixedWorkloadExecutor
+from repro.host.results import OpStatus
 from repro.host.sharding import (
     ShardedEngine,
     ShardedMixedExecutor,
@@ -254,61 +256,43 @@ class TestMemtableLockstep:
         assert sum(report.ops_by_status.values()) == report.operations
 
 
-class TestSnapshotIsolation:
-    def _memtable(self, keys):
+class TestCompactionBarrier:
+    """A compaction launches the queued lookups first: each reads the
+    state before the install, by launch order, as a serial run does."""
+
+    @pytest.mark.parametrize("door", ["executor", "server-core"])
+    def test_queued_lookup_launches_before_the_install(self, door):
+        keys = random_keys(32, 12, seed=21)
+        k = keys[5]
+        # one-op segments and a debt budget of 1: the second write seals
+        # a second segment, and the compaction that fires installs both
+        config = MemtableConfig(segment_ops=1, max_debt=1)
+        stream = [("lookup", k), ("update", (k, 701)), ("update", (k, 702))]
         eng = _engine(keys)
-        return eng, Memtable(eng, MemtableConfig(segment_ops=4, max_debt=0))
-
-    def test_pinned_reader_never_observes_next_epoch(self):
-        """A reader pinned at epoch N answers from pre-install state even
-        after a compaction installs epoch N+1 writes under it."""
-        keys = random_keys(32, 12, seed=5)
-        eng, mt = self._memtable(keys)
-        snap = mt.pin()
-        base_epoch = snap.epoch
-
-        victims = keys[:8]
-        for i, k in enumerate(victims):
-            mt.absorb_update(k, 90_000 + i)
-        mt.absorb_delete(keys[8])
-        assert mt.compact(force=True) is not None
-        assert mt.epoch == base_epoch + 1
-
-        # the pinned reader still sees the epoch-N values …
-        for i, k in enumerate(victims):
-            assert snap.read(k) == (True, i + 1)
-        assert snap.read(keys[8]) == (True, 9)
-        # … while the device and a fresh reader see epoch N+1
-        assert eng.lookup([victims[0]])[0] == 90_000
-        fresh = mt.pin()
-        assert fresh.epoch == base_epoch + 1
-        assert fresh.read(victims[0]) == (True, 90_000)
-        assert fresh.read(keys[8]) == (False, None)
-        snap.release()
-        fresh.release()
-
-    def test_pinned_reader_sees_its_own_epoch_delta(self):
-        """Writes absorbed *before* the pin are part of the reader's
-        view (read-your-writes), installs after it are not."""
-        keys = random_keys(16, 12, seed=6)
-        eng, mt = self._memtable(keys)
-        mt.absorb_update(keys[0], 555)
-        snap = mt.pin()
-        assert snap.read(keys[0]) == (True, 555)
-        # a post-pin write to another key is invisible to this reader
-        mt.absorb_update(keys[1], 777)
-        mt.compact(force=True)
-        assert snap.read(keys[1]) == (True, 2)
-        snap.release()
-
-    def test_released_snapshot_costs_the_compactor_nothing(self):
-        keys = random_keys(16, 12, seed=8)
-        _, mt = self._memtable(keys)
-        snap = mt.pin()
-        snap.release()
-        mt.absorb_update(keys[0], 123)
-        mt.compact(force=True)
-        assert snap.shield == {}  # nothing was shielded for it
+        if door == "executor":
+            dispatch = MixedWorkloadExecutor(eng, memtable=config)
+            results, report = dispatch.run(stream)
+            events = dispatch.last_overlap_stats.events
+        else:
+            dispatch = ServerCore(eng, clock=VirtualClock(), memtable=config)
+            lookup = dispatch.offer(*stream[0])
+            dispatch.offer(*stream[1])
+            assert not lookup.done  # queued: no compaction due yet
+            dispatch.offer(*stream[2])
+            assert dispatch.report.compactions == 1
+            assert lookup.done and lookup.status == int(OpStatus.OK)
+            dispatch.flush()
+            results, report = [lookup.value], dispatch.report_snapshot()
+            events = dispatch.overlap.events
+        # the lookup reads the value from before the writes …
+        assert results == _scalar_oracle(_engine(keys), stream) == [6]
+        assert eng.lookup([k]) == [702]
+        # … because its launch precedes the compaction's write launch
+        assert [ev.op for ev in events] == ["lookup", "write"]
+        assert report.compactions == 1
+        assert report.batches_by_op == {"lookup": 1, "compact-write": 1}
+        assert report.flush_reasons["drain"] == 1
+        assert sum(report.flush_reasons.values()) == 1
 
 
 class TestCacheCoherence:
@@ -329,7 +313,7 @@ class TestCacheCoherence:
         assert mt.absorb_update(cached, 111) is True
         assert mt.absorb_update(cold, 222) is True
         assert mt.absorb_delete(keys[1]) is True
-        assert mt.debt == 0 and mt.epoch == 0
+        assert mt.debt == 0 and mt.compactions == 0
         assert eng.lookup([cached, cold, keys[1]]) == [1, 10, 2]
         assert mt.compact(force=True) is not None
         assert eng.lookup([cached, cold, keys[1]]) == [111, 222, None]
@@ -400,3 +384,36 @@ class TestShardedMemtable:
         save_layout(cb.layout, pb)
         assert pa.read_bytes() == pb.read_bytes()
         assert sum(rep.absorbed.values()) > 0
+
+    def test_sharded_server_core_makes_no_direct_lookups(self, monkeypatch):
+        """Compactions race the queued lookups on a 2-shard server: the
+        lookups launch first, so no direct ``ShardedEngine.lookup``
+        outside the scheduled launches reads a key's pre-install value,
+        and the answers are a single engine's serial ones."""
+        keys = random_keys(512, 8, seed=4)
+        items = [(k, i + 1) for i, k in enumerate(keys)]
+        sharded = ShardedEngine(
+            sharding=ShardingConfig(n_shards=2), batch_size=64
+        )
+        sharded.populate(items)
+        sharded.map_to_device()
+        direct = []
+        real_lookup = sharded.lookup
+
+        def counted_lookup(ks):
+            direct.append(ks)
+            return real_lookup(ks)
+
+        monkeypatch.setattr(sharded, "lookup", counted_lookup)
+        stream = mixed_queries(
+            keys, 4000, QueryMix(lookups=0.5, updates=0.4, deletes=0.1),
+            seed=5,
+        )
+        core = ServerCore(
+            sharded, clock=VirtualClock(),
+            memtable=MemtableConfig(segment_ops=64, max_debt=1),
+        )
+        got, rep = core.run(stream)
+        assert rep.compactions > 1  # mid-stream installs, not just the end
+        assert direct == []
+        assert got == _scalar_oracle(_engine(keys, batch_size=64), stream)

@@ -5,8 +5,7 @@ client replaying the same op sequence against a plain dict.
 executor's hot loop; these tests pin its contract in isolation — random
 op streams run in lockstep against a reference model — plus the
 executor-facing edges: forwarded-miss short-circuits, the memoized
-base-existence probe, snapshot stability, and the disabled degradation
-when no ``contains`` probe exists.
+base-existence probe and the pending-effect map.
 """
 
 import pytest
@@ -86,6 +85,8 @@ class TestLockstepWithSerialClient:
     @given(op_streams())
     @settings(max_examples=100, deadline=None)
     def test_snapshot_reflects_pending_effects(self, ops):
+        """The pending-effect map (``overlay.entries``) agrees with the
+        serial client's state, key by key."""
         base = {KEYS[i]: i for i in range(4)}
         overlay = WriteOverlay(lambda k: k in base)
         ref = _Reference(base)
@@ -99,8 +100,8 @@ class TestLockstepWithSerialClient:
             elif kind == "insert":
                 overlay.note_insert(key, value)
                 ref.insert(key, value)
-        snap = overlay.snapshot()
-        for key, (status, value) in snap.items():
+        assert len(overlay) == len(overlay.entries)
+        for key, (status, value) in overlay.entries.items():
             if status == "present":
                 assert ref.state[key] == value
             elif status == "absent":
@@ -150,14 +151,6 @@ class TestMemoizedExistence:
         for _ in range(5):
             assert overlay.read(b"k") == (True, 1)
         assert calls == [b"k"]
-
-    def test_clear_resets_memo_and_entries(self):
-        overlay = WriteOverlay(lambda k: True)
-        overlay.note_update(b"k", 1)
-        assert len(overlay) == 1
-        overlay.clear()
-        assert len(overlay) == 0
-        assert overlay.read(b"k") is None
 
 
 class TestDisabledDegradation:
