@@ -12,7 +12,8 @@ virtual-clock numbers, which a fixed seed reproduces exactly.
 The harness asserts correctness only (lookups match a dict oracle,
 results match across device counts, both conflict-table layouts pick
 the same winners, the memtable and synchronous passes leave the same
-content, the critical path reconciles with the makespan).  Its perf
+content, the online and offline doors agree over shards, the critical
+path reconciles with the makespan).  Its perf
 bounds and exact numbers are checked by ``scripts/validate_bench.py``.
 
 Usage::
@@ -335,6 +336,28 @@ def _high_conflict_scenario(eng: CuartEngine, keys: list) -> dict:
     return rec
 
 
+def _assert_doors_agree(items: list, stream: list, results: list,
+                        rep) -> None:
+    """The online door over 4 hash shards — ``ServerCore`` on a
+    ``VirtualClock``, with a queue bound that sheds nothing — gives the
+    offline door's ``results`` and simulated makespan: both drive one
+    pipeline lane per shard."""
+    eng = ShardedEngine(
+        sharding=ShardingConfig(n_shards=4, mode="hash"),
+        batch_size=SH_BATCH,
+    )
+    eng.populate(items)
+    eng.map_to_device()
+    core = ServerCore(eng, max_batch=SH_BATCH, queue_depth=len(stream),
+                      clock=VirtualClock())
+    online, online_rep = core.run(stream)
+    assert online == results, "sharded online door diverged from offline"
+    assert (online_rep.stream_overlap["makespan_s"]
+            == rep.stream_overlap["makespan_s"]), (
+        "sharded online door's makespan differs from the offline door's"
+    )
+
+
 def _sharded_scenario(items: list, keys: list, tracer=None) -> dict:
     """Key-space-sharded serving: writes scale with simulated devices.
 
@@ -344,7 +367,8 @@ def _sharded_scenario(items: list, keys: list, tracer=None) -> dict:
     per-shard StreamSchedulers — Python wall-clock cannot show device
     scaling).  The per-op results must be identical at every device
     count (in-harness lockstep: ``n_shards=1`` *is* the single-engine
-    semantics, covered byte-for-byte in the pytest suite).
+    semantics, covered byte-for-byte in the pytest suite), and at 4
+    devices the online door must match the offline one.
 
     A second, range-partitioned engine is then driven with Zipf-skewed
     updates — hot ranks concentrate on one shard — rebalanced online,
@@ -376,6 +400,8 @@ def _sharded_scenario(items: list, keys: list, tracer=None) -> dict:
             assert results == baseline_results, (
                 f"sharded mixed results diverged at {nd} devices"
             )
+        if nd == 4:
+            _assert_doors_agree(items, stream, results, rep)
         mixed_makespan = rep.stream_overlap["makespan_s"]
 
         lkp = [keys[i] for i in upd_idx]

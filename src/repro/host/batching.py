@@ -274,12 +274,6 @@ class OpClassCoalescer:
                 break
         return out
 
-    def queue_len(self, kind: str) -> int:
-        """Current depth of one class queue (the flight recorder reads
-        this to stamp an op's queue position at enqueue time)."""
-        q = self._queues.get(kind)
-        return len(q) if q is not None else 0
-
     def pending_kinds(self) -> tuple:
         """Op classes with a non-empty queue, in first-arrival order."""
         return tuple(self._order)

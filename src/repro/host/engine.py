@@ -1332,9 +1332,7 @@ class CuartEngine(_EngineBase):
             if cache is not None:
                 cache.update_if_cached(k, v)
 
-    def insert(
-        self, items: Sequence[tuple[bytes, int]], *, remap_on_defer: bool = True
-    ) -> BatchResult:
+    def insert(self, items: Sequence[tuple[bytes, int]]) -> BatchResult:
         """Batched inserts: device-side where the buffers allow it
         (section 5.1 path via :class:`repro.cuart.insert.InsertEngine`),
         host re-map for the structurally hard remainder.
@@ -1348,7 +1346,7 @@ class CuartEngine(_EngineBase):
         """
         items = list(items) if not isinstance(items, (list, tuple)) else items
         with self._timed_op("insert", len(items)):
-            return self._insert(items, remap_on_defer=remap_on_defer)
+            return self._insert(items)
 
     def _grow_for_pressure(self) -> bool:
         """Capacity-pressure recovery: grow every exhausted device
@@ -1384,7 +1382,7 @@ class CuartEngine(_EngineBase):
                 self._m_recoveries.labels(kind="buffer-grow").inc()
         return grew
 
-    def _insert(self, items, *, remap_on_defer: bool) -> BatchResult:
+    def _insert(self, items) -> BatchResult:
         self._require_layout()
         keys = list(map(itemgetter(0), items))
         values = np.fromiter(
@@ -1470,7 +1468,7 @@ class CuartEngine(_EngineBase):
                 cache.invalidate(k)
         n_def = int(def_mask.sum())
         remapped = False
-        if n_def and remap_on_defer:
+        if n_def:
             if disp is not None and not disp.health.healthy:
                 self._needs_remap = True  # catch up once the device heals
             else:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -119,16 +120,6 @@ class MixedReport:
         return (self.lookups + self.updates + self.deletes
                 + self.inserts + self.scans)
 
-    _COUNT_FIELDS = (
-        "lookups", "updates", "deletes", "inserts", "scans", "hits",
-        "misses", "update_misses", "delete_misses", "inserts_deferred",
-        "records_scanned", "batches", "compactions", "folded",
-    )
-    _SUM_DICTS = (
-        "batches_by_op", "wall_s", "flush_reasons", "ops_by_status",
-        "forwarded", "absorbed",
-    )
-
     def tally_writes(self, payloads: list, result) -> None:
         """Count one write batch by row kind: ``(key, value)`` update
         rows and ``(key, None)`` delete rows, hits from ``result``."""
@@ -140,47 +131,6 @@ class MixedReport:
         self.deletes += n_del
         self.update_misses += int(np.count_nonzero(misses)) - del_misses
         self.delete_misses += del_misses
-
-    def merge(self, other: "MixedReport", *, concurrent: bool = True) -> None:
-        """Fold another report into this one.
-
-        ``concurrent=True`` means the two runs shared the same simulated
-        interval on independent devices (one shard each), so the
-        combined :attr:`stream_overlap` makespan is the max of the two
-        and stream counts add; ``concurrent=False`` means the runs were
-        sequential (e.g. segments separated by a scan barrier), so
-        makespans add.  :attr:`latency_percentiles_by_op` is left alone:
-        it reads registry histograms, which the caller merges
-        (:meth:`repro.host.sharding.ShardedMixedExecutor.run`).
-        """
-        for name in self._COUNT_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name in self._SUM_DICTS:
-            mine = getattr(self, name)
-            for k, v in getattr(other, name).items():
-                mine[k] = mine.get(k, 0) + v
-        so, oo = self.stream_overlap, other.stream_overlap
-        if not so:
-            self.stream_overlap = dict(oo)
-        elif oo:
-            serial = so.get("serial_s", 0.0) + oo.get("serial_s", 0.0)
-            if concurrent:
-                makespan = max(so.get("makespan_s", 0.0),
-                               oo.get("makespan_s", 0.0))
-                streams = so.get("streams", 0) + oo.get("streams", 0)
-            else:
-                makespan = (so.get("makespan_s", 0.0)
-                            + oo.get("makespan_s", 0.0))
-                streams = max(so.get("streams", 0), oo.get("streams", 0))
-            saved = max(serial - makespan, 0.0)
-            self.stream_overlap = {
-                "batches": so.get("batches", 0) + oo.get("batches", 0),
-                "streams": streams,
-                "serial_s": round(serial, 9),
-                "makespan_s": round(makespan, 9),
-                "saved_s": round(saved, 9),
-                "overlap_ratio": round(saved / serial, 4) if serial else 0.0,
-            }
 
 
 def split_op(kind: str, payload) -> tuple:
@@ -203,16 +153,58 @@ def split_op(kind: str, payload) -> tuple:
     raise InvalidOperationError(f"unknown operation {kind!r}")
 
 
+class Lane:
+    """One device's share of a :class:`BatchPipeline`: the device's
+    engine (a :class:`~repro.host.sharding.ShardedEngine`'s shard, or
+    the engine itself) and its own coalescer, pending-write overlay,
+    memtable and queue of flight records.  Routing is per key, so a
+    key conflict only ever cuts its own lane's batches and every launch
+    runs on one device."""
+
+    __slots__ = ("index", "shard", "engine", "coal", "reasons_before",
+                 "memtable", "overlay", "fr_queued")
+
+    def __init__(self, index: int, shard, engine, batch_size: int,
+                 memtable) -> None:
+        self.index = index
+        #: shard id stamped onto flight records (None on one device).
+        self.shard = shard
+        self.engine = engine
+        # the device's own (on a ShardedEngine, shard-labeled) registry
+        self.coal = OpClassCoalescer(batch_size, metrics=engine.metrics)
+        self.reasons_before = self.coal.flush_reasons()
+        self.memtable = None
+        if memtable is not None:
+            self.memtable = Memtable(
+                engine, MemtableConfig() if memtable is True else memtable,
+                metrics=engine.metrics,
+            )
+        self.overlay = (
+            self.memtable.delta if self.memtable is not None
+            else WriteOverlay(engine.contains)
+        )
+        #: per class, the flight records of its queued ops in queue
+        #: order (None where sampled out): a flushed batch of n ops
+        #: owns the first n.
+        self.fr_queued: dict = {}
+
+
 class BatchPipeline:
     """One batch pipeline over one engine (see the module docstring).
 
-    Per op, :meth:`_route` answers it host-side or queues it; per
-    coalescer flush group, :meth:`_dispatch_group` sends each device
-    launch through :meth:`_dispatch`, which submits it, tallies the
-    report, stamps flight records and records each class's host wall
-    time; :meth:`_maybe_compact` launches the queued lookups before a
-    compaction installs; :meth:`flush` dispatches everything queued,
-    installs the memtable and closes the simulated stream window.
+    The pipeline keeps one :class:`Lane` per device: each shard of a
+    :class:`~repro.host.sharding.ShardedEngine`, or the engine itself.
+    Per op, :meth:`_route` picks the key's lane
+    (:meth:`~repro.host.sharding.ShardRouter.shard_of`, recording heat)
+    and answers the op host-side or queues it there; per coalescer
+    flush group, :meth:`_dispatch_group` sends each device launch
+    through :meth:`_dispatch` to its lane's engine, which submits it,
+    tallies the report, stamps flight records and records each class's
+    host wall time; :meth:`_maybe_compact` launches a lane's queued
+    lookups before its compaction installs (no other device can observe
+    that install); :meth:`flush` dispatches everything queued, installs
+    every memtable and closes the simulated stream window, whose
+    makespan on several devices is the slowest one's.
 
     This class is also the offline door: :meth:`run` queues light
     entries — ``(key, seq)`` for a lookup (``seq`` indexes the results),
@@ -228,8 +220,10 @@ class BatchPipeline:
     #: None here: the offline door admits every op.
     _admit = None
 
-    def __init__(self, engine, batch_size: int, memtable=None, *,
-                 shard=None) -> None:
+    def __init__(self, engine, batch_size: int, memtable=None) -> None:
+        # deferred: repro.host.sharding imports this module
+        from repro.host.sharding import ShardedEngine
+
         require_serving_engine(engine)
         self.engine = engine
         #: the engine's observability surface: pipeline, engine, cache
@@ -237,35 +231,30 @@ class BatchPipeline:
         self.metrics = engine.metrics
         self.tracer = engine.tracer
         self.flight = engine.flight
-        #: shard id stamped onto flight records (None on one device).
-        self.shard = shard
         self.report = MixedReport()
-        self._coal = OpClassCoalescer(batch_size, metrics=self.metrics)
-        self._reasons_before = self._coal.flush_reasons()
+        sharded = isinstance(engine, ShardedEngine)
+        self._router = engine.router if sharded else None
+        #: one :class:`Lane` per device, in shard order.
+        self.lanes = [
+            Lane(i, i if sharded else None, dev, batch_size, memtable)
+            for i, dev in enumerate(engine.shards if sharded else [engine])
+        ]
+        self._lane = self.lanes[0]
+        one = len(self.lanes) == 1
         #: :class:`~repro.host.memtable.Memtable` when write absorption
         #: is on (a :class:`~repro.host.memtable.MemtableConfig`, or
         #: ``True`` for the defaults): writes ack host-side in O(1) and
         #: merge-compact into the device; the overlay is its delta.
-        self.memtable = None
-        if memtable is not None:
-            self.memtable = Memtable(
-                engine, MemtableConfig() if memtable is True else memtable,
-                metrics=self.metrics,
-            )
-        self.overlay = (
-            self.memtable.delta if self.memtable is not None
-            else WriteOverlay(engine.contains)
-        )
+        #: Both belong to one device: on several, each lane holds its
+        #: own and these are None.
+        self.memtable = self._lane.memtable if one else None
+        self.overlay = self._lane.overlay if one else None
         #: StreamOverlapStats of the closed stream windows (with their
         #: event timelines, for repro.obs.critical_path.attribute_stats).
         self.overlap = None
         #: hoisted, so the disabled flight path costs one truthiness
         #: check per op (NULL_FLIGHT_RECORDER allocates nothing).
         self._fl_on = self.flight.enabled
-        #: per class, the flight records of its queued ops in queue
-        #: order (None where sampled out): a flushed batch of n ops
-        #: owns the first n.
-        self._fr_queued: dict = {}
         self._m_latency = self.metrics.histogram(
             "mixed_op_latency_us",
             "host wall-clock per row of each batch the pipeline ran",
@@ -318,16 +307,19 @@ class BatchPipeline:
     # -- per op ----------------------------------------------------------
 
     def _route(self, kind: str, key, value, entry):
-        """Route one ``lookup`` / ``update`` / ``delete`` / ``insert``;
-        returns ``(found, value)`` when it was answered host-side, else
-        None (queued, or refused by :meth:`_admit`)."""
-        mt = self.memtable
-        overlay = self.overlay
+        """Route one ``lookup`` / ``update`` / ``delete`` / ``insert`` to
+        its key's lane; returns ``(found, value)`` when it was answered
+        host-side, else None (queued, or refused by :meth:`_admit`)."""
+        router = self._router
+        lane = (self._lane if router is None
+                else self.lanes[router.shard_of(key, record=True)])
+        mt = lane.memtable
+        overlay = lane.overlay
         if kind == "lookup":
             st = overlay.entries.get(key)
             if st is not None:
                 ans = overlay.resolve_read(key, st)
-                self._answer(kind, key, ans[0], absorbed=False)
+                self._answer(lane, kind, key, ans[0], absorbed=False)
                 return ans
             if self._admit is not None and not self._admit(entry):
                 return None
@@ -341,8 +333,8 @@ class BatchPipeline:
             else:
                 mt.absorb_insert(key, value)
                 ok = True
-            self._answer(kind, key, ok, absorbed=True)
-            self._maybe_compact()
+            self._answer(lane, kind, key, ok, absorbed=True)
+            self._maybe_compact(lane)
             return _HIT if ok else _MISS
         else:
             if kind != "insert":
@@ -350,7 +342,7 @@ class BatchPipeline:
                 if st is not None and st[0] == "absent":
                     # definitely gone (pending delete): a guaranteed
                     # miss, and updates never resurrect
-                    self._answer(kind, key, False, absorbed=False)
+                    self._answer(lane, kind, key, False, absorbed=False)
                     return _MISS
             # only non-mutating probes run before admission: a refused
             # op leaves no pending effect behind
@@ -363,13 +355,13 @@ class BatchPipeline:
             else:
                 overlay.note_insert(key, value)
         if self._fl_on:
-            self._fr_queued.setdefault(OP_CLASS.get(kind, kind), []).append(
-                self.flight.begin(kind, key, self.shard))
-        self._dispatch_group(self._coal.add(kind, key, entry))
+            lane.fr_queued.setdefault(OP_CLASS.get(kind, kind), []).append(
+                self.flight.begin(kind, key, lane.shard))
+        self._dispatch_group(lane, lane.coal.add(kind, key, entry))
         return None
 
-    def _answer(self, kind: str, key, found: bool, *, absorbed: bool
-                ) -> None:
+    def _answer(self, lane: Lane, kind: str, key, found: bool, *,
+                absorbed: bool) -> None:
         """Account one op answered host-side: forwarded from the
         overlay (or a write short-circuited to a miss), or absorbed by
         the memtable."""
@@ -398,7 +390,7 @@ class BatchPipeline:
         if not absorbed:
             self._m_forwarded.labels(op=kind).inc()
         if self._fl_on:
-            rec = self.flight.begin(kind, key, self.shard)
+            rec = self.flight.begin(kind, key, lane.shard)
             if rec is not None:
                 if absorbed:
                     self.flight.complete_absorbed(rec, found)
@@ -407,10 +399,10 @@ class BatchPipeline:
 
     # -- per batch -------------------------------------------------------
 
-    def _dispatch_group(self, group) -> int:
-        """Run one coalescer flush group's batches in order; a lookup
-        batch followed directly by a write batch goes out as one device
-        launch.  Returns the number of ops dispatched."""
+    def _dispatch_group(self, lane: Lane, group) -> int:
+        """Run one of ``lane``'s coalescer flush groups in order; a
+        lookup batch followed directly by a write batch goes out as one
+        device launch.  Returns the number of ops dispatched."""
         n = 0
         i = 0
         while i < len(group):
@@ -418,26 +410,27 @@ class BatchPipeline:
             if (kind == "lookup" and i + 1 < len(group)
                     and group[i + 1][0] == "write"):
                 writes = group[i + 1][1]
-                self._dispatch("write", writes, lookups=entries)
+                self._dispatch(lane, "write", writes, lookups=entries)
                 n += len(entries) + len(writes)
                 i += 2
             else:
-                self._dispatch(kind, entries)
+                self._dispatch(lane, kind, entries)
                 n += len(entries)
                 i += 1
         return n
 
-    def _dispatch(self, kind: str, entries: list, lookups=None) -> None:
-        """Run one device launch and account it: one flushed class batch
-        (``lookup`` / ``write`` / ``insert``; a write batch's rows are
-        ``(key, value)`` updates and ``(key, None)`` deletes), or with
-        ``lookups`` a lookup batch and the write batch flushed directly
-        after it.  Their launch runs the lookups as stage 0, ahead of
-        the writes, so they read what a lookup launch sent first would
-        (:meth:`repro.host.engine.CuartEngine.submit`).  Each class is
-        accounted with its own host time: the lookups' row preparation
-        and settling plus the engine's measured host time on their
-        rows, and the write batch the rest of the dispatch."""
+    def _dispatch(self, lane: Lane, kind: str, entries: list,
+                  lookups=None) -> None:
+        """Run one device launch on ``lane`` and account it: one flushed
+        class batch (``lookup`` / ``write`` / ``insert``; a write batch's
+        rows are ``(key, value)`` updates and ``(key, None)`` deletes),
+        or with ``lookups`` a lookup batch and the write batch flushed
+        directly after it.  Their launch runs the lookups as stage 0,
+        ahead of the writes, so they read what a lookup launch sent
+        first would (:meth:`repro.host.engine.CuartEngine.submit`).
+        Each class is accounted with its own host time: the lookups' row
+        preparation and settling plus the engine's measured host time on
+        their rows, and the write batch the rest of the dispatch."""
         t0 = time.perf_counter()
         td = self.flight.now_us() if self._fl_on else 0.0
         n = len(entries)
@@ -453,25 +446,27 @@ class BatchPipeline:
             # one device row per key; each op reads its key's outcome
             dev_rows, back = fold_writes(rows)
             self.report.folded += n - len(dev_rows)
-        res = self._submit(kind, dev_rows, f"mixed.{kind}", lookups=l_rows)
-        self._launched(n + (len(lookups) if lookups is not None else 0))
+        res = self._submit(lane, kind, dev_rows, f"mixed.{kind}",
+                           lookups=l_rows)
+        self._launched(lane, n + (len(lookups) if lookups is not None else 0))
         if lookups is not None:
             lres, res = res
             t1 = time.perf_counter()
-            self._settle("lookup", lookups, l_rows, lres, td)
+            self._settle(lane, "lookup", lookups, l_rows, lres, td)
             lookup_s += lres.summary["host_s"] + time.perf_counter() - t1
             self._account("lookup", len(lookups), lookup_s)
         if back is not None:
             res = res.take(back)
-        self._settle(kind, entries, rows, res, td)
+        self._settle(lane, kind, entries, rows, res, td)
         self._account(kind, n, time.perf_counter() - t0 - lookup_s)
 
-    def _launched(self, n: int) -> None:
+    def _launched(self, lane: Lane, n: int) -> None:
         """Hook: one foreground launch carrying ``n`` ops was just
-        submitted (the server's virtual device cursor advances here)."""
+        submitted on ``lane``'s device (the server's virtual device
+        cursor for it advances here)."""
 
-    def _settle(self, kind: str, entries: list, rows: list, res,
-                td: float) -> None:
+    def _settle(self, lane: Lane, kind: str, entries: list, rows: list,
+                res, td: float) -> None:
         """Tally one dispatched class batch into the report, hand its
         outcomes to its ops and stamp their flight records."""
         rep = self.report
@@ -491,7 +486,7 @@ class BatchPipeline:
             by[name] = by.get(name, 0) + c
         self._complete(kind, entries, res)
         if self._fl_on:
-            queued = self._fr_queued.get(kind)
+            queued = lane.fr_queued.get(kind)
             recs = []
             for i, rec in enumerate(queued[:n]):
                 if rec is not None:
@@ -499,30 +494,24 @@ class BatchPipeline:
                     recs.append(rec)
             del queued[:n]
             if recs:
-                self._stamp(recs, td, res, n)
+                self.flight.complete(
+                    recs, batch_id=lane.coal.batches_flushed,
+                    t_dispatch_us=td,
+                    statuses=[_STATUS_NAMES[int(c)] for c in res.status],
+                    attempts=res.attempts, sim_events=lane.engine.last_events,
+                    batch_size=n,
+                )
 
-    def _submit(self, kind: str, rows: list, span: str, lookups=None):
-        """Submit one launch to the engine's stream pipeline (with
+    def _submit(self, lane: Lane, kind: str, rows: list, span: str,
+                lookups=None):
+        """Submit one launch to ``lane``'s engine's stream pipeline (with
         ``lookups``, a lookup batch riding a write batch: returns both
         results)."""
-        with self.tracer.span(span, {"n": len(rows)}):
+        eng = lane.engine
+        with eng.tracer.span(span, {"n": len(rows)}):
             if lookups is None:
-                return self.engine.submit(kind, rows)
-            return self.engine.submit(kind, rows, lookups=lookups)
-
-    def _stamp(self, recs: list, td: float, res, n: int) -> None:
-        """Stamp a batch's sampled flight records with dispatch time,
-        status/attempts and the simulated device-stage timeline."""
-        statuses = attempts = events = None
-        if res is not None:
-            statuses = [_STATUS_NAMES[int(c)] for c in res.status]
-            attempts = res.attempts
-            events = self.engine.last_events
-        self.flight.complete(
-            recs, batch_id=self._coal.batches_flushed, t_dispatch_us=td,
-            statuses=statuses, attempts=attempts, sim_events=events,
-            batch_size=n,
-        )
+                return eng.submit(kind, rows)
+            return eng.submit(kind, rows, lookups=lookups)
 
     def _account(self, label: str, n: int, dt: float) -> None:
         """Count one batch of ``n`` rows and its host wall time."""
@@ -532,35 +521,37 @@ class BatchPipeline:
         rep.wall_s[label] = rep.wall_s.get(label, 0.0) + dt
         self._m_latency.labels(op=label).observe(dt / n * 1e6, n)
 
-    def _compact_dispatch(self, kind: str, rows: list):
-        """Scatter one folded compaction batch: it rides the stream
-        pipeline like any flush, but its ops' outcomes were tallied at
-        absorb time."""
+    def _compact_dispatch(self, lane: Lane, kind: str, rows: list):
+        """Scatter one folded compaction batch on ``lane``: it rides the
+        stream pipeline like any flush, but its ops' outcomes were
+        tallied at absorb time."""
         t0 = time.perf_counter()
-        res = self._submit(kind, rows, f"mixed.compact.{kind}")
+        res = self._submit(lane, kind, rows, f"mixed.compact.{kind}")
         if kind == "insert":
             self.report.inserts_deferred += res.summary["deferred"]
         self._account(f"compact-{kind}", len(rows), time.perf_counter() - t0)
         return res
 
-    def _maybe_compact(self, force: bool = False) -> None:
-        mt = self.memtable
+    def _maybe_compact(self, lane: Lane, force: bool = False) -> None:
+        mt = lane.memtable
         if mt is not None and (force or mt.should_compact()):
-            # the queued lookups launch first, so they read the state
-            # before the install, as a serial run does
-            self._dispatch_all()
-            if mt.compact(self._compact_dispatch, force=force) is not None:
+            # the lane's queued lookups launch first, so they read the
+            # state before the install, as a serial run does
+            self._dispatch_all(lane)
+            hook = partial(self._compact_dispatch, lane)
+            if mt.compact(hook, force=force) is not None:
                 self.report.compactions += 1
 
     def _scan(self, lo, hi) -> list:
-        """A range touches an unbounded key set: a full barrier, then
-        the engine's range query.  The range reads the device layout,
-        so :meth:`flush` installs every absorbed write first
-        (correctness over cost)."""
+        """A range touches an unbounded key set: a full barrier over
+        every lane, then the engine's range query (on a
+        :class:`~repro.host.sharding.ShardedEngine`, every shard's,
+        merged in key order).  The range reads the device layout, so
+        :meth:`flush` installs every absorbed write first (correctness
+        over cost)."""
         self.flush()
         t0 = time.perf_counter()
-        rec = (self.flight.begin("scan", lo, self.shard) if self._fl_on
-               else None)
+        rec = self.flight.begin("scan", lo) if self._fl_on else None
         td = self.flight.now_us() if rec is not None else 0.0
         with self.tracer.span("mixed.scan", {"n": 1}):
             rows = self.engine.range(lo, hi)
@@ -570,22 +561,28 @@ class BatchPipeline:
         rep.ops_by_status["OK"] = rep.ops_by_status.get("OK", 0) + 1
         if rec is not None:
             rec.queue_pos = 0
-            self._stamp([rec], td, None, 1)
+            self.flight.complete(
+                [rec], t_dispatch_us=td, batch_size=1,
+                batch_id=sum(lane.coal.batches_flushed
+                             for lane in self.lanes),
+            )
         self._account("scan", 1, time.perf_counter() - t0)
         return rows
 
     # -- drain -----------------------------------------------------------
 
-    def _dispatch_all(self) -> int:
-        return self._dispatch_group(self._coal.drain())
+    def _dispatch_all(self, lane: Lane) -> int:
+        return self._dispatch_group(lane, lane.coal.drain())
 
     def flush(self) -> int:
         """Dispatch everything queued (end of stream, scan barrier,
         shutdown), install every absorbed write into the device layout
         and close the simulated stream window; returns the number of
         queued ops dispatched."""
-        n = self._dispatch_all()
-        self._maybe_compact(force=True)
+        n = 0
+        for lane in self.lanes:
+            n += self._dispatch_all(lane)
+            self._maybe_compact(lane, force=True)
         window = self.engine.drain()
         if self.overlap is None:
             self.overlap = window
@@ -603,34 +600,36 @@ class BatchPipeline:
         for label in rep.wall_s:
             rep.latency_percentiles_by_op[label] = self.metrics.value(
                 "mixed_op_latency_us", op=label)
-        rep.flush_reasons = {
-            reason: count - self._reasons_before.get(reason, 0)
-            for reason, count in self._coal.flush_reasons().items()
-        }
+        reasons: dict = {}
+        for lane in self.lanes:
+            before = lane.reasons_before
+            for reason, count in lane.coal.flush_reasons().items():
+                reasons[reason] = (reasons.get(reason, 0) + count
+                                   - before.get(reason, 0))
+        rep.flush_reasons = reasons
         return rep
 
 
 class MixedWorkloadExecutor:
     """The offline door: runs interleaved ``lookup`` / ``update`` /
     ``delete`` / ``insert`` / ``scan`` streams, each through a fresh
-    :class:`BatchPipeline` (coalescer, overlay, memtable and report)."""
+    :class:`BatchPipeline` (per device: coalescer, overlay and memtable;
+    one report)."""
 
-    def __init__(self, engine, *, shard=None, memtable=None) -> None:
+    def __init__(self, engine, *, memtable=None) -> None:
         require_serving_engine(engine)
         self.engine = engine
-        #: shard id stamped onto flight records (set by the sharded
-        #: executor; None when serving a single device).
-        self.shard = shard
         #: write-absorption policy: ``None`` keeps the synchronous
         #: coalesced write path; a :class:`~repro.host.memtable.
         #: MemtableConfig` (or ``True`` for the defaults) absorbs writes
-        #: host-side (a fresh memtable per run, on :attr:`memtable`).
+        #: host-side (a fresh memtable per run and device).
         self.memtable_config = memtable
         self.metrics = engine.metrics
         self.tracer = engine.tracer
         #: :class:`~repro.host.memtable.Memtable` and
         #: :class:`~repro.host.overlay.WriteOverlay` of the current/last
-        #: run (memtable None while disabled).
+        #: run on one device (memtable None while disabled; both None
+        #: on several devices, see :attr:`BatchPipeline.lanes`).
         self.memtable = None
         self.overlay = None
         #: StreamOverlapStats of the last run (with per-window event
@@ -647,7 +646,7 @@ class MixedWorkloadExecutor:
         delta.
         """
         pipe = BatchPipeline(self.engine, self.engine.batch_size,
-                             self.memtable_config, shard=self.shard)
+                             self.memtable_config)
         self.memtable, self.overlay = pipe.memtable, pipe.overlay
         results, report = pipe.run(stream)
         self.last_overlap_stats = pipe.overlap

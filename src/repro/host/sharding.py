@@ -20,11 +20,13 @@ Correctness invariants
   order, through any API — reaches the same engine.
 * **Shard-local conflicts.**  Because routing is per-key, a read-after
   -write or write-after-write conflict can only involve ops on the
-  *same* shard.  Cross-shard sub-streams are therefore free to flush
-  and pipeline independently: any interleaving of them is equivalent
-  to some serial order of the original stream.
+  *same* shard.  The batch pipeline (:class:`~repro.host.mixed.
+  BatchPipeline`, behind both serving doors) therefore keeps one *lane*
+  per shard — coalescer, pending-write overlay, memtable — and each
+  lane flushes and pipelines on its own shard: any interleaving of the
+  lanes is equivalent to some serial order of the original stream.
 * **Scans are global barriers.**  A range touches an unbounded key set
-  spanning shards, so every shard drains before the scan runs and
+  spanning shards, so every lane drains before the scan runs and
   per-shard results are merged in key order.
 
 Simulated scaling is measured the only way it can be in a one-process
@@ -47,7 +49,6 @@ afterwards so the next skew episode is measured fresh.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -61,10 +62,10 @@ from repro.gpusim.pcie import link_for_device
 from repro.gpusim.streams import StreamOverlapStats
 from repro.host.config import EngineConfig
 from repro.host.engine import SUBMIT_KINDS, CuartEngine
-from repro.host.mixed import MixedReport, MixedWorkloadExecutor, split_op
+from repro.host.mixed import MixedReport, MixedWorkloadExecutor
 from repro.host.results import BatchResult
 from repro.obs.flightrec import NULL_FLIGHT_RECORDER
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 
 SHARDING_MODES = ("hash", "range")
@@ -407,13 +408,12 @@ class ShardedEngine:
 
     # -- batched ops -----------------------------------------------------
     def _routed(self, kind: str, payloads: Sequence, *,
-                submit: bool = False, lookups=None):
+                submit: bool = False) -> BatchResult:
         """Route one batch per key, run each shard's sub-batch (through
-        its ``submit`` pipeline when ``submit``, with its share of
-        ``lookups`` riding its write launch when given), and
-        scatter-merge the results back into stream order.  ``payloads``
-        are keys for ``lookup``/``delete`` and ``(key, value)`` pairs —
-        or ``(key, None)`` delete rows in a ``write`` — otherwise."""
+        its ``submit`` pipeline when ``submit``), and scatter-merge the
+        results back into stream order.  ``payloads`` are keys for
+        ``lookup``/``delete`` and ``(key, value)`` pairs — or
+        ``(key, None)`` delete rows in a ``write`` — otherwise."""
         payloads = (
             list(payloads) if not isinstance(payloads, (list, tuple))
             else payloads
@@ -423,24 +423,13 @@ class ShardedEngine:
         else:
             keys = [k for k, _ in payloads]
         sids = self.router.route(keys)
-        if lookups is not None:
-            lookups = list(lookups)
-            lsids = self.router.route(lookups)
-        parts, lparts, shares = [], [], []
+        parts, shares = [], []
         for sid, shard in enumerate(self.shards):
             idx = np.flatnonzero(sids == sid)
-            part = [payloads[j] for j in idx]
-            if lookups is not None:
-                lidx = np.flatnonzero(lsids == sid)
-                if not (idx.size or lidx.size):
-                    continue
-                lres, res = shard.submit(
-                    kind, part, lookups=[lookups[j] for j in lidx]
-                )
-                lparts.append((lidx, lres))
-            elif not idx.size:
+            if not idx.size:
                 continue
-            elif submit:
+            part = [payloads[j] for j in idx]
+            if submit:
                 res = shard.submit(kind, part)
             else:
                 res = getattr(shard, kind)(part)
@@ -451,10 +440,7 @@ class ShardedEngine:
                 shares, key=lambda evs: sum(ev.serial_s for ev in evs),
                 default=[],
             )
-        res = self._merge_results(kind, len(payloads), parts)
-        if lookups is None:
-            return res
-        return self._merge_results("lookup", len(lookups), lparts), res
+        return self._merge_results(kind, len(payloads), parts)
 
     def lookup(self, keys: Sequence[bytes]) -> BatchResult:
         return self._routed("lookup", keys)
@@ -483,16 +469,12 @@ class ShardedEngine:
         return rows
 
     # -- async dispatch --------------------------------------------------
-    def submit(self, kind: str, payloads: Sequence, *,
-               lookups: Optional[Sequence[bytes]] = None):
+    def submit(self, kind: str, payloads: Sequence) -> BatchResult:
         """Pipelined dispatch: route the batch, submit each sub-batch on
         its shard's own :class:`StreamScheduler` — shards are
         independent devices, so their submit windows run concurrently
-        in simulated time.  With ``lookups`` (``write`` batches only)
-        each shard gets its share of both row sets in one call, the
-        lookups riding its write launch
-        (:meth:`~repro.host.engine.CuartEngine.submit`), and the call
-        returns ``(lookup_result, write_result)``.
+        in simulated time.  (The batch pipeline submits to each shard's
+        engine itself.)
 
         :attr:`last_events` becomes the events of the shard whose share
         ran longest: the shards start the launch together, so that share
@@ -502,24 +484,17 @@ class ShardedEngine:
             raise ReproError(
                 f"cannot submit {kind!r} batches to ShardedEngine"
             )
-        if lookups is not None and kind != "write":
-            raise ReproError(
-                f"lookups ride write batches, not {kind!r} batches"
-            )
-        return self._routed(kind, payloads, submit=True, lookups=lookups)
+        return self._routed(kind, payloads, submit=True)
 
     def drain(self) -> StreamOverlapStats:
         """Close every shard's submit window and fold the concurrent
-        windows (makespan = slowest shard) into one stats record."""
-        merged: Optional[StreamOverlapStats] = None
+        windows (makespan = slowest shard) into one fresh stats record;
+        the shards' own windows are left as they were drained."""
+        merged = StreamOverlapStats(streams=0)
         for shard in self.shards:
-            window = shard.drain()
-            if merged is None:
-                merged = window
-            else:
-                merged.merge_parallel(window)
+            merged.merge_parallel(shard.drain())
         self.publish_shard_stats()
-        return merged if merged is not None else StreamOverlapStats(streams=0)
+        return merged
 
     # -- observability ---------------------------------------------------
     def publish_shard_stats(self) -> float:
@@ -617,119 +592,21 @@ class ShardedEngine:
         }
 
 
-class ShardedMixedExecutor:
-    """Mixed-stream serving over a :class:`ShardedEngine`.
+class ShardedMixedExecutor(MixedWorkloadExecutor):
+    """The offline door over a :class:`ShardedEngine`.
 
-    The stream is pre-split into per-shard sub-streams (routing is
-    deterministic per key, so per-key op order is preserved inside each
-    sub-stream) and each runs through its own
-    :class:`~repro.host.mixed.MixedWorkloadExecutor` — per-shard
-    coalescer, per-shard store-to-load forwarding overlay, per-shard
-    submit/drain pipeline.  A same-key conflict therefore only ever
-    cuts the owning shard's batches; the other shards keep coalescing.
-    Scans are global barriers: every pending sub-stream segment
-    executes and drains, then the sharded engine's merged range query
-    runs.
-
-    Reports merge with :meth:`MixedReport.merge` — shard segments are
-    concurrent (makespan = slowest shard), scan-delimited segments are
-    sequential (makespans add) — so ``report.stream_overlap`` is the
-    whole run's simulated device timeline.
+    :class:`~repro.host.mixed.MixedWorkloadExecutor` serves any engine:
+    its :class:`~repro.host.mixed.BatchPipeline` keeps one lane per
+    shard (coalescer, overlay, memtable), routes each op to its key's
+    lane, launches each batch on that shard's engine and treats a scan
+    as a barrier over every lane.  This subclass adds nothing.
     """
 
-    def __init__(self, engine: ShardedEngine, *, memtable=None) -> None:
-        self.engine = engine
-        self.metrics = engine.metrics
-        self.tracer = engine.tracer
-        #: write-absorption policy, handed to every per-shard executor
-        #: (each shard gets its own memtable: absorption and compaction
-        #: debt stay local to the shard that owns the keys).
-        self._inner = [
-            MixedWorkloadExecutor(s, shard=i, memtable=memtable)
-            for i, s in enumerate(engine.shards)
-        ]
-
     def run(self, stream) -> tuple[list, MixedReport]:
-        """Execute the stream; returns (lookup results in stream order,
-        merged report) — the same contract as
-        :meth:`MixedWorkloadExecutor.run`."""
-        results: list = []
-        total = MixedReport()
-        segment: list = []
-        for kind, payload in stream:
-            if kind == "scan":
-                self._run_segment(segment, results, total)
-                segment = []
-                self._run_scan(payload, total)
-            else:
-                segment.append((kind, payload))
-        self._run_segment(segment, results, total)
-        total.latency_percentiles_by_op = self._merged_percentiles(total)
-        self.engine.publish_shard_stats()
-        return results, total
-
-    def _run_segment(self, ops: list, results: list, total: MixedReport
-                     ) -> None:
-        if not ops:
-            return
-        router = self.engine.router
-        subs: list[list] = [[] for _ in self._inner]
-        order: list[int] = []
-        for kind, payload in ops:
-            key = payload if kind in ("lookup", "delete") else payload[0]
-            sid = router.shard_of(key, record=True)
-            subs[sid].append((kind, payload))
-            if kind == "lookup":
-                order.append(sid)
-        queues: dict[int, object] = {}
-        seg: Optional[MixedReport] = None
-        for sid, sub in enumerate(subs):
-            if not sub:
-                continue
-            res, rep = self._inner[sid].run(sub)
-            queues[sid] = iter(res)
-            if seg is None:
-                seg = rep
-            else:
-                seg.merge(rep, concurrent=True)
-        for sid in order:
-            results.append(next(queues[sid]))
-        if seg is not None:
-            total.merge(seg, concurrent=False)
-
-    def _run_scan(self, payload, total: MixedReport) -> None:
-        lo, hi = split_op("scan", payload)
-        t0 = time.perf_counter()
-        with self.tracer.span("mixed.scan", {"n": 1}):
-            rows = self.engine.range(lo, hi)
-        dt = time.perf_counter() - t0
-        total.scans += 1
-        total.records_scanned += len(rows)
-        total.batches += 1
-        total.batches_by_op["scan"] = total.batches_by_op.get("scan", 0) + 1
-        total.wall_s["scan"] = total.wall_s.get("scan", 0.0) + dt
-        by = total.ops_by_status
-        by["OK"] = by.get("OK", 0) + 1
-
-    def _merged_percentiles(self, total: MixedReport) -> dict:
-        """Per-op latency summaries over every shard's observations.
-
-        Each shard's pipeline observes its own
-        ``mixed_op_latency_us{op,shard}`` child, cumulative over the
-        shard engine's lifetime (Prometheus semantics); their bucket
-        counts, count, sum, min and max add into the histogram one
-        child fed every shard's observations would hold (its sum up to
-        floating-point summation order)."""
-        merged: dict = {}
-        for op in total.wall_s:
-            hist = None
-            for ex in self._inner:
-                child = ex.metrics.child("mixed_op_latency_us", op=op)
-                if child is None or not child.count:
-                    continue
-                if hist is None:
-                    hist = Histogram(child.bounds)
-                hist.merge(child)
-            if hist is not None:
-                merged[op] = hist.summary()
-        return merged
+        # perfbench's oltp_sharded workload traces this method,
+        # ShardedMixedExecutor.__init__ and MixedWorkloadExecutor.run as
+        # required wrap targets (perfbench/layers.py); without this
+        # override the inherited run bypasses the last one's wrapper.
+        # The class goes once that benchmark re-points its
+        # serve.dispatch.run layer.
+        return super().run(stream)

@@ -105,20 +105,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "Histogram") -> None:
-        """Add another histogram's observations (same bounds): the
-        result is the histogram one fed both observation sets would be
-        (its ``sum`` up to floating-point summation order)."""
-        if other.bounds != self.bounds:
-            raise ReproError("cannot merge histograms with other bounds")
-        counts = self.bucket_counts
-        for i, n in enumerate(other.bucket_counts):
-            counts[i] += n
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -263,10 +249,6 @@ class ScopedRegistry:
         """Read one scoped child (the constant labels are appended to
         the probe)."""
         return self._registry.value(name, **labels, **self._const)
-
-    def child(self, name: str, **labels):
-        """One scoped series' metric object, or ``None``."""
-        return self._registry.child(name, **labels, **self._const)
 
     # shared reporting surface: delegate unscoped
     def families(self):

@@ -11,9 +11,10 @@ this module owns *what happens*, so every queueing decision is testable
 against a :class:`VirtualClock` with zero wall-clock sleeps.
 
 Batching model (the paper's fig. 8 trade-off, made adaptive): ops
-accumulate per class in an :class:`~repro.host.batching.OpClassCoalescer`
-(``lookup`` / ``write`` / ``insert``; updates and deletes share one
-device launch) and a batch closes on whichever comes first —
+accumulate per device and class in an
+:class:`~repro.host.batching.OpClassCoalescer` (``lookup`` / ``write`` /
+``insert``; updates and deletes share one device launch) and a batch
+closes on whichever comes first —
 
 - **size**: the class queue reaches ``batch_close`` ops (throughput
   side of the trade-off), or
@@ -231,7 +232,7 @@ class ServedOp:
     @property
     def latency_us(self) -> float:
         """Enqueue-to-completion latency on the server's clock (device
-        queueing included via the virtual device cursor)."""
+        queueing included via its device's virtual cursor)."""
         return max(self.t_done_us - self.t_enqueue_us, 0.0)
 
     @property
@@ -258,8 +259,10 @@ class ServerCore(BatchPipeline):
     the report are the :class:`~repro.host.mixed.BatchPipeline` the
     offline executor drives too; this class adds what is online —
     admission with SHED and tenant fairness, deadline close, the SLO
-    controller, :class:`ServedOp` completion and the virtual device
-    cursor.  :meth:`run` implements the offline
+    controller, :class:`ServedOp` completion and one virtual device
+    cursor per device (:attr:`lane_free_us`: each launch advances only
+    its own device's, so shards run side by side in virtual time).
+    :meth:`run` implements the offline
     :class:`~repro.serve.dispatch.Dispatch` protocol, so a
     ``ServerCore`` drops into any benchmark slot an executor fits.
     """
@@ -291,9 +294,10 @@ class ServerCore(BatchPipeline):
         #: queued-but-undispatched ops, total and per tenant.
         self.backlog = 0
         self.tenant_backlog: dict = {}
-        #: simulated time the device is busy through (the virtual
-        #: device cursor: completions serialize behind it).
-        self.device_free_us = 0.0
+        #: per lane (device, :attr:`lanes` order), the simulated time
+        #: it is busy through: its virtual device cursor, which that
+        #: device's launches serialize behind.
+        self.lane_free_us = [0.0] * len(self.lanes)
         #: clock time the launch being dispatched left its queues, and
         #: the virtual time it completes.
         self._t_dispatch = 0.0
@@ -360,7 +364,8 @@ class ServerCore(BatchPipeline):
     def set_batch_close(self, n: int) -> None:
         n = max(int(n), 1)
         self.batch_close = n
-        self._coal.batch_size = n
+        for lane in self.lanes:
+            lane.coal.batch_size = n
         self._g_batch_close.set(n)
 
     def set_deadline(self, us: float) -> None:
@@ -467,30 +472,31 @@ class ServerCore(BatchPipeline):
         """Absolute clock time the oldest queued op's batch-close
         deadline expires, or None when nothing is queued — the event
         loop's wait bound."""
-        coal = self._coal
-        earliest = None
-        for kind in coal.pending_kinds():
-            oldest = coal.peek_oldest(kind)
-            if oldest is None:
-                continue
-            due = oldest.t_enqueue_us + self.deadline_us
-            if earliest is None or due < earliest:
-                earliest = due
-        return earliest
+        queued = [op.t_enqueue_us for _, _, op in self._oldest_queued()]
+        return min(queued) + self.deadline_us if queued else None
 
     def poll(self) -> int:
         """Fire every expired batch-close deadline; returns the number
         of ops dispatched."""
         now = self.clock()
-        coal = self._coal
         dispatched = 0
-        for kind in coal.pending_kinds():
-            oldest = coal.peek_oldest(kind)
-            if oldest is None:
-                continue  # flushed as an ancestor of an earlier class
+        for lane, kind, oldest in self._oldest_queued():
             if now >= oldest.t_enqueue_us + self.deadline_us:
-                dispatched += self._dispatch_group(coal.flush_due(kind))
+                dispatched += self._dispatch_group(
+                    lane, lane.coal.flush_due(kind))
         return dispatched
+
+    def _oldest_queued(self):
+        """Yield ``(lane, class, oldest queued op)`` per non-empty class
+        queue, lane by lane in first-arrival order; each queue is read
+        when its turn comes, so a class an earlier deadline flushed as
+        an ancestor is skipped."""
+        for lane in self.lanes:
+            coal = lane.coal
+            for kind in coal.pending_kinds():
+                oldest = coal.peek_oldest(kind)
+                if oldest is not None:
+                    yield lane, kind, oldest
 
     # -- batch dispatch --------------------------------------------------
 
@@ -499,32 +505,43 @@ class ServerCore(BatchPipeline):
             return [o.key for o in ops]
         return [(o.key, o.value_arg) for o in ops]
 
-    def _dispatch(self, kind: str, ops: list, lookups=None) -> None:
+    def _dispatch(self, lane, kind: str, ops: list, lookups=None) -> None:
         # the launch's batches leave their queues now, on the server clock
         self._t_dispatch = self.clock()
-        super()._dispatch(kind, ops, lookups)
+        super()._dispatch(lane, kind, ops, lookups)
 
-    def _sim_us(self) -> float:
-        """Simulated service time (µs) of the launch just submitted: the
-        serial time of the engine's stream events for it
-        (:attr:`~repro.host.engine.CuartEngine.last_events`; on a
-        :class:`~repro.host.sharding.ShardedEngine`, the slowest
-        shard's).  A batch with no launch — all cache hits, or served
-        by the CPU while degraded — costs the device nothing."""
+    @property
+    def device_free_us(self) -> float:
+        """Simulated time the last busy device is busy through: the
+        latest of the per-device cursors (:attr:`lane_free_us`)."""
+        return max(self.lane_free_us)
+
+    @staticmethod
+    def _sim_us(lane) -> float:
+        """Simulated service time (µs) of the launch just submitted on
+        ``lane``: the serial time of its device's stream events for it
+        (:attr:`~repro.host.engine.CuartEngine.last_events`).  A batch
+        with no launch — all cache hits, or served by the CPU while
+        degraded — costs the device nothing."""
         sim_us = 0.0
-        for ev in self.engine.last_events:
+        for ev in lane.engine.last_events:
             sim_us += (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
         return sim_us
 
-    def _launched(self, n: int) -> None:
-        """Occupy the virtual device cursor with the launch just
-        submitted (``n`` ops): its simulated service time serializes
-        behind whatever the device is already busy with, once per
-        launch, and every batch it carries completes when it ends."""
-        td = self._t_dispatch
-        sim_us = self._sim_us()
-        self._t_done = self.device_free_us = (
-            max(td, self.device_free_us) + sim_us)
+    def _occupy(self, lane, t_us: float, sim_us: float) -> float:
+        """Serialize a launch of ``sim_us`` reaching ``lane``'s device at
+        clock time ``t_us`` behind that device's cursor alone; returns
+        when it ends."""
+        free = self.lane_free_us
+        free[lane.index] = max(t_us, free[lane.index]) + sim_us
+        return free[lane.index]
+
+    def _launched(self, lane, n: int) -> None:
+        """Occupy ``lane``'s virtual device cursor with the launch just
+        submitted (``n`` ops), once per launch: every batch it carries
+        completes when it ends."""
+        sim_us = self._sim_us(lane)
+        self._t_done = self._occupy(lane, self._t_dispatch, sim_us)
         per_op = sim_us / n
         self.service_ewma_us = (
             per_op if self.service_ewma_us == 0.0
@@ -533,7 +550,7 @@ class ServerCore(BatchPipeline):
 
     def _complete(self, kind: str, ops: list, res) -> None:
         """Complete a dispatched batch's ServedOps when its launch ends
-        on the virtual device cursor (:meth:`_launched`)."""
+        on its device's virtual cursor (:meth:`_launched`)."""
         n = len(ops)
         td = self._t_dispatch
         t_done = self._t_done
@@ -557,15 +574,15 @@ class ServerCore(BatchPipeline):
         if self.controller is not None:
             self.controller.maybe_retune(self)
 
-    def _compact_dispatch(self, kind: str, rows: list):
+    def _compact_dispatch(self, lane, kind: str, rows: list):
         """A compaction batch completes no ServedOps — their outcomes
-        were resolved at absorb time — but it occupies the virtual
-        device like any batch, so foreground lookups queue behind it
-        the way they would behind a second stream's transfer."""
+        were resolved at absorb time — but it occupies its device's
+        virtual cursor like any batch, so that device's foreground
+        lookups queue behind it the way they would behind a second
+        stream's transfer."""
         td = self.clock()
-        res = super()._compact_dispatch(kind, rows)
-        self.device_free_us = (max(td, self.device_free_us)
-                               + self._sim_us())
+        res = super()._compact_dispatch(lane, kind, rows)
+        self._occupy(lane, td, self._sim_us(lane))
         return res
 
     # -- offline Dispatch conformance ------------------------------------
@@ -587,7 +604,12 @@ class ServerCore(BatchPipeline):
 
     def stats(self) -> dict:
         """Serving-side counters for dashboards and the load
-        generator's per-step snapshots."""
+        generator's per-step snapshots.  ``memtable`` holds the
+        memtable's :meth:`~repro.host.memtable.Memtable.stats` (None
+        while absorption is off), and on several devices one such dict
+        per device, in shard order."""
+        mts = [lane.memtable.stats() for lane in self.lanes
+               if lane.memtable is not None]
         return {
             "admitted": self.admitted,
             "sheds": self.sheds,
@@ -595,9 +617,7 @@ class ServerCore(BatchPipeline):
             "forwarded": dict(self.report.forwarded),
             "absorbed": dict(self.report.absorbed),
             "compactions": self.report.compactions,
-            "memtable": (
-                self.memtable.stats() if self.memtable is not None else None
-            ),
+            "memtable": mts[0] if len(mts) == 1 else (mts or None),
             "backlog": self.backlog,
             "batch_close": self.batch_close,
             "deadline_us": self.deadline_us,

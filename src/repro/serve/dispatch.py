@@ -2,15 +2,20 @@
 
 One batch pipeline (:class:`~repro.host.mixed.BatchPipeline`) turns an
 interleaved op stream into device batches and a
-:class:`~repro.host.mixed.MixedReport`.  Two front doors drive it: the
-offline :class:`~repro.host.mixed.MixedWorkloadExecutor` (and
-:class:`~repro.host.sharding.ShardedMixedExecutor`, one executor per
-key-space shard) and the online :class:`~repro.serve.core.ServerCore`.
-:class:`Dispatch` names their shared ``run(stream) -> (results,
-report)`` contract, so benchmarks, the load generator and user code can
-accept "anything that serves a stream" without caring which engine
-topology or door sits behind it, and :func:`make_dispatch` picks the
-implementation from whatever the caller already has in hand.
+:class:`~repro.host.mixed.MixedReport`, for every engine topology: it
+keeps one *lane* per device — each shard of a
+:class:`~repro.host.sharding.ShardedEngine`, or the engine itself —
+with that device's coalescer, pending-write overlay, memtable and
+launches.  Two front doors drive it: the offline
+:class:`~repro.host.mixed.MixedWorkloadExecutor` (which
+:class:`~repro.host.sharding.ShardedMixedExecutor` subclasses unchanged)
+and the online :class:`~repro.serve.core.ServerCore`, which keeps one
+virtual device cursor per lane.  :class:`Dispatch` names their shared
+``run(stream) -> (results, report)`` contract, so benchmarks, the load
+generator and user code can accept "anything that serves a stream"
+without caring which engine topology or door sits behind it, and
+:func:`make_dispatch` picks the implementation from whatever the caller
+already has in hand.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ class Dispatch(Protocol):
     on any clock.
 
     Known implementations: :class:`~repro.host.mixed.MixedWorkloadExecutor`
-    (one device), :class:`~repro.host.sharding.ShardedMixedExecutor`
-    (key-space shards) and :class:`~repro.serve.core.ServerCore` /
+    (and its :class:`~repro.host.sharding.ShardedMixedExecutor`
+    subclass) and :class:`~repro.serve.core.ServerCore` /
     :class:`~repro.serve.server.CuartServer` (the online door, which
-    sheds when its queue bound is hit).
+    sheds when its queue bound is hit), over one device or key-space
+    shards alike.
     """
 
     engine: object

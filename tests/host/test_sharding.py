@@ -153,26 +153,28 @@ class TestShardedEngineOps:
         assert stats.makespan_s < stats.serial_s / 2
         assert stats.streams == 4 * eng.config.streams
 
-    def test_lookups_ride_each_shards_write_launch(self, keys):
-        """Both row sets are routed: each shard runs its lookup rows as
-        stage 0 of its write launch, one launch per shard, and the
-        merged answers equal a single engine's two launches."""
+    def test_drain_leaves_each_shards_window_alone(self, keys,
+                                                   monkeypatch):
+        """The merged window is a fresh record: whoever holds a shard's
+        own drained window (a tracer recording every
+        ``CuartEngine.drain``) sees it unchanged."""
         eng = _sharded(keys, 4)
-        single = CuartEngine(batch_size=256)
-        single.populate([(k, i + 1) for i, k in enumerate(keys)])
-        single.map_to_device()
-        rows = [(keys[i], 50 + i) for i in range(0, 400, 2)]
-        rows += [(keys[i], None) for i in range(401, 500, 2)]
-        lookups = keys[300:700] + [b"missing-key\x00"]
-        lres, wres = eng.submit("write", rows, lookups=lookups)
-        assert lres == single.submit("lookup", lookups)
-        assert wres == single.submit("write", rows)
-        assert lres.summary["host_s"] > 0
-        stats = eng.drain()
-        assert stats.batches == 4
-        assert sorted(eng.items()) == sorted(single.tree.items())
-        with pytest.raises(ReproError):
-            eng.submit("update", rows[:1], lookups=lookups[:1])
+        eng.submit("update", [(k, 9) for k in keys[:2_000]])
+        held = []
+        drain = eng.shards[0].drain
+
+        def keep():
+            window = drain()
+            held.append((window, window.as_dict(), list(window.events)))
+            return window
+
+        monkeypatch.setattr(eng.shards[0], "drain", keep)
+        merged = eng.drain()
+        ((window, as_dict, events),) = held
+        assert merged is not window
+        assert window.as_dict() == as_dict
+        assert window.events == events and window.shard_parts == []
+        assert merged.batches > window.batches > 0
 
     def test_single_shard_drain_matches_plain_engine(self, keys):
         sharded = _sharded(keys, 1)
@@ -396,6 +398,7 @@ class TestShardedMixedExecutor:
         assert rep_s.records_scanned == rep_o.records_scanned
         assert (rep_s.hits, rep_s.misses) == (rep_o.hits, rep_o.misses)
         assert rep_s.stream_overlap["batches"] > 0
+        assert set(rep_s.latency_percentiles_by_op) == set(rep_s.wall_s)
 
     def test_report_percentiles_present(self, keys):
         eng = _sharded(keys, 2)

@@ -322,13 +322,14 @@ class TestVirtualDeviceCursor:
 
     @pytest.mark.parametrize("memtable", [None, True],
                              ids=["memtable-off", "memtable-on"])
-    def test_sharded_launch_advances_by_the_slowest_shard(self, memtable):
-        """Over a 2-shard engine the cursor reads the shards' stream
-        events, as on one device: a launch completes when its slowest
-        shard does, so each launch advances ``device_free_us`` by the
-        serial time of that shard's events (the clock stays at 0, so
-        launches queue back to back).  Results equal the single-engine
-        executor's."""
+    def test_sharded_launch_advances_only_its_own_device(self, memtable):
+        """Over a 2-shard engine the server keeps one virtual cursor per
+        device: each launch, compactions included, advances only its own
+        shard's cursor, by the serial time of that shard's stream events
+        (the clock stays at 0, so one device's launches queue back to
+        back).  The shards' launches overlap in virtual time, and
+        ``device_free_us`` is the latest cursor.  Results equal the
+        single-engine executor's."""
         stream = mixed_queries(KEYS, 600, QueryMix(), seed=23)
         single = build_engine()
         expected, _ = MixedWorkloadExecutor(single).run(list(stream))
@@ -339,30 +340,35 @@ class TestVirtualDeviceCursor:
         eng.map_to_device()
         core = ServerCore(eng, max_batch=64, clock=VirtualClock(),
                           memtable=memtable)
-        launches = []  # (cursor before, slowest share's serial µs)
-        submit = eng.submit
+        launches = []  # (shard, cursors before, its events' serial µs)
 
-        def spy(kind, rows, **kw):
-            before = [s.last_events for s in eng.shards]
-            cursor = core.device_free_us
-            res = submit(kind, rows, **kw)
-            shares = [s.last_events for s, b in zip(eng.shards, before)
-                      if s.last_events is not b]
-            serial = [sum(ev.serial_s for ev in sh) for sh in shares]
-            slowest = shares[serial.index(max(serial))]
-            assert eng.last_events is slowest
-            launches.append((cursor, sum(
-                (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6 for ev in slowest)))
-            return res
+        def spy_on(i, shard):
+            submit = shard.submit
 
-        eng.submit = spy
+            def spy(kind, rows, **kw):
+                cursors = list(core.lane_free_us)
+                res = submit(kind, rows, **kw)
+                launches.append((i, cursors, sum(
+                    (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
+                    for ev in shard.last_events)))
+                return res
+            shard.submit = spy
+
+        for i, shard in enumerate(eng.shards):
+            spy_on(i, shard)
         results, _ = core.run(list(stream))
         assert results == expected
-        assert len(launches) > 1
-        ends = [c for c, _ in launches[1:]] + [core.device_free_us]
-        for (cursor, sim_us), end in zip(launches, ends):
+        assert {i for i, _, _ in launches} == {0, 1}
+        ends = [c for _, c, _ in launches[1:]] + [core.lane_free_us]
+        busy = [0.0, 0.0]
+        for (i, before, sim_us), after in zip(launches, ends):
             assert sim_us > 0
-            assert end == pytest.approx(cursor + sim_us)
+            assert after[i] == pytest.approx(before[i] + sim_us)
+            assert after[1 - i] == before[1 - i]
+            busy[i] += sim_us
+        assert core.lane_free_us == pytest.approx(busy)
+        assert core.device_free_us == max(core.lane_free_us)
+        assert core.device_free_us < sum(busy)
 
     def test_cache_hit_batch_costs_the_device_nothing(self):
         """A lookup batch the hot-key cache answers entirely launches

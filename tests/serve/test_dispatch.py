@@ -1,18 +1,18 @@
-"""One serving contract, three implementations.
+"""One serving contract, one pipeline, every door.
 
 The :class:`~repro.serve.dispatch.Dispatch` protocol is only worth its
 name if the offline executor, the sharded executor and the server core
 are interchangeable: same stream in, same lookup results out, same
-report shape.  These tests run all three over identical mixed streams
+report shape.  These tests run them all over identical mixed streams
 and compare results element-wise, check that ``run`` closes the same
-batches on every clock, then pin :func:`make_dispatch`'s resolution
-rules.
+batches on every clock, on one device and over key-space shards, then
+pin :func:`make_dispatch`'s resolution rules.
 """
 
 import pytest
 
 from repro.host.engine import CuartEngine, GrtEngine
-from repro.host.memtable import Memtable
+from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.mixed import MixedReport, MixedWorkloadExecutor
 from repro.host.sharding import (
     ShardedEngine,
@@ -32,6 +32,7 @@ from repro.workloads.queries import QueryMix, mixed_queries
 
 KEYS = random_keys(200, 8, seed=31)
 STREAM = mixed_queries(KEYS, 500, QueryMix(), seed=32)
+SHARD_KEYS = random_keys(2000, 8, seed=3)
 
 
 def single_engine():
@@ -46,6 +47,38 @@ def sharded_engine():
     eng.populate((k, i) for i, k in enumerate(KEYS))
     eng.map_to_device()
     return eng
+
+
+def four_shard_engine():
+    eng = ShardedEngine(sharding=ShardingConfig(n_shards=4), batch_size=64)
+    eng.populate((k, i) for i, k in enumerate(SHARD_KEYS))
+    eng.map_to_device()
+    return eng
+
+
+#: topology -> (engine factory, memtable, stream).
+TOPOLOGIES = {
+    "one-device": (single_engine, None, STREAM),
+    "4-shard": (four_shard_engine, None, mixed_queries(
+        SHARD_KEYS, 4000,
+        QueryMix(lookups=0.70, updates=0.25, deletes=0.05), seed=11)),
+    "4-shard-memtable": (
+        four_shard_engine, MemtableConfig(segment_ops=64, max_debt=1),
+        mixed_queries(SHARD_KEYS, 4000,
+                      QueryMix(lookups=0.50, updates=0.40, deletes=0.10),
+                      seed=11)),
+}
+
+
+def door_cases():
+    """``(door, clock, topology)`` for every online door on every clock
+    and topology; one-device cases keep their unsuffixed ids."""
+    for topology in TOPOLOGIES:
+        suffix = "" if topology == "one-device" else f"-{topology}"
+        for door in (ServerCore, CuartServer):
+            for clock in ("virtual", "wall"):
+                yield pytest.param(door, clock, topology,
+                                   id=f"{clock}-{door.__name__}{suffix}")
 
 
 def all_dispatches():
@@ -101,19 +134,28 @@ class TestDeterministicRun:
     only, so no clock can change what a stream dispatches."""
 
     @staticmethod
-    def outcome(dispatch):
-        results, rep = dispatch.run(list(STREAM))
+    def outcome(dispatch, stream):
+        results, rep = dispatch.run(list(stream))
+        heat = None
+        if isinstance(dispatch.engine, ShardedEngine):
+            heat = int(dispatch.engine.router.heat.sum())
         return (results, rep.batches_by_op, rep.flush_reasons,
-                rep.ops_by_status, rep.stream_overlap["makespan_s"])
+                rep.ops_by_status, rep.stream_overlap["makespan_s"], heat)
 
-    @pytest.mark.parametrize("door", [ServerCore, CuartServer])
-    @pytest.mark.parametrize("clock", ["virtual", "wall"])
-    def test_same_batches_as_the_executor(self, door, clock):
+    @pytest.mark.parametrize("door,clock,topology", door_cases())
+    def test_same_batches_as_the_executor(self, door, clock, topology):
+        """Over shards too: one lane per device in the pipeline both
+        doors share, and every op routed (heat recorded) once."""
+        build, memtable, stream = TOPOLOGIES[topology]
         kwargs = {"clock": VirtualClock()} if clock == "virtual" else {}
-        dispatch = door(single_engine(), max_batch=64, **kwargs)
-        expected = self.outcome(MixedWorkloadExecutor(single_engine()))
-        assert self.outcome(dispatch) == expected
+        dispatch = door(build(), max_batch=64, memtable=memtable, **kwargs)
+        offline = make_dispatch(build())
+        offline.memtable_config = memtable
+        expected = self.outcome(offline, stream)
+        assert self.outcome(dispatch, stream) == expected
         assert expected[2]["deadline"] == 0
+        if expected[5] is not None:
+            assert expected[5] == len(stream)
 
 
 #: every way an engine enters the serving stack.
