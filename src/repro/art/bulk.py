@@ -25,6 +25,7 @@ version it describes, so any later mutation silently disables it.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -99,20 +100,21 @@ def bulk_load(
     >>> t.search(b"alpha")
     1
     """
-    keys_list = list(keys)
+    keys_list = keys if isinstance(keys, list) else list(keys)
     if values is None:
         values_list = list(range(len(keys_list)))
     else:
-        values_list = list(values)
+        values_list = values if isinstance(values, list) else list(values)
     m = min(len(keys_list), len(values_list))
-    keys_list = keys_list[:m]
-    values_list = values_list[:m]
+    if len(keys_list) > m:
+        keys_list = keys_list[:m]
+    if len(values_list) > m:
+        values_list = values_list[:m]
     tree = AdaptiveRadixTree()
     if m == 0:
         return tree
-    AdaptiveRadixTree._check_key(keys_list[0])
     vals = _checked_values(values_list)
-    mat, lens = encode_key_batch(keys_list)
+    mat, lens = encode_key_batch(keys_list)  # checks every key's type
 
     # lexicographic sort of the padded rows: memcmp on the padded bytes,
     # with the length as tiebreak (padded ties are prefix pairs — shorter
@@ -126,13 +128,23 @@ def bulk_load(
     order_l = order.tolist()
     skeys = list(map(keys_list.__getitem__, order_l))
     _validate_sorted(smat, slens, skeys)
-
-    leaf_objs = np.fromiter(
-        map(Leaf, skeys, svals.tolist()), dtype=object, count=m
-    )
-
     levels = _sweep_levels(smat, m)
-    _build_nodes(levels, leaf_objs, skeys)
+
+    # The build allocates an acyclic tree whose every object survives, so
+    # a cyclic-collector pass here can free nothing and each full pass
+    # only re-walks the growing tree: pause the collector for the build
+    # (the idiom of Mercurial's ``util.nogc``) and restore the caller's
+    # setting, even when the build raises.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        leaf_objs = np.fromiter(
+            map(Leaf, skeys, svals.tolist()), dtype=object, count=m
+        )
+        _build_nodes(levels, leaf_objs, skeys)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     tree.root = levels[0].nodes[0] if levels else leaf_objs[0]
     tree._size = m

@@ -7,7 +7,7 @@ engine implementing the paper's three benchmark stages (section 4.1):
 3. running the actual queries, measuring throughput end to end.
 """
 
-from repro.host.batching import QueryBatcher, coalesce, coalesce_encoded
+from repro.host.batching import coalesce, coalesce_encoded
 from repro.host.cache import CacheStats, HotKeyCache
 from repro.host.dispatcher import (
     DispatchConfig,
@@ -16,7 +16,6 @@ from repro.host.dispatcher import (
 )
 from repro.host.hybrid import (
     HybridConfig,
-    degraded_cpu_throughput,
     hybrid_throughput,
     split_queries,
 )
@@ -47,7 +46,6 @@ from repro.host.sharding import (
 )
 
 __all__ = [
-    "QueryBatcher",
     "coalesce",
     "coalesce_encoded",
     "CacheStats",
@@ -56,7 +54,6 @@ __all__ = [
     "HostCostParameters",
     "pipeline_throughput",
     "HybridConfig",
-    "degraded_cpu_throughput",
     "hybrid_throughput",
     "split_queries",
     "CuartEngine",

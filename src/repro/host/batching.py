@@ -8,7 +8,7 @@ optimal load on the GPUs."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -414,49 +414,3 @@ class OpClassCoalescer:
             self._flush_drain.inc()
             out.append((k, q))
         return out
-
-
-class QueryBatcher:
-    """Streaming variant: accumulates queries and emits full batches.
-
-    Mirrors the paper's host threads which pull queries from the workload
-    generator and ship power-of-two batches to their stream.
-    """
-
-    def __init__(self, batch_size: int, *, width: int) -> None:
-        require_power_of_two(batch_size, "batch_size")
-        if width <= 0:
-            raise ReproError(f"width must be positive, got {width}")
-        self.batch_size = batch_size
-        self.width = width
-        self._pending: list[bytes] = []
-        self._next_origin = 0
-
-    def add(self, key: bytes) -> QueryBatch | None:
-        """Queue one query; returns a full batch when one completes."""
-        self._pending.append(key)
-        if len(self._pending) >= self.batch_size:
-            return self._emit()
-        return None
-
-    def add_many(self, keys: Sequence[bytes]) -> Iterator[QueryBatch]:
-        for k in keys:
-            batch = self.add(k)
-            if batch is not None:
-                yield batch
-
-    def flush(self) -> QueryBatch | None:
-        """Emit the final partial batch, if any."""
-        if self._pending:
-            return self._emit()
-        return None
-
-    def _emit(self) -> QueryBatch:
-        chunk = self._pending
-        self._pending = []
-        mat, lens = keys_to_matrix(chunk, width=self.width)
-        origin = np.arange(
-            self._next_origin, self._next_origin + len(chunk), dtype=np.int64
-        )
-        self._next_origin += len(chunk)
-        return QueryBatch(keys_mat=mat, key_lens=lens, origin=origin)

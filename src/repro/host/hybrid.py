@@ -82,32 +82,6 @@ def split_queries(keys, max_key_bytes: int):
     return (short, short_pos), (long_, long_pos)
 
 
-def degraded_cpu_throughput(config: HybridConfig, cpu: CpuSpec) -> dict:
-    """Modeled serving rate while the resilience layer has degraded the
-    engine to the CPU path (``DEGRADED_CPU``): the device is unhealthy,
-    so *100%* of the stream rides the hybrid split's CPU side.
-
-    This is the figure-14 CPU plateau taken to its limit — the number to
-    quote for "what does a dead GPU cost us" capacity planning next to
-    the healthy-pipeline rate."""
-    degraded = HybridConfig(
-        cpu_fraction=1.0,
-        cpu_threads=config.cpu_threads,
-        avg_levels=config.avg_levels,
-        node_bytes=config.node_bytes,
-        working_set_bytes=config.working_set_bytes,
-        contiguous_layout=config.contiguous_layout,
-    )
-    rate = cpu_path_rate(degraded, cpu)
-    return {
-        "degraded_mops": rate / 1e6,
-        "cpu_threads": min(config.cpu_threads, cpu.threads),
-        "contiguous_layout": config.contiguous_layout,
-        "bottleneck": "cpu",
-        "cpu_fraction": 1.0,
-    }
-
-
 def hybrid_throughput(
     gpu_pipeline: PipelineResult,
     config: HybridConfig,

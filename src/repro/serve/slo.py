@@ -98,17 +98,6 @@ class SloController:
         self._last_count = h.count
         self._last_sheds = core.sheds
 
-    def window_p99_us(self, core) -> tuple[float, int]:
-        """Current window's (p99 estimate, op count) without closing
-        the window."""
-        h = core.slo_histogram
-        if self._last_buckets is None:
-            self.attach(core)
-        deltas = [
-            c - p for c, p in zip(h.bucket_counts, self._last_buckets)
-        ]
-        return windowed_quantile(h.bounds, deltas, 0.99), h.count - self._last_count
-
     def maybe_retune(self, core) -> Optional[str]:
         """Close the window and adjust one knob if it spans at least
         ``interval`` ops.  Returns the direction taken (``tighten`` /

@@ -121,19 +121,23 @@ def encode_key_batch(
     """Bulk-encode ``keys`` into one ``(len(keys), width)`` uint8 matrix +
     length vector without any per-key Python work.
 
-    The batch is materialized as a NumPy fixed-width bytes array (one
-    C-level pass that also zero-pads every row) and reinterpreted as the
-    uint8 matrix; only the length vector needs a per-key ``len`` call.
+    Every key must be ``bytes`` (``np.bytes_`` included).  When every
+    key fills the width, the keys joined into one writable buffer are
+    the matrix; otherwise NumPy copies each key into its zero-padded
+    ``S{width}`` row in one C-level pass.  The type check and the length
+    vector are the only other per-key passes, both C-level ``map``s.
     """
     n = len(keys)
     if n == 0:
         w = 1 if width is None else width
         return np.zeros((0, w), dtype=np.uint8), np.zeros(0, dtype=np.int64)
-    arr = np.asarray(keys)
-    if arr.dtype.kind != "S" or arr.ndim != 1:
-        raise KeyEncodingError(
-            f"keys must be bytes, got array kind {arr.dtype.kind!r}"
-        )
+    if not set(map(type, keys)) <= {bytes}:
+        for k in keys:
+            if not isinstance(k, bytes):
+                raise KeyEncodingError(
+                    f"keys must be bytes, got {type(k).__name__}",
+                    got=type(k).__name__,
+                )
     lens = np.fromiter(map(len, keys), dtype=np.int64, count=n)
     longest = int(lens.max())
     if width is None:
@@ -144,9 +148,10 @@ def encode_key_batch(
         )
     if not lens.all():
         raise KeyEncodingError("empty keys cannot be indexed")
-    if arr.dtype.itemsize != width:
-        arr = arr.astype(f"S{width}")
-    mat = arr.view(np.uint8).reshape(n, width)
+    if int(lens.min()) == width:
+        buf = bytearray().join(keys)
+        return np.frombuffer(buf, dtype=np.uint8).reshape(n, width), lens
+    mat = np.array(keys, dtype=f"S{width}").view(np.uint8).reshape(n, width)
     return mat, lens
 
 

@@ -1,12 +1,16 @@
 """Unit + property tests: bulk loading equals incremental insertion."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.art import bulk as bulk_mod
 from repro.art.bulk import bulk_load
 from repro.art.verify import verify_tree
-from repro.errors import KeyPrefixError, ReproError
+from repro.errors import KeyEncodingError, KeyPrefixError, ReproError
+from repro.host.engine import CuartEngine
 from repro.util.keys import encode_int
 from repro.workloads import random_keys
 
@@ -34,6 +38,18 @@ class TestBulkLoad:
     def test_prefix_key_rejected(self):
         with pytest.raises(KeyPrefixError):
             bulk_load([b"ab", b"abc"])
+
+    @pytest.mark.parametrize("pos", [0, 1], ids=["first", "second"])
+    def test_non_bytes_key_rejected_anywhere(self, pos):
+        keys = [b"ab", b"cd"]
+        keys[pos] = memoryview(keys[pos])
+        with pytest.raises(KeyEncodingError, match="memoryview"):
+            bulk_load(keys)
+
+    def test_populate_rejects_non_first_buffer_key(self):
+        # as the insert path does; no tree holds a memoryview leaf key
+        with pytest.raises(KeyEncodingError, match="memoryview"):
+            CuartEngine().populate([(b"ab", 1), (memoryview(b"cd"), 2)])
 
     def test_large_random_set(self):
         keys = random_keys(5000, 8, seed=151)
@@ -67,6 +83,54 @@ class TestBulkLoad:
         for code in (5, 6, 7):
             assert (bulk.leaves[code].keys == incr.leaves[code].keys).all()
             assert (bulk.leaves[code].values == incr.leaves[code].values).all()
+
+
+@pytest.fixture
+def restore_collector():
+    """Hand the collector setting back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.usefixtures("restore_collector")
+class TestCollectorPause:
+    """The build pauses the cyclic collector (its tree is acyclic and
+    every object survives) and always hands the caller's setting back."""
+
+    def test_build_makes_at_most_two_passes(self):
+        keys = random_keys(20_000, 8, seed=153)
+        values = list(range(len(keys)))
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            bulk_load(keys, values)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(passes) <= 2, passes
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_caller_setting_survives(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        bulk_load(random_keys(500, 8, seed=154))
+        assert gc.isenabled() == enabled
+
+    def test_failing_build_restores_collector(self, monkeypatch):
+        def boom(*args):
+            assert not gc.isenabled()  # raised inside the paused section
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(bulk_mod, "_build_nodes", boom)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="build failed"):
+            bulk_load(random_keys(500, 8, seed=156))
+        assert gc.isenabled()
 
 
 @settings(max_examples=40, deadline=None)

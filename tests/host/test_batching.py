@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.host.batching import QueryBatcher, coalesce
+from repro.host.batching import coalesce
 from repro.util.keys import encode_int
 
 
@@ -33,33 +33,3 @@ class TestCoalesce:
 
     def test_empty(self):
         assert coalesce([], 4) == []
-
-
-class TestQueryBatcher:
-    def test_emits_full_batches(self):
-        qb = QueryBatcher(4, width=4)
-        emitted = list(qb.add_many(KEYS))
-        assert len(emitted) == 2
-        assert all(b.size == 4 for b in emitted)
-
-    def test_flush_partial(self):
-        qb = QueryBatcher(4, width=4)
-        list(qb.add_many(KEYS))
-        tail = qb.flush()
-        assert tail is not None and tail.size == 2
-        assert qb.flush() is None
-
-    def test_origin_continuity(self):
-        qb = QueryBatcher(4, width=4)
-        batches = list(qb.add_many(KEYS)) + [qb.flush()]
-        origins = [int(p) for b in batches for p in b.origin]
-        assert origins == list(range(10))
-
-    def test_invalid_width(self):
-        with pytest.raises(ReproError):
-            QueryBatcher(4, width=0)
-
-    def test_add_returns_none_until_full(self):
-        qb = QueryBatcher(2, width=4)
-        assert qb.add(KEYS[0]) is None
-        assert qb.add(KEYS[1]) is not None

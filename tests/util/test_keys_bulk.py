@@ -8,6 +8,8 @@ the awkward inputs (trailing NUL bytes, explicit widths, forced token
 collisions).
 """
 
+import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,24 @@ from repro.util.keys import (
 byte_keys = st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=64)
 
 
+@st.composite
+def same_length_keys(draw):
+    """Every key one length: the joined buffer reshapes into the matrix."""
+    n = draw(st.integers(1, 64))
+    length = draw(st.integers(1, 24))
+    return draw(st.lists(st.binary(min_size=length, max_size=length),
+                         min_size=n, max_size=n))
+
+
+#: mixed lengths built from NUL-heavy bytes, so keys carry embedded and
+#: trailing ``\x00`` bytes: the padded path (fixed-width rows).
+nul_heavy_keys = st.lists(
+    st.lists(st.sampled_from([0, 0, 1, 0x61, 0xFF]), min_size=1,
+             max_size=24).map(bytes),
+    min_size=2, max_size=64,
+).filter(lambda ks: len(set(map(len, ks))) > 1)
+
+
 class TestEncodeKeyBatch:
     @given(byte_keys)
     @settings(max_examples=200)
@@ -43,6 +63,57 @@ class TestEncodeKeyBatch:
     def test_matches_scalar_reference_with_width(self, ks, width):
         mat, lens = encode_key_batch(ks, width=width)
         ref_mat, ref_lens = _keys_to_matrix_scalar(ks, width=width)
+        np.testing.assert_array_equal(mat, ref_mat)
+        np.testing.assert_array_equal(lens, ref_lens)
+
+    @given(same_length_keys())
+    @settings(max_examples=100)
+    def test_same_length_keys_match_scalar_reference(self, ks):
+        mat, lens = encode_key_batch(ks)
+        ref_mat, ref_lens = _keys_to_matrix_scalar(ks)
+        np.testing.assert_array_equal(mat, ref_mat)
+        np.testing.assert_array_equal(lens, ref_lens)
+
+    @given(nul_heavy_keys, st.sampled_from([None, 24, 31]))
+    @settings(max_examples=100)
+    def test_mixed_lengths_with_nuls_match_scalar_reference(self, ks, width):
+        mat, lens = encode_key_batch(ks, width=width)
+        ref_mat, ref_lens = _keys_to_matrix_scalar(ks, width=width)
+        assert mat.dtype == ref_mat.dtype
+        np.testing.assert_array_equal(mat, ref_mat)
+        np.testing.assert_array_equal(lens, ref_lens)
+
+    @pytest.mark.parametrize("ks", [
+        [b"abc", b"def"],  # every key fills the width: reshape path
+        [b"abc", b"d"],  # short keys: padded path
+    ])
+    def test_matrix_is_writable(self, ks):
+        mat, _ = encode_key_batch(ks)
+        assert mat.flags.writeable
+        mat[0, 0] = 0x7A
+        assert mat[0, 0] == 0x7A
+
+    # str keys: test_str_keys_raise and test_mixed_keys_raise.  Buffers
+    # join like bytes, but the tree stores and compares keys as bytes,
+    # so every key is checked, on both paths, not just the first.
+    @pytest.mark.parametrize("ks", [
+        [b"ok", 7], [7], [b"ok", None],
+        [b"ab", bytearray(b"cd")], [b"a", bytearray(b"cd")],
+        [b"ab", memoryview(b"cd")], [b"a", memoryview(b"cd")],
+        [b"ab", np.frombuffer(b"cd", dtype=np.uint8)],
+        [b"ab", array.array("B", b"cd")],
+    ])
+    def test_non_bytes_keys_raise(self, ks):
+        with pytest.raises(KeyEncodingError, match=type(ks[-1]).__name__):
+            encode_key_batch(ks)
+
+    @pytest.mark.parametrize("ks", [
+        [b"ab", np.bytes_(b"c\x01")],  # every key fills the width: join
+        [b"ab", np.bytes_(b"cd\x01"), np.bytes_(b"e")],  # padded rows
+    ], ids=["join", "padded"])
+    def test_bytes_subclass_keys_match_scalar_reference(self, ks):
+        mat, lens = encode_key_batch(ks)
+        ref_mat, ref_lens = _keys_to_matrix_scalar(ks)
         np.testing.assert_array_equal(mat, ref_mat)
         np.testing.assert_array_equal(lens, ref_lens)
 
