@@ -13,7 +13,8 @@ The harness asserts correctness only (lookups match a dict oracle,
 results match across device counts, both conflict-table layouts pick
 the same winners, the memtable and synchronous passes leave the same
 content, the online and offline doors agree over shards, the critical
-path reconciles with the makespan).  Its perf
+path reconciles with the makespan on one device, over 4 shards and on
+the online door).  Its perf
 bounds and exact numbers are checked by ``scripts/validate_bench.py``.
 
 Usage::
@@ -197,19 +198,8 @@ def run(scale: int, label: str, trace_path: str | None = None,
     ops["mixed"]["flush_reasons"] = dict(report.flush_reasons)
     ops["mixed"]["forwarded"] = dict(report.forwarded)
     ops["mixed"]["stream_overlap"] = dict(report.stream_overlap)
-    # critical-path attribution: reconstruct, per stream window, which
-    # stage bound the makespan; the walk's stage intervals must
-    # partition [0, makespan] exactly, so reconciliation is a hard gate
-    ostats = mx.last_overlap_stats
-    cp = attribute_stats(ostats)
-    span = ostats.makespan_s
-    drift = abs(cp.total_stage_s - span) / max(span, 1e-12)
-    assert drift < 0.01, (
-        f"critical-path stage totals ({cp.total_stage_s:.6f}s) do not "
-        f"reconcile with the stream makespan ({span:.6f}s): "
-        f"{drift:.2%} drift"
-    )
-    ops["mixed"]["critical_path"] = cp.as_dict()
+    ops["mixed"]["critical_path"] = _reconciled_critical_path(
+        mx.last_overlap_stats, "mixed").as_dict()
     if flight_rec is not None:
         ops["mixed"]["flight"] = flight_rec.summary()
     # write tail latency vs lookup tail latency (host wall per row): a
@@ -336,12 +326,30 @@ def _high_conflict_scenario(eng: CuartEngine, keys: list) -> dict:
     return rec
 
 
+def _reconciled_critical_path(stats, what: str):
+    """Critical-path attribution of ``stats``: per stream window, which
+    stage bound the makespan.  The walk's stage intervals partition
+    each window's makespan exactly (shard-skew excluded), so
+    reconciliation is a hard gate."""
+    cp = attribute_stats(stats)
+    span = stats.makespan_s
+    drift = abs(cp.total_stage_s - span) / max(span, 1e-12)
+    assert drift < 0.01, (
+        f"{what}: critical-path stage totals ({cp.total_stage_s:.6f}s) "
+        f"do not reconcile with the stream makespan ({span:.6f}s): "
+        f"{drift:.2%} drift"
+    )
+    return cp
+
+
 def _assert_doors_agree(items: list, stream: list, results: list,
-                        rep) -> None:
+                        offline) -> None:
     """The online door over 4 hash shards — ``ServerCore`` on a
     ``VirtualClock``, with a queue bound that sheds nothing — gives the
     offline door's ``results`` and simulated makespan: both drive one
-    pipeline lane per shard."""
+    pipeline lane per shard (``offline`` is that door's overlap stats).
+    Its critical path reconciles, and with the clock held at 0 its
+    device timelines end at that makespan."""
     eng = ShardedEngine(
         sharding=ShardingConfig(n_shards=4, mode="hash"),
         batch_size=SH_BATCH,
@@ -350,11 +358,16 @@ def _assert_doors_agree(items: list, stream: list, results: list,
     eng.map_to_device()
     core = ServerCore(eng, max_batch=SH_BATCH, queue_depth=len(stream),
                       clock=VirtualClock())
-    online, online_rep = core.run(stream)
+    online, _ = core.run(stream)
     assert online == results, "sharded online door diverged from offline"
-    assert (online_rep.stream_overlap["makespan_s"]
-            == rep.stream_overlap["makespan_s"]), (
+    assert core.overlap.makespan_s == offline.makespan_s, (
         "sharded online door's makespan differs from the offline door's"
+    )
+    _reconciled_critical_path(core.overlap, "sharded online door")
+    span_us = offline.makespan_s * 1e6
+    assert abs(core.device_free_us - span_us) <= 1e-9 * span_us, (
+        f"sharded online door's devices end at {core.device_free_us}us, "
+        f"the offline makespan is {span_us}us"
     )
 
 
@@ -393,7 +406,8 @@ def _sharded_scenario(items: list, keys: list, tracer=None) -> dict:
         eng.populate(items)
         eng.map_to_device()
 
-        results, rep = ShardedMixedExecutor(eng).run(stream)
+        mx = ShardedMixedExecutor(eng)
+        results, rep = mx.run(stream)
         if baseline_results is None:
             baseline_results = results
         else:
@@ -401,7 +415,10 @@ def _sharded_scenario(items: list, keys: list, tracer=None) -> dict:
                 f"sharded mixed results diverged at {nd} devices"
             )
         if nd == 4:
-            _assert_doors_agree(items, stream, results, rep)
+            _reconciled_critical_path(mx.last_overlap_stats,
+                                      "mixed_sharded at 4 devices")
+            _assert_doors_agree(items, stream, results,
+                                mx.last_overlap_stats)
         mixed_makespan = rep.stream_overlap["makespan_s"]
 
         lkp = [keys[i] for i in upd_idx]

@@ -93,17 +93,6 @@ class TreeStats:
     def avg_key_len(self) -> float:
         return self.sum_key_len / self.num_keys if self.num_keys else 0.0
 
-    def avg_visited_type_mix(self) -> Counter:
-        """Expected node-type counts visited by one uniform-random
-        *present-key* lookup (weights each level's mix by how many keys
-        pass through it)."""
-        # Each key passes through every level above its leaf; for a
-        # uniformly drawn key the expected number of level-l visits is
-        # (keys at depth > l) / num_keys.  We approximate with the node
-        # population per level weighted by subtree sizes, which the
-        # recursive walk below records directly.
-        return self._visit_mix
-
     # internal: filled by collect_stats
     _visit_mix: Counter = field(default_factory=Counter)
 

@@ -717,8 +717,3 @@ ALL_FIGURES = {
     "fig17": fig17,
     "fig18": fig18,
 }
-
-
-def run_all(scale: Scale = Scale()) -> dict[str, FigureResult]:
-    """Regenerate every figure; returns results keyed by figure id."""
-    return {name: fn(scale) for name, fn in ALL_FIGURES.items()}

@@ -89,21 +89,19 @@ class StreamEvent:
 
 
 @dataclass(frozen=True)
-class ShardWindow:
-    """One concurrent device's share of a parallel fold: enough of its
-    pre-merge :class:`StreamOverlapStats` to reconstruct its critical
-    path (:mod:`repro.obs.critical_path`) after
-    :meth:`StreamOverlapStats.merge_parallel` collapsed the numbers."""
+class DeviceTimeline:
+    """One device's batches in one submit/drain window: its
+    :class:`StreamEvent` list (window-relative clocks), enough to
+    reconstruct its critical path (:mod:`repro.obs.critical_path`)."""
 
-    makespan_s: float
     streams: int
     events: list
-    window_starts: list
+    makespan_s: float
 
 
 @dataclass
 class StreamOverlapStats:
-    """Aggregate overlap accounting of one submit/drain window."""
+    """Aggregate overlap accounting of submit/drain windows."""
 
     batches: int = 0
     #: sum of every batch's serial (transfer + kernel) cost.
@@ -112,23 +110,18 @@ class StreamOverlapStats:
     #: makespan: staging of batch *i+1* overlaps batch *i*'s kernel).
     makespan_s: float = 0.0
     streams: int = 2
-    #: the window's :class:`StreamEvent` timeline (window-relative
-    #: clocks), retained so :mod:`repro.obs.critical_path` can
-    #: reconstruct which stage bound the makespan.  Excluded from
-    #: :meth:`as_dict` and from equality.
-    events: list = field(default_factory=list, repr=False, compare=False)
-    #: after :meth:`add_window` folds, the :attr:`events` index where
-    #: each *subsequent* window begins (the first window starts at 0;
-    #: each window keeps its own relative clock).
-    window_starts: list = field(
-        default_factory=list, repr=False, compare=False
-    )
-    #: after :meth:`merge_parallel` folds, one :class:`ShardWindow` per
-    #: concurrent device (the per-shard timelines the max-makespan fold
-    #: would otherwise lose).  Empty while no parallel fold happened.
-    shard_parts: list = field(
-        default_factory=list, repr=False, compare=False
-    )
+    #: the record's windows in simulated-time order (a barrier drained
+    #: the pipeline between two), each a list of one
+    #: :class:`DeviceTimeline` per concurrent device that ran batches.
+    #: Excluded from :meth:`as_dict` and from equality.
+    windows: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def events(self) -> tuple:
+        """Every :class:`StreamEvent`, window by window and, within a
+        window, device by device (a read-only view of :attr:`windows`)."""
+        return tuple(ev for window in self.windows for dev in window
+                     for ev in dev.events)
 
     @property
     def saved_s(self) -> float:
@@ -144,39 +137,27 @@ class StreamOverlapStats:
     def add_window(self, other: "StreamOverlapStats") -> None:
         """Fold a later submit window into this one.  Windows are
         sequential in simulated time (a barrier drained the pipeline
-        between them), so their makespans add."""
+        between them), so their makespans add and ``other``'s windows
+        follow this record's."""
         self.batches += other.batches
         self.serial_s += other.serial_s
         self.makespan_s += other.makespan_s
-        if other.events:
-            off = len(self.events)
-            if self.events:
-                self.window_starts.append(off)
-            self.window_starts.extend(b + off for b in other.window_starts)
-            self.events.extend(other.events)
-
-    def _as_part(self) -> ShardWindow:
-        return ShardWindow(
-            makespan_s=self.makespan_s, streams=self.streams,
-            events=self.events, window_starts=list(self.window_starts),
-        )
+        self.windows.extend(list(window) for window in other.windows)
 
     def merge_parallel(self, other: "StreamOverlapStats") -> None:
-        """Fold a *concurrent* window into this one.  The windows ran on
-        independent devices over the same simulated interval (one shard
-        per device), so the combined makespan is the max — the slowest
-        device — while serial cost and batch counts still add.  This is
-        the device-scaling primitive: N balanced shards each doing 1/N
-        of the serial work leave the makespan ~flat."""
-        # move both timelines into per-device parts before the numeric
-        # fold erases which device they belonged to
-        if not self.shard_parts and (self.events or self.batches):
-            self.shard_parts.append(self._as_part())
-            self.events, self.window_starts = [], []
-        if other.shard_parts:
-            self.shard_parts.extend(other.shard_parts)
-        elif other.events or other.batches:
-            self.shard_parts.append(other._as_part())
+        """Fold a *concurrent* one-window record into this one: its
+        devices join this record's last window.  They ran over the same
+        simulated interval (one shard per device), so the combined
+        makespan is the max — the slowest device — while serial cost
+        and batch counts still add.  This is the device-scaling
+        primitive: N balanced shards each doing 1/N of the serial work
+        leave the makespan ~flat."""
+        if len(other.windows) > 1:
+            raise ValueError("merge_parallel joins a one-window record")
+        if other.windows:
+            if not self.windows:
+                self.windows.append([])
+            self.windows[-1].extend(other.windows[0])
         self.batches += other.batches
         self.serial_s += other.serial_s
         self.makespan_s = max(self.makespan_s, other.makespan_s)
@@ -193,14 +174,66 @@ class StreamOverlapStats:
         }
 
 
+class DevicePlacement:
+    """Where one device's batches run (sections 4.1/4.3): the placement
+    rule of the double-buffered stream pipeline.
+
+    The device has two serial engines — the PCIe copy engine and the
+    compute engine — and ``n_streams`` batch buffers.  A batch stages
+    once its release time has come, the copy engine is free and a
+    buffer is: batch ``i + n_streams`` reuses batch ``i``'s buffer, so
+    it waits for that batch to complete, and with one buffer every
+    batch waits for the one before it (the serial sum).  Its kernel
+    starts once it is staged and the compute engine is free, and its
+    return DMA follows on the other, full-duplex copy direction.
+
+    :class:`StreamScheduler` places every batch at release 0; the
+    serving front-end (:class:`repro.serve.core.ServerCore`) places each
+    launch from the clock time it was dispatched.
+    """
+
+    __slots__ = ("n_streams", "copy_free_s", "kernel_free_s", "inflight")
+
+    def __init__(self, n_streams: int) -> None:
+        self.n_streams = n_streams
+        self.copy_free_s = 0.0
+        self.kernel_free_s = 0.0
+        #: completion clocks of the batches holding a buffer, oldest
+        #: first.
+        self.inflight: deque = deque()
+
+    @property
+    def free_s(self) -> float:
+        """When the device's last placed batch completes (0 before any):
+        every earlier batch completed before the one that reused its
+        buffer staged."""
+        return max(self.inflight, default=0.0)
+
+    def place(self, h2d_s: float, kernel_s: float, d2h_s: float,
+              release_s: float = 0.0) -> tuple[float, float, float]:
+        """Place one batch; returns its copy start, kernel start and
+        completion."""
+        copy_start = max(self.copy_free_s, release_s)
+        if len(self.inflight) >= self.n_streams:
+            # all batch buffers busy: wait for the oldest to complete
+            copy_start = max(copy_start, self.inflight.popleft())
+        copy_done = copy_start + h2d_s
+        kernel_start = max(copy_done, self.kernel_free_s)
+        kernel_done = kernel_start + kernel_s
+        done = kernel_done + d2h_s
+        self.copy_free_s = copy_done
+        self.kernel_free_s = kernel_done
+        self.inflight.append(done)
+        return copy_start, kernel_start, done
+
+
 class StreamScheduler:
     """Double-buffered multi-stream dispatch clock (sections 4.1/4.3).
 
-    Models the async CUDA pipeline with two serial engines — the PCIe
-    copy engine and the compute engine — and ``n_streams`` batch buffers
-    in flight: while batch *i*'s kernel runs, batch *i+1*'s host→device
-    staging proceeds on another stream, so the steady-state per-batch
-    cost is ``max(kernel, transfer)`` instead of their sum
+    Models the async CUDA pipeline on one :class:`DevicePlacement`:
+    while batch *i*'s kernel runs, batch *i+1*'s host→device staging
+    proceeds on another stream, so the steady-state per-batch cost is
+    ``max(kernel, transfer)`` instead of their sum
     (:func:`repro.gpusim.cost_model.overlapped_batch_time`).  With
     ``n_streams=1`` the copy engine may not run ahead of the compute
     engine and the model degenerates to the serial sum, which is the
@@ -216,12 +249,9 @@ class StreamScheduler:
         if n_streams < 1:
             raise ValueError(f"n_streams must be >= 1, got {n_streams}")
         self.n_streams = n_streams
-        self._copy_free_s = 0.0
-        self._kernel_free_s = 0.0
-        #: completion clocks of in-flight batches (buffer reuse: batch
-        #: ``i + n_streams`` cannot stage before batch ``i`` completes).
-        self._inflight: deque = deque()
+        self._device = DevicePlacement(n_streams)
         self._stats = StreamOverlapStats(streams=n_streams)
+        self._events: list = []
         self._m_saved = self._m_batches = None
         if metrics is not None:
             self._m_saved = metrics.counter(
@@ -235,28 +265,14 @@ class StreamScheduler:
 
     @property
     def pending(self) -> int:
-        return len(self._inflight)
+        return len(self._device.inflight)
 
     def submit(
         self, op: str, *, h2d_s: float, kernel_s: float, d2h_s: float = 0.0
     ) -> StreamEvent:
         """Account one batch; returns its simulated timeline."""
-        copy_start = self._copy_free_s
-        if self.n_streams == 1:
-            # a single stream fully serializes: staging waits for the
-            # previous batch's kernel *and* return DMA to finish
-            if self._inflight:
-                copy_start = max(copy_start, self._inflight[-1])
-        elif len(self._inflight) >= self.n_streams:
-            # all batch buffers busy: wait for the oldest to complete
-            copy_start = max(copy_start, self._inflight.popleft())
-        copy_done = copy_start + h2d_s
-        kernel_start = max(copy_done, self._kernel_free_s)
-        kernel_done = kernel_start + kernel_s
-        done = kernel_done + d2h_s  # full duplex: the return DMA is free
-        self._copy_free_s = copy_done
-        self._kernel_free_s = kernel_done
-        self._inflight.append(done)
+        copy_start, kernel_start, done = self._device.place(
+            h2d_s, kernel_s, d2h_s)
         st = self._stats
         st.batches += 1
         st.serial_s += h2d_s + kernel_s + d2h_s
@@ -267,19 +283,23 @@ class StreamScheduler:
             op=op, h2d_s=h2d_s, kernel_s=kernel_s, d2h_s=d2h_s,
             copy_start_s=copy_start, kernel_start_s=kernel_start, done_s=done,
         )
-        st.events.append(ev)
+        self._events.append(ev)
         return ev
 
     def drain(self) -> StreamOverlapStats:
-        """Close the window: return the accumulated overlap stats and
-        reset the clocks for the next submit window."""
+        """Close the window: return the accumulated overlap stats (one
+        window, this device's timeline) and reset the clocks for the
+        next submit window."""
         stats = self._stats
+        if self._events:
+            stats.windows.append([DeviceTimeline(
+                streams=self.n_streams, events=self._events,
+                makespan_s=stats.makespan_s)])
         if self._m_saved is not None and stats.saved_s > 0:
             self._m_saved.inc(stats.saved_s * 1e6)
         self._stats = StreamOverlapStats(streams=self.n_streams)
-        self._copy_free_s = 0.0
-        self._kernel_free_s = 0.0
-        self._inflight.clear()
+        self._events = []
+        self._device = DevicePlacement(self.n_streams)
         return stats
 
 

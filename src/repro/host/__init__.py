@@ -37,7 +37,6 @@ from repro.host.results import (
 )
 from repro.host.mixed import MixedWorkloadExecutor, MixedReport
 from repro.host.autotune import autotune_dispatch, TunePoint, TuneResult
-from repro.host.multigpu import MultiGpuConfig, multi_gpu_throughput, scaling_curve
 from repro.host.sharding import (
     ShardedEngine,
     ShardedMixedExecutor,
@@ -76,9 +75,6 @@ __all__ = [
     "autotune_dispatch",
     "TunePoint",
     "TuneResult",
-    "MultiGpuConfig",
-    "multi_gpu_throughput",
-    "scaling_curve",
     "ShardedEngine",
     "ShardedMixedExecutor",
     "ShardingConfig",

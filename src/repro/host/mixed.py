@@ -43,6 +43,7 @@ from functools import partial
 import numpy as np
 
 from repro.errors import InvalidOperationError
+from repro.gpusim.streams import StreamOverlapStats
 from repro.host.batching import OP_CLASS, OpClassCoalescer, fold_writes
 from repro.host.engine import require_serving_engine
 from repro.host.memtable import Memtable, MemtableConfig
@@ -249,8 +250,9 @@ class BatchPipeline:
         #: own and these are None.
         self.memtable = self._lane.memtable if one else None
         self.overlay = self._lane.overlay if one else None
-        #: StreamOverlapStats of the closed stream windows (with their
-        #: event timelines, for repro.obs.critical_path.attribute_stats).
+        #: StreamOverlapStats of the closed stream windows (one window
+        #: per flush, with each device's timeline, for
+        #: repro.obs.critical_path.attribute_stats).
         self.overlap = None
         #: hoisted, so the disabled flight path costs one truthiness
         #: check per op (NULL_FLIGHT_RECORDER allocates nothing).
@@ -462,8 +464,8 @@ class BatchPipeline:
 
     def _launched(self, lane: Lane, n: int) -> None:
         """Hook: one foreground launch carrying ``n`` ops was just
-        submitted on ``lane``'s device (the server's virtual device
-        cursor for it advances here)."""
+        submitted on ``lane``'s device (the server places it on that
+        device's timeline here)."""
 
     def _settle(self, lane: Lane, kind: str, entries: list, rows: list,
                 res, td: float) -> None:
@@ -585,9 +587,10 @@ class BatchPipeline:
             self._maybe_compact(lane, force=True)
         window = self.engine.drain()
         if self.overlap is None:
-            self.overlap = window
-        else:
-            self.overlap.add_window(window)
+            # a fresh record: whoever holds the drained window (a tracer
+            # recording every drain) keeps it as it was drained
+            self.overlap = StreamOverlapStats(streams=window.streams)
+        self.overlap.add_window(window)
         self.report.stream_overlap = self.overlap.as_dict()
         return n
 

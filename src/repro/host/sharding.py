@@ -1,9 +1,9 @@
 """Key-space-sharded multi-GPU serving: scale writes, not just reads.
 
-:mod:`repro.host.multigpu` models *replicated* scale-out — reads fan
-out across replicas but every update must be broadcast, so write-heavy
-traffic gets exactly zero scale-out.  This module implements the
-partitioned alternative the NUMA hash-table literature prescribes:
+Replicating the index on every device fans reads out across replicas,
+but every update must be broadcast, so write-heavy traffic gets no
+scale-out.  This module implements the partitioned alternative the
+NUMA hash-table literature prescribes:
 the key space is split on its first one or two bytes (the natural
 radix-tree split axis, same as :mod:`repro.cuart.partition`) into
 256 or 65536 partitions, a partition→shard assignment table routes
@@ -33,9 +33,9 @@ Simulated scaling is measured the only way it can be in a one-process
 simulation: each shard's :class:`StreamScheduler` accounts its batches
 on its own simulated clock, and :meth:`ShardedEngine.drain` folds the
 per-shard windows with
-:meth:`~repro.gpusim.streams.StreamOverlapStats.merge_parallel` —
-devices run concurrently, so the combined makespan is the slowest
-shard's, while serial cost adds.  N balanced shards each carrying 1/N
+:meth:`~repro.gpusim.streams.StreamOverlapStats.merge_parallel` into
+one window of one timeline per shard — devices run concurrently, so
+the combined makespan is the slowest shard's, while serial cost adds.  N balanced shards each carrying 1/N
 of the work cut the makespan by ~N.
 
 Online rebalancing (:meth:`ShardedEngine.rebalance`) drains in-flight
@@ -488,8 +488,9 @@ class ShardedEngine:
 
     def drain(self) -> StreamOverlapStats:
         """Close every shard's submit window and fold the concurrent
-        windows (makespan = slowest shard) into one fresh stats record;
-        the shards' own windows are left as they were drained."""
+        windows (makespan = slowest shard) into one fresh stats record
+        holding one window of the shards' timelines; the shards' own
+        windows are left as they were drained."""
         merged = StreamOverlapStats(streams=0)
         for shard in self.shards:
             merged.merge_parallel(shard.drain())

@@ -19,11 +19,12 @@ the window makespan to float precision, which is how the <1%
 reconciliation gate in ``benchmarks/perf_smoke.py`` holds trivially.
 
 Window structure comes from :class:`~repro.gpusim.streams.
-StreamOverlapStats`: sequential folds (``add_window``) keep per-window
-slices in ``window_starts``; parallel folds (``merge_parallel``) keep
-per-device timelines in ``shard_parts``, where the slowest device's
-chain *is* the merged critical path and the other devices contribute
-**shard-skew** (device-idle time under the imbalance).
+StreamOverlapStats`: a list of windows (``add_window`` appends one, and
+barrier-separated windows add), each a list of per-device timelines
+(``merge_parallel`` joins concurrent devices into one window).  Within
+a window the slowest device's chain *is* the critical path and every
+other device contributes **shard-skew** (device-idle time under the
+imbalance).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 #: attribution stage names (superset of the device stages: shard-skew
-#: only appears for parallel folds, idle only for empty windows).
+#: only appears for windows of several devices, idle only for empty
+#: windows).
 CP_STAGES = ("h2d", "kernel", "d2h", "shard-skew")
 
 
@@ -86,9 +88,9 @@ def attribute_window(events, n_streams: int) -> WindowAttribution:
 
     * ``kernel_start[i] = max(copy_done[i], kernel_done[i-1])``
     * ``copy_start[i]   = max(copy_done[i-1], wait)`` where ``wait`` is
-      ``done[i-1]`` for ``n_streams == 1`` (full serialization) or
-      ``done[i - n_streams]`` once all batch buffers are busy — a
-      buffer-reuse wait, charged to the older event's return DMA.
+      ``done[i - n_streams]`` once all batch buffers are busy (with one
+      buffer, the previous batch: full serialization) — a buffer-reuse
+      wait, charged to the older event's return DMA.
     """
     attr = WindowAttribution(batches=len(events))
     if not events:
@@ -134,9 +136,7 @@ def attribute_window(events, n_streams: int) -> WindowAttribution:
             if i == 0:
                 break  # the first copy starts at the window epoch
             prev_cd = events[i - 1].copy_start_s + events[i - 1].h2d_s
-            if n_streams == 1:
-                j, wait = i - 1, events[i - 1].done_s
-            elif i >= n_streams:
+            if i >= n_streams:
                 j, wait = i - n_streams, events[i - n_streams].done_s
             else:
                 j, wait = -1, -1.0
@@ -151,25 +151,6 @@ def attribute_window(events, n_streams: int) -> WindowAttribution:
     return attr
 
 
-def _window_slices(events, window_starts):
-    bounds = [0, *window_starts, len(events)]
-    for a, b in zip(bounds, bounds[1:]):
-        if b > a:
-            yield events[a:b]
-
-
-def _attribute_sequential(events, window_starts, n_streams):
-    """Fold per-window attributions of a sequentially-folded timeline
-    (windows are barrier-separated, so makespans and stages add)."""
-    total = WindowAttribution()
-    windows = []
-    for sl in _window_slices(events, window_starts):
-        w = attribute_window(sl, n_streams)
-        windows.append(w)
-        total.add(w)
-    return total, windows
-
-
 @dataclass
 class CriticalPathReport:
     """Attribution of a full :class:`StreamOverlapStats` fold."""
@@ -178,7 +159,10 @@ class CriticalPathReport:
     stage_s: dict = field(default_factory=dict)
     by_op: dict = field(default_factory=dict)
     bottleneck: str = "idle"
+    #: one :class:`WindowAttribution` per window of the stats.
     windows: list = field(default_factory=list)
+    #: one row per device of every window of several devices, window by
+    #: window (``shard`` is the device's index in its window).
     shards: list = field(default_factory=list)
     shard_skew_s: float = 0.0
 
@@ -206,51 +190,45 @@ class CriticalPathReport:
 
 
 def attribute_stats(stats) -> CriticalPathReport:
-    """Attribute a drained/folded ``StreamOverlapStats``.
-
-    * plain or sequentially-folded stats: per-window critical paths,
-      summed (stage totals reconcile with ``stats.makespan_s`` exactly);
-    * parallel-folded stats (``shard_parts``): the slowest device's
-      chain is the merged critical path; every faster device adds
-      ``makespan - its makespan`` of shard-skew (idle device time).
-    """
+    """Attribute a drained/folded ``StreamOverlapStats`` window by
+    window.  In each window :func:`attribute_window` walks every
+    device's chain; the slowest device's chain is the window's critical
+    path, and every other device adds ``window makespan - its
+    makespan`` of shard-skew (idle device time).  Windows are
+    barrier-separated, so their attributions sum: stage totals,
+    shard-skew excluded, reconcile with ``stats.makespan_s``."""
     rep = CriticalPathReport(makespan_s=stats.makespan_s)
-    if stats.shard_parts:
-        slowest = None
-        for idx, part in enumerate(stats.shard_parts):
-            total, _ = _attribute_sequential(
-                part.events, part.window_starts, part.streams
-            )
-            skew = max(stats.makespan_s - part.makespan_s, 0.0)
-            rep.shard_skew_s += skew
-            rep.shards.append({
-                "shard": idx,
-                "makespan_s": round(part.makespan_s, 9),
-                "skew_s": round(skew, 9),
-                "bottleneck": total.bottleneck,
-                "stage_s": {
-                    k: round(v, 9) for k, v in total.stage_s.items()
-                },
-            })
-            if slowest is None or part.makespan_s > slowest[0]:
-                slowest = (part.makespan_s, total)
-        if slowest is not None:
-            rep.stage_s = dict(slowest[1].stage_s)
-            rep.by_op = {
-                op: dict(st) for op, st in slowest[1].by_op.items()
-            }
-        if rep.shard_skew_s > 0.0:
-            rep.stage_s["shard-skew"] = rep.shard_skew_s
-    else:
-        total, windows = _attribute_sequential(
-            stats.events, stats.window_starts, stats.streams
+    total = WindowAttribution()
+    for window in stats.windows:
+        attrs = [attribute_window(dev.events, dev.streams) for dev in window]
+        spans = [dev.makespan_s for dev in window]
+        span = max(spans)
+        slowest = attrs[spans.index(span)]
+        attr = WindowAttribution(
+            makespan_s=span, batches=sum(a.batches for a in attrs),
+            stage_s=dict(slowest.stage_s),
+            by_op={op: dict(st) for op, st in slowest.by_op.items()},
         )
-        rep.stage_s = total.stage_s
-        rep.by_op = total.by_op
-        rep.windows = windows
-    rep.bottleneck = (
-        max(rep.stage_s, key=rep.stage_s.get) if rep.stage_s else "idle"
-    )
+        skew = sum(span - dev_span for dev_span in spans)
+        if skew > 0.0:
+            attr.stage_s["shard-skew"] = skew
+        if len(window) > 1:
+            for idx, (dev_span, dev) in enumerate(zip(spans, attrs)):
+                rep.shards.append({
+                    "shard": idx,
+                    "makespan_s": round(dev_span, 9),
+                    "skew_s": round(span - dev_span, 9),
+                    "bottleneck": dev.bottleneck,
+                    "stage_s": {
+                        k: round(v, 9) for k, v in dev.stage_s.items()
+                    },
+                })
+        rep.windows.append(attr)
+        total.add(attr)
+    rep.stage_s = total.stage_s
+    rep.by_op = total.by_op
+    rep.shard_skew_s = rep.stage_s.get("shard-skew", 0.0)
+    rep.bottleneck = total.bottleneck
     return rep
 
 
@@ -265,15 +243,8 @@ def stage_breakdown(stats, flight_summary: dict | None = None) -> dict:
     ready while the compute engine served an earlier batch).
     """
 
-    def _all_events(st):
-        if st.shard_parts:
-            for part in st.shard_parts:
-                yield from part.events
-        else:
-            yield from st.events
-
     table: dict = {}
-    for ev in _all_events(stats):
+    for ev in stats.events:
         row = table.setdefault(ev.op, {
             "batches": 0, "h2d_s": 0.0, "kernel_s": 0.0, "d2h_s": 0.0,
             "compute_wait_s": 0.0,

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import ReproError
+from repro.gpusim.streams import DevicePlacement
 from repro.host.mixed import BatchPipeline, MixedReport, split_op
 from repro.host.results import OpStatus
 from repro.util.validation import require_power_of_two
@@ -231,8 +232,10 @@ class ServedOp:
 
     @property
     def latency_us(self) -> float:
-        """Enqueue-to-completion latency on the server's clock (device
-        queueing included via its device's virtual cursor)."""
+        """Enqueue-to-completion latency on the server's clock: its
+        launch completes when its last stream event ends, placed on its
+        device's copy and compute engines from the dispatch time (device
+        queueing included)."""
         return max(self.t_done_us - self.t_enqueue_us, 0.0)
 
     @property
@@ -259,9 +262,11 @@ class ServerCore(BatchPipeline):
     the report are the :class:`~repro.host.mixed.BatchPipeline` the
     offline executor drives too; this class adds what is online —
     admission with SHED and tenant fairness, deadline close, the SLO
-    controller, :class:`ServedOp` completion and one virtual device
-    cursor per device (:attr:`lane_free_us`: each launch advances only
-    its own device's, so shards run side by side in virtual time).
+    controller, :class:`ServedOp` completion and one device timeline
+    per lane: each launch is placed on its own device's copy and
+    compute engines by the stream scheduler's rule
+    (:class:`~repro.gpusim.streams.DevicePlacement`), released at its
+    dispatch time, so shards run side by side in virtual time.
     :meth:`run` implements the offline
     :class:`~repro.serve.dispatch.Dispatch` protocol, so a
     ``ServerCore`` drops into any benchmark slot an executor fits.
@@ -294,10 +299,10 @@ class ServerCore(BatchPipeline):
         #: queued-but-undispatched ops, total and per tenant.
         self.backlog = 0
         self.tenant_backlog: dict = {}
-        #: per lane (device, :attr:`lanes` order), the simulated time
-        #: it is busy through: its virtual device cursor, which that
-        #: device's launches serialize behind.
-        self.lane_free_us = [0.0] * len(self.lanes)
+        #: per lane (device, :attr:`lanes` order), where that device's
+        #: launches run: its copy engine, compute engine and buffers.
+        self._devices = [DevicePlacement(lane.engine.config.streams)
+                         for lane in self.lanes]
         #: clock time the launch being dispatched left its queues, and
         #: the virtual time it completes.
         self._t_dispatch = 0.0
@@ -513,36 +518,27 @@ class ServerCore(BatchPipeline):
     @property
     def device_free_us(self) -> float:
         """Simulated time the last busy device is busy through: the
-        latest of the per-device cursors (:attr:`lane_free_us`)."""
-        return max(self.lane_free_us)
+        latest completion over the lanes' device timelines."""
+        return max(dev.free_s for dev in self._devices) * 1e6
 
-    @staticmethod
-    def _sim_us(lane) -> float:
-        """Simulated service time (µs) of the launch just submitted on
-        ``lane``: the serial time of its device's stream events for it
-        (:attr:`~repro.host.engine.CuartEngine.last_events`).  A batch
-        with no launch — all cache hits, or served by the CPU while
-        degraded — costs the device nothing."""
-        sim_us = 0.0
-        for ev in lane.engine.last_events:
-            sim_us += (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
-        return sim_us
-
-    def _occupy(self, lane, t_us: float, sim_us: float) -> float:
-        """Serialize a launch of ``sim_us`` reaching ``lane``'s device at
-        clock time ``t_us`` behind that device's cursor alone; returns
-        when it ends."""
-        free = self.lane_free_us
-        free[lane.index] = max(t_us, free[lane.index]) + sim_us
-        return free[lane.index]
+    def _place(self, lane, t_us: float) -> float:
+        """Place every stream event of the launch just submitted on
+        ``lane`` (:attr:`~repro.host.engine.CuartEngine.last_events`) on
+        its device, released at clock time ``t_us``; returns when the
+        last one ends.  A batch with no launch — all cache hits, or
+        served by the CPU while degraded — completes at ``t_us``."""
+        dev = self._devices[lane.index]
+        release_s = t_us / 1e6
+        done = [dev.place(ev.h2d_s, ev.kernel_s, ev.d2h_s, release_s)[2]
+                for ev in lane.engine.last_events]
+        return max(done) * 1e6 if done else t_us
 
     def _launched(self, lane, n: int) -> None:
-        """Occupy ``lane``'s virtual device cursor with the launch just
-        submitted (``n`` ops), once per launch: every batch it carries
-        completes when it ends."""
-        sim_us = self._sim_us(lane)
-        self._t_done = self._occupy(lane, self._t_dispatch, sim_us)
-        per_op = sim_us / n
+        """Place the launch just submitted on ``lane`` (``n`` ops), once
+        per launch: every batch it carries completes when it ends.  The
+        retry-after estimate averages its serial stage time per op."""
+        self._t_done = self._place(lane, self._t_dispatch)
+        per_op = sum(ev.serial_s * 1e6 for ev in lane.engine.last_events) / n
         self.service_ewma_us = (
             per_op if self.service_ewma_us == 0.0
             else 0.8 * self.service_ewma_us + 0.2 * per_op
@@ -550,7 +546,7 @@ class ServerCore(BatchPipeline):
 
     def _complete(self, kind: str, ops: list, res) -> None:
         """Complete a dispatched batch's ServedOps when its launch ends
-        on its device's virtual cursor (:meth:`_launched`)."""
+        on its device's timeline (:meth:`_launched`)."""
         n = len(ops)
         td = self._t_dispatch
         t_done = self._t_done
@@ -576,13 +572,12 @@ class ServerCore(BatchPipeline):
 
     def _compact_dispatch(self, lane, kind: str, rows: list):
         """A compaction batch completes no ServedOps — their outcomes
-        were resolved at absorb time — but it occupies its device's
-        virtual cursor like any batch, so that device's foreground
-        lookups queue behind it the way they would behind a second
-        stream's transfer."""
+        were resolved at absorb time — but it is placed on its device's
+        timeline like any launch, so that device's foreground lookups
+        queue behind it for its engines and buffers."""
         td = self.clock()
         res = super()._compact_dispatch(lane, kind, rows)
-        self._occupy(lane, td, self._sim_us(lane))
+        self._place(lane, td)
         return res
 
     # -- offline Dispatch conformance ------------------------------------

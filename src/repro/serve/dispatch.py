@@ -10,7 +10,7 @@ launches.  Two front doors drive it: the offline
 :class:`~repro.host.mixed.MixedWorkloadExecutor` (which
 :class:`~repro.host.sharding.ShardedMixedExecutor` subclasses unchanged)
 and the online :class:`~repro.serve.core.ServerCore`, which keeps one
-virtual device cursor per lane.  :class:`Dispatch` names their shared
+virtual device timeline per lane.  :class:`Dispatch` names their shared
 ``run(stream) -> (results, report)`` contract, so benchmarks, the load
 generator and user code can accept "anything that serves a stream"
 without caring which engine topology or door sits behind it, and

@@ -7,7 +7,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.gpusim.cost_model import overlapped_batch_time
-from repro.gpusim.streams import StreamOverlapStats, StreamScheduler
+from repro.gpusim.streams import (
+    DevicePlacement,
+    StreamOverlapStats,
+    StreamScheduler,
+)
 from repro.host.config import EngineConfig
 from repro.obs.metrics import MetricsRegistry
 
@@ -102,16 +106,40 @@ class TestStreamScheduler:
             StreamScheduler(0)
 
 
+class TestDevicePlacement:
+    def test_release_zero_is_the_schedulers_placement(self):
+        sched = StreamScheduler(2)
+        dev = DevicePlacement(2)
+        for ev in _submit_n(sched, 5, h2d=0.1, kernel=2.0, d2h=1.0):
+            assert dev.place(0.1, 2.0, 1.0) == (
+                ev.copy_start_s, ev.kernel_start_s, ev.done_s)
+        assert dev.free_s == sched.drain().makespan_s
+
+    def test_release_time_delays_staging_only_on_an_idle_device(self):
+        """A batch released while its device is busy waits for the
+        engines; one released after the device went idle starts at its
+        release."""
+        dev = DevicePlacement(2)
+        assert dev.free_s == 0.0
+        assert dev.place(H2D, KERNEL, D2H, 10.0) == (10.0, 11.0, 14.5)
+        # released at 10.5: staging waits for the copy engine (11.0),
+        # the kernel for the compute engine (14.0)
+        assert dev.place(H2D, KERNEL, D2H, 10.5) == (11.0, 14.0, 17.5)
+        assert dev.free_s == 17.5
+        assert dev.place(H2D, KERNEL, D2H, 40.0) == (40.0, 41.0, 44.5)
+
+
 class TestStatsFolds:
     """Edge cases of the two fold directions: sequential
     (``add_window``) and concurrent (``merge_parallel``), including the
-    event-timeline bookkeeping the critical-path layer depends on."""
+    window / device-timeline bookkeeping the critical-path layer
+    depends on."""
 
     def test_add_window_empty_into_empty(self):
         a, b = StreamOverlapStats(), StreamOverlapStats()
         a.add_window(b)
         assert a.batches == 0 and a.makespan_s == 0.0
-        assert a.events == [] and a.window_starts == []
+        assert a.events == () and a.windows == []
 
     def test_add_window_empty_window_adds_no_boundary(self):
         sched = StreamScheduler(2)
@@ -120,9 +148,10 @@ class TestStatsFolds:
         a.add_window(StreamOverlapStats())  # barrier with no submissions
         _submit_n(sched, 3)
         a.add_window(sched.drain())
-        # one boundary: the empty middle window must not split the
-        # timeline (it has no events to slice out)
-        assert a.window_starts == [2]
+        # two windows: the empty middle window holds no timeline, so it
+        # adds no window of its own
+        assert [[len(dev.events) for dev in w] for w in a.windows] == [
+            [2], [3]]
         assert len(a.events) == 5
 
     def test_add_window_event_offsets(self):
@@ -133,12 +162,28 @@ class TestStatsFolds:
         a.add_window(sched.drain())
         _submit_n(sched, 3)
         a.add_window(sched.drain())
-        assert a.window_starts == [2, 3]
+        assert [len(w[0].events) for w in a.windows] == [2, 1, 3]
         assert len(a.events) == 6
         # each window keeps its own relative clock: every window's first
-        # event stages at t=0
-        for start in [0, *a.window_starts]:
-            assert a.events[start].copy_start_s == 0.0
+        # event stages at t=0, and ``events`` reads them in window order
+        for (dev,) in a.windows:
+            assert dev.events[0].copy_start_s == 0.0
+        assert a.events == tuple(ev for (dev,) in a.windows
+                                 for ev in dev.events)
+
+    def test_add_window_leaves_the_folded_record_alone(self):
+        """A sequential fold copies the other record's window lists, so
+        a later parallel fold into the last window cannot grow the
+        record it came from."""
+        sched = StreamScheduler(2)
+        _submit_n(sched, 2)
+        window = sched.drain()
+        a = StreamOverlapStats(streams=2)
+        a.add_window(window)
+        _submit_n(sched, 3)
+        a.merge_parallel(sched.drain())
+        assert [len(w) for w in a.windows] == [2]
+        assert [len(w) for w in window.windows] == [1]
 
     def test_merge_parallel_zero_submission_sides(self):
         sched = StreamScheduler(2)
@@ -148,8 +193,8 @@ class TestStatsFolds:
         a.merge_parallel(StreamOverlapStats(streams=2))  # idle device
         assert a.makespan_s == pytest.approx(span)
         assert a.batches == 3
-        # the idle side contributes no shard part — only real timelines
-        assert len(a.shard_parts) == 1
+        # the idle side contributes no timeline — only real ones
+        assert [len(w) for w in a.windows] == [1]
 
         empty = StreamOverlapStats(streams=2)
         sched2 = StreamScheduler(2)
@@ -157,13 +202,12 @@ class TestStatsFolds:
         b = sched2.drain()
         empty.merge_parallel(b)
         assert empty.makespan_s == pytest.approx(b.makespan_s)
-        assert len(empty.shard_parts) == 1
-        assert empty.shard_parts[0].events == b.shard_parts[0].events \
-            if b.shard_parts else True
+        assert empty.windows == [b.windows[0]]
+        assert empty.events == b.events
 
     def test_merge_parallel_single_stream_degenerate(self):
         """n_streams=1 shards: the fold still maxes makespans and the
-        captured parts keep the serial timelines."""
+        window keeps each device's serial timeline."""
         parts = []
         for n in (2, 4):
             sched = StreamScheduler(1)
@@ -173,12 +217,13 @@ class TestStatsFolds:
         merged.merge_parallel(parts[1])
         assert merged.makespan_s == pytest.approx(4 * (H2D + KERNEL + D2H))
         assert merged.streams == 2
-        assert [p.streams for p in merged.shard_parts] == [1, 1]
-        assert [len(p.events) for p in merged.shard_parts] == [2, 4]
+        (window,) = merged.windows
+        assert [dev.streams for dev in window] == [1, 1]
+        assert [len(dev.events) for dev in window] == [2, 4]
 
     def test_merge_parallel_fold_associativity(self):
         """(a || b) || c and a || (b || c) agree numerically and
-        capture the same per-device parts in the same order."""
+        hold the same device timelines in the same order."""
 
         def _mk(n, kernel):
             sched = StreamScheduler(2)
@@ -198,23 +243,32 @@ class TestStatsFolds:
         assert left.serial_s == pytest.approx(right.serial_s)
         assert left.batches == right.batches == 9
         assert left.streams == right.streams == 6
-        assert [len(p.events) for p in left.shard_parts] == [2, 3, 4]
-        assert [len(p.events) for p in right.shard_parts] == [2, 3, 4]
-        for lp, rp in zip(left.shard_parts, right.shard_parts):
-            assert lp.makespan_s == pytest.approx(rp.makespan_s)
+        lw, rw = left.windows[0], right.windows[0]
+        assert [len(d.events) for d in lw] == [2, 3, 4]
+        assert [len(d.events) for d in rw] == [2, 3, 4]
+        for ld, rd in zip(lw, rw):
+            assert ld.makespan_s == pytest.approx(rd.makespan_s)
 
     def test_merge_parallel_resets_own_timeline(self):
-        """After a parallel fold the merged stats' flat timeline is
-        empty — per-device history lives only in shard_parts, so a
-        later sequential fold cannot mix clocks across devices."""
+        """After a parallel fold the record's own timeline is the first
+        device of its one window; a later sequential fold opens a new
+        window, so it cannot mix clocks across devices, and a record of
+        several windows is refused as a parallel side."""
         sched = StreamScheduler(2)
         _submit_n(sched, 2)
         a = sched.drain()
+        own = a.windows[0][0]
         sched2 = StreamScheduler(2)
         _submit_n(sched2, 2)
         a.merge_parallel(sched2.drain())
-        assert a.events == [] and a.window_starts == []
-        assert len(a.shard_parts) == 2
+        assert [len(w) for w in a.windows] == [2]
+        assert a.windows[0][0] is own
+        _submit_n(sched, 3)
+        a.add_window(sched.drain())
+        assert [[len(d.events) for d in w] for w in a.windows] == [
+            [2, 2], [3]]
+        with pytest.raises(ValueError):
+            StreamOverlapStats().merge_parallel(a)
 
     def test_as_dict_schema_unchanged_by_timelines(self):
         """The BENCH schema must not grow raw event lists."""

@@ -91,6 +91,41 @@ class TestExecutor:
         _, report = MixedWorkloadExecutor(eng).run(stream)
         assert report.batches >= 3  # 600 lookups / 256 batch size
 
+    def test_flush_leaves_each_drained_window_alone(self, engine,
+                                                   monkeypatch):
+        """The run's overlap record is a fresh fold: whoever holds a
+        window ``CuartEngine.drain`` returned (a tracer recording every
+        drain) sees it unchanged after later windows fold in, and the
+        report's ``stream_overlap`` is the fold of the drained windows,
+        ``streams`` included."""
+        eng, keys = engine
+        stream = mixed_queries(keys, 1200, QueryMix(), seed=5)
+        stream.insert(600, ("scan", (keys[10], keys[300])))
+        held = []
+        drain = eng.drain
+
+        def keep():
+            window = drain()
+            held.append((window, window.as_dict(), window.events))
+            return window
+
+        monkeypatch.setattr(eng, "drain", keep)
+        ex = MixedWorkloadExecutor(eng)
+        _, report = ex.run(stream)
+        assert len(held) == 2  # the scan barrier, then the end of run
+        for window, as_dict, events in held:
+            assert window.as_dict() == as_dict
+            assert window.events == events
+            assert [len(w) for w in window.windows] == [1]
+        overlap = ex.last_overlap_stats
+        assert overlap is not held[0][0]
+        assert overlap.events == held[0][2] + held[1][2]
+        assert report.stream_overlap["streams"] == eng.config.streams
+        assert report.stream_overlap["batches"] == sum(
+            w.batches for w, _, _ in held)
+        assert report.stream_overlap["makespan_s"] == round(
+            held[0][0].makespan_s + held[1][0].makespan_s, 9)
+
 
 def _events(stats):
     return [(ev.op, ev.h2d_s, ev.kernel_s, ev.d2h_s) for ev in stats.events]

@@ -2,9 +2,7 @@
 
 Router determinism and balance, config validation, per-shard metric
 labeling through :class:`~repro.obs.metrics.ScopedRegistry`, heat-driven
-rebalancing, the parallel stream-overlap merge, and the reconciliation
-of :mod:`repro.host.multigpu`'s analytic ``"sharded"`` curve against
-the executed :class:`~repro.host.sharding.ShardedEngine`.
+rebalancing and the parallel stream-overlap merge.
 """
 
 from __future__ import annotations
@@ -165,7 +163,7 @@ class TestShardedEngineOps:
 
         def keep():
             window = drain()
-            held.append((window, window.as_dict(), list(window.events)))
+            held.append((window, window.as_dict(), window.events))
             return window
 
         monkeypatch.setattr(eng.shards[0], "drain", keep)
@@ -173,7 +171,9 @@ class TestShardedEngineOps:
         ((window, as_dict, events),) = held
         assert merged is not window
         assert window.as_dict() == as_dict
-        assert window.events == events and window.shard_parts == []
+        assert window.events == events
+        assert [len(w) for w in window.windows] == [1]
+        assert [len(w) for w in merged.windows] == [4]
         assert merged.batches > window.batches > 0
 
     def test_single_shard_drain_matches_plain_engine(self, keys):
@@ -299,82 +299,6 @@ class TestStreamOverlapMergeParallel:
         b = StreamOverlapStats(batches=4, serial_s=4.0, makespan_s=3.0)
         a.add_window(b)
         assert a.makespan_s == 5.0
-
-
-class TestAnalyticReconciliation:
-    """The ``"sharded"`` analytic mode and the executed engine must agree
-    that writes now scale with devices."""
-
-    def test_sharded_mode_scales_writes(self):
-        from repro.bench.runner import cuart_lookup_log
-        from repro.gpusim.cost_model import CostModel
-        from repro.gpusim.devices import A100, SERVER_CPU
-        from repro.host.dispatcher import DispatchConfig
-        from repro.host.multigpu import (
-            MultiGpuConfig,
-            multi_gpu_throughput,
-            scaling_curve,
-        )
-
-        log = cuart_lookup_log("random", 65536, 32, 32768)
-        kernel = CostModel(A100, l2_scale=1 / 256).kernel_time(log)
-        # enough host threads that the shared host stage is not the
-        # bottleneck — scaling only shows in a device-bound regime
-        cfg = DispatchConfig(batch_size=32768, host_threads=64, key_bytes=32)
-
-        t1 = multi_gpu_throughput(
-            kernel, cfg, A100, SERVER_CPU, MultiGpuConfig(1, "sharded")
-        ).throughput_mops
-        t4 = multi_gpu_throughput(
-            kernel, cfg, A100, SERVER_CPU, MultiGpuConfig(4, "sharded")
-        ).throughput_mops
-        upd4 = multi_gpu_throughput(
-            kernel, cfg, A100, SERVER_CPU, MultiGpuConfig(4, "update")
-        ).throughput_mops
-        assert t4 >= 3.0 * t1, "analytic sharded writes must scale"
-        assert t4 > upd4, "sharding must beat broadcast for writes"
-        curve = scaling_curve(
-            kernel, cfg, A100, SERVER_CPU, max_devices=8,
-            workload="sharded",
-        )
-        rates = [r for _, r in curve]
-        assert rates == sorted(rates)
-
-    def test_analytic_curve_reconciles_with_executed_engine(self, keys):
-        """Both the analytic model and the executed ShardedEngine must
-        report >= 3x write throughput at 4 devices vs 1 (the analytic
-        device stages divide by n; the executed makespan is the slowest
-        shard's StreamScheduler window)."""
-        from repro.bench.runner import cuart_lookup_log
-        from repro.gpusim.cost_model import CostModel
-        from repro.gpusim.devices import A100, SERVER_CPU
-        from repro.host.dispatcher import DispatchConfig
-        from repro.host.multigpu import MultiGpuConfig, multi_gpu_throughput
-
-        def executed_makespan(n):
-            eng = _sharded(keys, n, batch_size=256)
-            upd = [
-                (keys[i], 1_000 + j) for j, i in enumerate(
-                    uniform_indices(len(keys), 8_000, seed=3)
-                )
-            ]
-            eng.submit("update", upd)
-            return eng.drain().makespan_s
-
-        executed_scale = executed_makespan(1) / executed_makespan(4)
-
-        log = cuart_lookup_log("random", 65536, 32, 32768)
-        kernel = CostModel(A100, l2_scale=1 / 256).kernel_time(log)
-        cfg = DispatchConfig(batch_size=32768, host_threads=64, key_bytes=32)
-        analytic = [
-            multi_gpu_throughput(
-                kernel, cfg, A100, SERVER_CPU, MultiGpuConfig(n, "sharded")
-            ).throughput_mops
-            for n in (1, 4)
-        ]
-        analytic_scale = analytic[1] / analytic[0]
-        assert executed_scale >= 3.0
-        assert analytic_scale >= 3.0
 
 
 class TestShardedMixedExecutor:

@@ -1,15 +1,22 @@
 """Critical-path attribution tests: the backtracking walk must charge
 stage intervals that partition [0, makespan] exactly, for kernel-bound,
-transfer-bound, serial and sharded timelines."""
+transfer-bound, serial and sharded timelines, and for every window both
+serving doors record."""
 
 import pytest
 
 from repro.gpusim.streams import StreamOverlapStats, StreamScheduler
+from repro.host.engine import CuartEngine
+from repro.host.memtable import MemtableConfig
+from repro.host.mixed import MixedWorkloadExecutor
+from repro.host.sharding import ShardedEngine, ShardingConfig
 from repro.obs.critical_path import (
     attribute_stats,
     attribute_window,
     stage_breakdown,
 )
+from repro.serve import ServerCore, VirtualClock
+from repro.workloads import QueryMix, mixed_queries, random_keys
 
 
 def _run(n, *, streams=2, h2d=1.0, kernel=3.0, d2h=0.5, op="lookup"):
@@ -149,6 +156,28 @@ class TestAttributeStats:
         skews = {s["shard"]: s["skew_s"] for s in rep.shards}
         assert skews[1] == 0.0 and skews[0] > 0.0
 
+    def test_sharded_windows_sum(self):
+        """Two barrier-separated windows of two devices each: every
+        window is attributed on its own devices (slowest chain plus
+        skew), and the windows sum."""
+        stats = StreamOverlapStats(streams=4)
+        for fast_kernel, slow_kernel in ((1.0, 2.0), (3.0, 0.5)):
+            window = _run(2, kernel=fast_kernel)
+            window.merge_parallel(_run(5, kernel=slow_kernel))
+            stats.add_window(window)
+        rep = attribute_stats(stats)
+        assert [w.batches for w in rep.windows] == [7, 7]
+        spans = [max(d.makespan_s for d in w) for w in stats.windows]
+        assert [w.makespan_s for w in rep.windows] == spans
+        assert rep.total_stage_s == pytest.approx(sum(spans), rel=1e-9)
+        assert stats.makespan_s == pytest.approx(sum(spans))
+        skews = [sum(span - d.makespan_s for d in w)
+                 for span, w in zip(spans, stats.windows)]
+        assert rep.shard_skew_s == pytest.approx(sum(skews))
+        assert [w.stage_s["shard-skew"] for w in rep.windows] == \
+            pytest.approx(skews)
+        assert [row["shard"] for row in rep.shards] == [0, 1, 0, 1]
+
     def test_balanced_shards_no_skew(self):
         a, b = _run(4), _run(4)
         a.merge_parallel(b)
@@ -197,3 +226,62 @@ class TestStageBreakdown:
         a.merge_parallel(b)
         table = stage_breakdown(a)
         assert table["lookup"]["batches"] == 5
+
+
+DOOR_KEYS = random_keys(2000, 8, seed=3)
+DOOR_STREAM = mixed_queries(
+    DOOR_KEYS, 4000, QueryMix(lookups=0.70, updates=0.25, deletes=0.05),
+    seed=11)
+
+
+class TestDoorsReconcile:
+    """Both doors, one device or 4 shards, memtable off or on, with and
+    without a scan barrier: the overlap record holds one event per
+    device launch, every window's critical path (shard-skew excluded)
+    sums to its makespan, and the server's device timelines, released
+    at a clock held at 0, end at the record's makespan.  The 4-shard
+    executor with a scan is the case whose later windows' device
+    timelines a fold once dropped."""
+
+    @pytest.mark.parametrize("scan", [False, True], ids=["no-scan", "scan"])
+    @pytest.mark.parametrize("memtable", [None, MemtableConfig(
+        segment_ops=64, max_debt=1)], ids=["memtable-off", "memtable-on"])
+    @pytest.mark.parametrize("shards", [1, 4], ids=["1-device", "4-shard"])
+    @pytest.mark.parametrize("door", ["executor", "server"])
+    def test_every_window_reconciles(self, door, shards, memtable, scan):
+        if shards == 1:
+            eng = CuartEngine(batch_size=64)
+        else:
+            eng = ShardedEngine(sharding=ShardingConfig(n_shards=shards),
+                                batch_size=64)
+        eng.populate((k, i) for i, k in enumerate(DOOR_KEYS))
+        eng.map_to_device()
+        stream = list(DOOR_STREAM)
+        if scan:
+            stream.insert(2000, ("scan", (DOOR_KEYS[10], DOOR_KEYS[600])))
+        if door == "executor":
+            ex = MixedWorkloadExecutor(eng, memtable=memtable)
+            ex.run(stream)
+            stats = ex.last_overlap_stats
+        else:
+            core = ServerCore(eng, max_batch=64, queue_depth=len(stream),
+                              clock=VirtualClock(), memtable=memtable)
+            core.run(stream)
+            stats = core.overlap
+        assert stats.batches == len(stats.events) > 0
+        assert len(stats.windows) == (2 if scan else 1)
+        assert {len(w) for w in stats.windows} == {shards}
+        rep = attribute_stats(stats)
+        assert len(rep.windows) == len(stats.windows)
+        for window, attr in zip(stats.windows, rep.windows):
+            span = max(dev.makespan_s for dev in window)
+            assert attr.makespan_s == span
+            assert attr.batches == sum(len(dev.events) for dev in window)
+            stages = sum(v for k, v in attr.stage_s.items()
+                         if k != "shard-skew")
+            assert stages == pytest.approx(span, rel=1e-9)
+        assert rep.total_stage_s == pytest.approx(stats.makespan_s,
+                                                  rel=1e-9)
+        if door == "server" and not scan:
+            assert core.device_free_us == pytest.approx(
+                stats.makespan_s * 1e6, rel=1e-9)

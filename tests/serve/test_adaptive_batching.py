@@ -298,9 +298,10 @@ class TestVirtualDeviceCursor:
     def test_fused_group_advances_the_cursor_once(self):
         """A full write batch flushes the lookup batch it depends on
         first (``dep-order``), in one flush group: the two are one
-        launch, so the virtual device cursor advances once, by that
-        launch's simulated time, and both batches complete when it
-        ends.  The lookups read the state before the writes."""
+        launch, placed once on the device's timeline.  The device is
+        idle, so the launch takes its serial stage time from dispatch,
+        and both batches complete when it ends.  The lookups read the
+        state before the writes."""
         core, clock = make_core(max_batch=8)
         clock.advance(10.0)
         lookups = [core.offer("lookup", k) for k in KEYS[:3]]
@@ -309,7 +310,7 @@ class TestVirtualDeviceCursor:
         writes.append(core.offer("delete", KEYS[20]))  # write batch full
         (ev,) = core.engine.last_events
         done = 10.0 + (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
-        assert core.device_free_us == pytest.approx(done)
+        assert core.device_free_us == pytest.approx(done, rel=1e-12)
         assert {op.t_done_us for op in lookups + writes} == {
             core.device_free_us}
         assert [op.value for op in lookups] == [0, 1, 2]
@@ -323,13 +324,14 @@ class TestVirtualDeviceCursor:
     @pytest.mark.parametrize("memtable", [None, True],
                              ids=["memtable-off", "memtable-on"])
     def test_sharded_launch_advances_only_its_own_device(self, memtable):
-        """Over a 2-shard engine the server keeps one virtual cursor per
-        device: each launch, compactions included, advances only its own
-        shard's cursor, by the serial time of that shard's stream events
-        (the clock stays at 0, so one device's launches queue back to
-        back).  The shards' launches overlap in virtual time, and
-        ``device_free_us`` is the latest cursor.  Results equal the
-        single-engine executor's."""
+        """Over a 2-shard engine the server keeps one timeline per
+        device: each launch, compactions included, is placed only on its
+        own shard's copy and compute engines.  The clock stays at 0, so
+        every launch is released at 0 and each device's timeline is its
+        shard's stream window: a launch moves its device's
+        completion to its events' latest ``done_s``, and
+        ``device_free_us`` ends at the merged makespan, below the summed
+        serial time.  Results equal the single-engine executor's."""
         stream = mixed_queries(KEYS, 600, QueryMix(), seed=23)
         single = build_engine()
         expected, _ = MixedWorkloadExecutor(single).run(list(stream))
@@ -340,17 +342,15 @@ class TestVirtualDeviceCursor:
         eng.map_to_device()
         core = ServerCore(eng, max_batch=64, clock=VirtualClock(),
                           memtable=memtable)
-        launches = []  # (shard, cursors before, its events' serial µs)
+        launches = []  # (shard, devices' completions before, its events)
 
         def spy_on(i, shard):
             submit = shard.submit
 
             def spy(kind, rows, **kw):
-                cursors = list(core.lane_free_us)
+                before = [dev.free_s for dev in core._devices]
                 res = submit(kind, rows, **kw)
-                launches.append((i, cursors, sum(
-                    (ev.h2d_s + ev.kernel_s + ev.d2h_s) * 1e6
-                    for ev in shard.last_events)))
+                launches.append((i, before, list(shard.last_events)))
                 return res
             shard.submit = spy
 
@@ -359,21 +359,21 @@ class TestVirtualDeviceCursor:
         results, _ = core.run(list(stream))
         assert results == expected
         assert {i for i, _, _ in launches} == {0, 1}
-        ends = [c for _, c, _ in launches[1:]] + [core.lane_free_us]
-        busy = [0.0, 0.0]
-        for (i, before, sim_us), after in zip(launches, ends):
-            assert sim_us > 0
-            assert after[i] == pytest.approx(before[i] + sim_us)
+        ends = [b for _, b, _ in launches[1:]]
+        ends.append([dev.free_s for dev in core._devices])
+        busy = 0.0
+        for (i, before, events), after in zip(launches, ends):
+            assert events
+            assert after[i] == max(before[i], *(ev.done_s for ev in events))
             assert after[1 - i] == before[1 - i]
-            busy[i] += sim_us
-        assert core.lane_free_us == pytest.approx(busy)
-        assert core.device_free_us == max(core.lane_free_us)
-        assert core.device_free_us < sum(busy)
+            busy += sum(ev.serial_s for ev in events) * 1e6
+        assert core.device_free_us == core.overlap.makespan_s * 1e6
+        assert core.device_free_us < busy
 
     def test_cache_hit_batch_costs_the_device_nothing(self):
         """A lookup batch the hot-key cache answers entirely launches
-        nothing, so it advances the cursor by 0: its ops complete at
-        their dispatch time."""
+        nothing, so nothing is placed on the device: its ops complete
+        at their dispatch time and the device stays idle."""
         eng = build_engine(cache_size=64)
         assert eng.lookup(list(KEYS[:8])) == list(range(8))  # warm
         clock = VirtualClock(10.0)
@@ -382,5 +382,26 @@ class TestVirtualDeviceCursor:
         assert all(op.done for op in ops)
         assert [op.value for op in ops] == list(range(8))
         assert core.engine.last_events == []
-        assert core.device_free_us == 10.0
+        assert core.device_free_us == 0.0
         assert {op.t_done_us for op in ops} == {10.0}
+
+    def test_launch_free_batch_does_not_wait_for_a_busy_device(self):
+        """A write launch keeps the device busy past 10 µs; an all-hit
+        lookup batch dispatched at 10 µs launches nothing, so it does
+        not queue behind that launch: it completes at its dispatch
+        time, and the device's timeline is the write launch's alone."""
+        eng = build_engine(cache_size=64)
+        assert eng.lookup(list(KEYS[:8])) == list(range(8))  # warm
+        core = ServerCore(eng, clock=VirtualClock(10.0), max_batch=8,
+                          deadline_us=100.0)
+        writes = [core.offer("update", (k, 7)) for k in KEYS[8:16]]
+        (ev,) = core.engine.last_events
+        busy_until = core.device_free_us
+        assert busy_until == pytest.approx(10.0 + ev.serial_s * 1e6,
+                                           rel=1e-12)
+        assert {op.t_done_us for op in writes} == {busy_until}
+        ops = [core.offer("lookup", k) for k in KEYS[:8]]  # size-full
+        assert core.engine.last_events == []
+        assert [op.value for op in ops] == list(range(8))
+        assert {op.t_done_us for op in ops} == {10.0}
+        assert core.device_free_us == busy_until
