@@ -473,8 +473,12 @@ class InsertEngine:
             ok = cnt + rank[sel] < 48
             # the rank-th appender takes the (rank+1)-th free slot of the
             # pre-scatter snapshot — exactly the slot sequential
-            # first-free searches would hand out
+            # first-free searches would hand out.  A delete-cleared slot
+            # is not free: its byte's index entry still names it
+            ci = buf.child_index[rows]
+            r, b = np.nonzero(ci != N48_EMPTY_SLOT)
             free = buf.children[rows] == np.uint64(0)
+            free[r, ci[r, b]] = False
             csum = np.cumsum(free, axis=1)
             pick = free & (csum == (rank[sel] + 1)[:, None])
             ok &= pick.any(axis=1)
@@ -922,8 +926,12 @@ class InsertEngine:
                 log.record(16, 1)
                 return True, False
             if count < 48:
-                free = np.nonzero(buf.children[idx] == np.uint64(0))[0]
-                slot = int(free[0])
+                # a slot is free only when no index byte names it (a
+                # delete clears the link but keeps the byte's entry)
+                free = buf.children[idx] == np.uint64(0)
+                named = buf.child_index[idx]
+                free[named[named != N48_EMPTY_SLOT]] = False
+                slot = int(np.nonzero(free)[0][0])
                 buf.child_index[idx, byte] = slot
                 buf.children[idx, slot] = np.uint64(child_link)
                 buf.counts[idx] = count + 1

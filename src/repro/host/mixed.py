@@ -594,6 +594,21 @@ class BatchPipeline:
         self.report.stream_overlap = self.overlap.as_dict()
         return n
 
+    def rebalance(self, *, max_moves=None) -> dict:
+        """Rebalance the :class:`~repro.host.sharding.ShardedEngine`
+        under this pipeline; returns its summary.  Every queued op
+        launches on the shard it was routed to and every absorbed write
+        installs (:meth:`flush`), the partitions migrate
+        (:meth:`~repro.host.sharding.ShardedEngine.rebalance`), and each
+        lane's per-key state starts fresh: an overlay entry or
+        existence memo of a key that moved describes a shard that no
+        longer owns it."""
+        self.flush()
+        summary = self.engine.rebalance(max_moves=max_moves)
+        for lane in self.lanes:
+            lane.overlay.clear()
+        return summary
+
     def report_snapshot(self) -> MixedReport:
         """The :class:`MixedReport`, with the per-class latency
         summaries and the flush-reason delta filled in.  The summaries

@@ -21,7 +21,8 @@ write that entered the queues:
     delete/insert overwrites the entry with a definite status).
 
 Entries stay valid after their queues flush: the overlay then merely
-restates what the applied batches already did to the engine's state.
+restates what the applied batches already did to the engine's state,
+as long as the keys stay on this engine (a rebalance clears them).
 The ``contains`` probe is required: every serving engine provides it
 (:data:`repro.host.engine.SERVING_CONTRACT`).
 """
@@ -133,6 +134,13 @@ class WriteOverlay:
         pending).  Used when a compaction changes applied state under a
         key whose newest write lives in a still-active segment."""
         self._exists_memo.pop(key, None)
+
+    def clear(self) -> None:
+        """Drop every entry and existence memo: the keys may have moved
+        to another device (:meth:`repro.host.mixed.BatchPipeline.
+        rebalance`)."""
+        self.entries.clear()
+        self._exists_memo.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WriteOverlay(pending={len(self.entries)})"

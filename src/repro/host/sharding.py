@@ -532,6 +532,12 @@ class ShardedEngine:
 
         Returns a summary dict; a no-op plan returns with
         ``moved_partitions == 0`` and leaves every shard untouched.
+
+        Only the stream schedulers drain here: under a long-lived
+        pipeline (a :class:`~repro.serve.core.ServerCore`) call
+        :meth:`repro.host.mixed.BatchPipeline.rebalance`, which first
+        launches the ops its lanes still queue and afterwards drops
+        their per-key state.
         """
         imbalance_before = self.router.imbalance()
         self.drain()

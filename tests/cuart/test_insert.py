@@ -282,6 +282,23 @@ class TestEngineInsert:
         eng.map_to_device()
         assert eng.lookup([keys[0], keys[1], b"\xfe" * 8]) == [777, None, 888]
 
+    def test_new_byte_skips_a_delete_cleared_n48_slot(self):
+        """A delete clears an N48 link but keeps its byte's index entry;
+        a new byte inserted in the same batch as that key's re-insert
+        must not take the cleared slot, or the re-insert overwrites
+        the new key's link."""
+        from repro.host.engine import CuartEngine
+
+        keys = [bytes([16 + 8 * i]) + b"-key-%05d" % i for i in range(20)]
+        eng = CuartEngine()
+        eng.populate([(k, i + 1) for i, k in enumerate(keys)])
+        eng.map_to_device()
+        eng.delete([keys[3]])
+        new = bytes([17]) + b"-new-00000"
+        out = eng.insert([(new, 500), (keys[3], 600)])
+        assert out.summary["device_inserted"] == 2
+        assert eng.lookup([new, keys[3], keys[4]]) == [500, 600, 5]
+
 
 @settings(max_examples=20, deadline=None)
 @given(

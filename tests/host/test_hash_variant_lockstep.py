@@ -1,93 +1,53 @@
 """Cross-variant lockstep: the bucketed conflict table is a pure device
 cost optimization, so an engine configured with it must be outwardly
-indistinguishable from the linear one — same results on the same seeded
-mixed stream, byte-identical mapped layouts, same behaviour under fault
-injection and under hash-table-full recovery.  Only the charged device
-costs may differ.
+indistinguishable from the linear one — the same answers (the
+serving-contract machine's dict, :mod:`tests.integration.
+test_serving_contract`), byte-identical layouts, the same behaviour
+under fault injection and under hash-table-full recovery.  Only the
+charged device costs may differ.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpusim.faults import FaultConfig
 from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine
-from repro.host.mixed import MixedWorkloadExecutor
 from repro.host.resilience import ResiliencePolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.workloads.queries import QueryMix, mixed_queries
-from repro.workloads.synthetic import dense_keys
 from tests.conftest import int_keys
+from tests.integration.test_serving_contract import (
+    MIX,
+    drive,
+    layout_bytes,
+    random_steps,
+)
 
-N_OPS = 20_000
-N_KEYS = 1_500
-
-
-def _run(variant, *, faults=None, resilience=None):
-    keys = dense_keys(N_KEYS)
-    eng = CuartEngine(EngineConfig(
-        batch_size=256, hash_table=variant,
-        faults=faults, resilience=resilience,
-    ))
-    eng.populate([(k, i) for i, k in enumerate(keys)])
-    eng.map_to_device()
-    stream = mixed_queries(keys, N_OPS, QueryMix(), seed=11)
-    results, report = MixedWorkloadExecutor(eng).run(stream)
-    return eng, results, report
-
-
-def _assert_saved_layouts_identical(eng_a, eng_b, tmp_path):
-    eng_a.map_to_device()
-    eng_b.map_to_device()
-    pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
-    eng_a.save(pa)
-    eng_b.save(pb)
-    with np.load(pa) as za, np.load(pb) as zb:
-        assert sorted(za.files) == sorted(zb.files)
-        for name in za.files:
-            assert np.array_equal(za[name], zb[name]), name
+STEPS = random_steps(11, 200, MIX)
 
 
 class TestMixedStreamLockstep:
-    @pytest.fixture(scope="class")
-    def pair(self):
-        return _run("linear"), _run("bucketed")
+    def test_results_identical(self):
+        drive(*STEPS, hash_table="bucketed")
 
-    def test_results_identical(self, pair):
-        (_, lin_results, _), (_, buc_results, _) = pair
-        assert len(lin_results) == len(buc_results) > 0
-        assert lin_results == buc_results
+    def test_accounting_identical(self):
+        """Report tallies agree with the model over two shards too."""
+        drive(*STEPS, hash_table="bucketed", devices=2)
 
-    def test_accounting_identical(self, pair):
-        (_, _, lin_rep), (_, _, buc_rep) = pair
-        assert lin_rep.hits == buc_rep.hits
-        assert lin_rep.misses == buc_rep.misses
-        assert lin_rep.update_misses == buc_rep.update_misses
-        assert lin_rep.delete_misses == buc_rep.delete_misses
-
-    def test_layouts_byte_identical(self, pair, tmp_path):
-        (lin_eng, _, _), (buc_eng, _, _) = pair
-        assert list(lin_eng.tree.items()) == list(buc_eng.tree.items())
-        _assert_saved_layouts_identical(lin_eng, buc_eng, tmp_path)
+    def test_layouts_byte_identical(self):
+        linear, bucketed = (drive(*STEPS, hash_table=variant).engine
+                            for variant in ("linear", "bucketed"))
+        assert layout_bytes(linear) == layout_bytes(bucketed)
 
 
 class TestFaultReplayLockstep:
     @pytest.mark.parametrize("variant", ["linear", "bucketed"])
-    def test_faulty_run_matches_fault_free_oracle(self, variant, tmp_path):
-        faulty_eng, faulty_results, report = _run(
-            variant,
-            faults=FaultConfig.uniform(0.01, seed=321),
-            resilience=ResiliencePolicy(),
-        )
-        oracle_eng, oracle_results, _ = _run(variant)
-        # the injector fired and the retries replayed exactly-once
-        assert faulty_eng._injector.total_injected > 0
-        assert report.ops_by_status.get("FAILED", 0) == 0
-        assert faulty_results == oracle_results
-        _assert_saved_layouts_identical(faulty_eng, oracle_eng, tmp_path)
+    def test_faulty_run_matches_fault_free_oracle(self, variant):
+        """Retries replay exactly once: the machine checks every answer
+        and the serial engine's layout."""
+        m = drive(*STEPS, hash_table=variant, faults=True)
+        assert m.engine._injector.total_injected > 0
 
 
 class TestHashGrowRecovery:

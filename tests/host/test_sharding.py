@@ -282,6 +282,53 @@ class TestRebalance:
         assert eng.router.heat.sum() == 0
 
 
+class TestPipelineRebalance:
+    """``BatchPipeline.rebalance`` under a long-lived online door."""
+
+    @staticmethod
+    def _core(keys, n_shards):
+        from repro.serve.core import ServerCore, VirtualClock
+
+        eng = _sharded(keys, n_shards, mode="range", batch_size=64)
+        return ServerCore(eng, clock=VirtualClock(), deadline_us=1e9)
+
+    def test_queued_writes_land_before_partitions_move(self):
+        keys = [bytes([4 * i]) + b"-%03d" % i for i in range(64)]
+        core = self._core(keys, 4)
+        hot = keys[:16]  # shard 0's range
+        want = {}
+        for j in range(30):
+            want[hot[j % 16]] = 1_000 + j
+            core.offer("update", (hot[j % 16], 1_000 + j))
+        assert core.backlog == 30
+        assert core.rebalance()["moved_partitions"] > 0
+        assert core.backlog == 0
+        assert core.engine.lookup(list(want)) == list(want.values())
+
+    def test_a_key_that_moves_back_reads_its_last_write(self):
+        k, near, far, far2 = (b"\x01-k", b"\x02-n", b"\xc8-f", b"\xc9-g")
+        core = self._core([k, near, far, far2], 2)
+        router = core.engine.router
+
+        def move_k(heat):
+            router.reset_heat()
+            for key, n in heat.items():
+                for _ in range(n):
+                    router.shard_of(key, record=True)
+            return core.rebalance()["moved_partitions"]
+
+        core.offer("update", (k, 111))
+        core.flush()
+        assert move_k({k: 1, near: 10, far: 2}) == 1  # to shard 1
+        core.offer("update", (k, 222))
+        core.flush()
+        assert move_k({k: 1, far2: 10, near: 2}) == 1  # back to shard 0
+        assert router.shard_of(k) == 0
+        op = core.offer("lookup", k)
+        core.flush()
+        assert op.value == 222
+
+
 class TestStreamOverlapMergeParallel:
     def test_parallel_merge_takes_max_makespan(self):
         a = StreamOverlapStats(batches=4, serial_s=4.0, makespan_s=2.0,

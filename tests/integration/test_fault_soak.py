@@ -5,7 +5,8 @@ injects transient faults on ~1% of guarded events, one fault-free — must
 produce the same query results and converge to *byte-identical* mapped
 layouts.  This is the strongest statement the resilience layer can make:
 every retry replayed exactly-once, every degraded write was reconciled,
-no fault leaked into the data.
+no fault leaked into the data.  The write-absorption scenarios and the
+fused write launches under faults follow.
 """
 
 from __future__ import annotations
@@ -16,11 +17,17 @@ import pytest
 from repro.gpusim.faults import FaultConfig
 from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine
-from repro.host.memtable import Memtable, MemtableConfig
 from repro.host.mixed import MixedWorkloadExecutor
 from repro.host.resilience import ResiliencePolicy, RetryPolicy
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import dense_keys
+from tests.integration.test_serving_contract import (
+    MIX,
+    PRESENT,
+    ServingContract,
+    drive,
+    random_steps,
+)
 
 N_OPS = 50_000
 N_KEYS = 2_000
@@ -101,139 +108,50 @@ def test_soak_is_deterministic():
     assert a_rep.ops_by_status == b_rep.ops_by_status
 
 
-# -- PR 10: log-structured write absorption under faults -----------------
+# -- write absorption under faults: fixed scenarios of the serving-
+# contract machine (tests/integration/test_serving_contract.py)
 
 
-def _memtable_run(faults, resilience, *, memtable, n_ops=12_000):
-    keys = dense_keys(1_000)
-    eng = CuartEngine(EngineConfig(
-        batch_size=256, faults=faults, resilience=resilience,
-    ))
-    eng.populate([(k, i) for i, k in enumerate(keys)])
-    eng.map_to_device()
-    stream = mixed_queries(keys, n_ops, QueryMix(), seed=21)
-    ex = MixedWorkloadExecutor(eng, memtable=memtable)
-    results, report = ex.run(stream)
-    return eng, results, report
-
-
-def test_memtable_soak_matches_fault_free_oracle(tmp_path):
-    """The absorb/fold/compact path under ~1% injected faults must stay
-    lockstep with a fault-free synchronous run: identical per-op
-    results, identical surviving content."""
-    mt_cfg = MemtableConfig(segment_ops=64, max_debt=2)
-    faulty_eng, faulty_res, faulty_rep = _memtable_run(
-        FaultConfig.uniform(FAULT_RATE, seed=4321), ResiliencePolicy(),
-        memtable=mt_cfg,
-    )
-    oracle_eng, oracle_res, _ = _memtable_run(
-        None, None, memtable=None,
-    )
-    assert faulty_eng._injector.total_injected > 0
-    assert faulty_rep.ops_by_status.get("FAILED", 0) == 0
-    assert faulty_res == oracle_res
-    assert (sorted(faulty_eng.tree.items())
-            == sorted(oracle_eng.tree.items()))
+def test_memtable_soak_matches_fault_free_oracle():
+    """The absorb/fold/compact path under 2% injected faults answers
+    as the model does, op by op, and installs the model's content."""
+    m = drive(*random_steps(21, 300, MIX), memtable=True, faults=True)
+    assert m.engine._injector.total_injected > 0
 
 
 def test_open_circuit_write_burst_replays_exactly_once():
-    """Degrade interaction: while the circuit is open, a write burst
-    absorbs at host speed with compaction *deferred* (the debt is the
-    replay log, nothing scatters into the degraded CPU path); when the
-    circuit closes, one trigger drains the whole debt exactly once."""
-    keys = dense_keys(400)
-    eng = CuartEngine(EngineConfig(
-        batch_size=64, resilience=ResiliencePolicy(),
-    ))
-    eng.populate([(k, i) for i, k in enumerate(keys)])
-    eng.map_to_device()
-    mt = Memtable(eng, MemtableConfig(segment_ops=16, max_debt=1))
-    health = eng.device_health
-    for _ in range(health.unhealthy_after):
-        health.mark_failure()
-    assert not health.healthy
-
-    # the burst acks host-side; debt piles up past the budget but
-    # nothing is dispatched while the circuit is open
-    burst = keys[:200]
-    for i, k in enumerate(burst):
-        assert mt.absorb_update(k, 100_000 + i) is True
-    mt.absorb_delete(keys[250])
+    """While the circuit is open a write burst absorbs at host speed and
+    compaction waits (the debt is the replay log); when it closes, the
+    next trigger drains the whole debt exactly once."""
+    m = ServingContract()
+    m.setup(memtable=True)
+    m.circuit(0, True)
+    for k in PRESENT[:40]:
+        m.update(k)
+    m.delete(PRESENT[40])
+    mt = m.core.memtable
     assert mt.debt > mt.config.max_debt
-    assert not mt.should_compact()
-    assert mt.compact() is None  # deferred, not dropped
     assert mt.compactions == 0 and mt.dispatched_rows == 0
-
-    # reads stay correct from the delta + last installed layout
-    assert mt.read(burst[0]) == (True, 100_000)
-    assert mt.read(keys[250]) == (False, None)
-    assert mt.read(keys[300]) is None  # no pending effect: device key
-
-    # circuit closes -> the next trigger drains the debt exactly once
-    health.recover()
-    assert mt.should_compact()
-    assert mt.compact() is not None
-    assert mt.compactions == 1
-    assert mt.debt == 0
-    mt.compact(force=True)  # drain the still-active tail segment
-
-    expected = {k: i for i, k in enumerate(keys)}
-    for i, k in enumerate(burst):
-        expected[k] = 100_000 + i
-    del expected[keys[250]]
-    got = {
-        k: v for k, v in zip(keys, eng.lookup(list(keys)))
-        if v is not None
-    }
-    assert got == expected
+    # the delta answers keys it holds at once; a device key queues
+    ops = [m.offer("lookup", k) for k in PRESENT[:1] + PRESENT[40:42]]
+    assert [op.done for op in ops] == [True, True, False]
+    m.answers_match_the_model()
+    m.open_circuits_hold_compaction()
+    m.circuit(0, False)
+    m.update(PRESENT[0])
+    assert mt.compactions == 1 and mt.debt == 0
+    m.teardown()
 
 
 def test_open_circuit_burst_through_executor():
-    """Same scenario end-to-end through the mixed executor: an open
-    circuit suppresses every debt-triggered compaction (only the
-    end-of-run forced drain dispatches), and the final content still
-    matches a serial replay."""
-    keys = dense_keys(300)
-    eng = CuartEngine(EngineConfig(
-        batch_size=64, resilience=ResiliencePolicy(),
-    ))
-    eng.populate([(k, i) for i, k in enumerate(keys)])
-    eng.map_to_device()
-    for _ in range(eng.device_health.unhealthy_after):
-        eng.device_health.mark_failure()
-
-    # 90%-write burst; max_debt=0 would compact constantly when healthy
-    rng = np.random.default_rng(33)
-    stream = []
-    for i in range(600):
-        k = keys[int(rng.integers(len(keys)))]
-        if rng.random() < 0.9:
-            stream.append(("update", (k, 200_000 + i)))
-        else:
-            stream.append(("lookup", k))
-    ex = MixedWorkloadExecutor(
-        eng, memtable=MemtableConfig(segment_ops=8, max_debt=0)
-    )
-    results, report = ex.run(stream)
-
-    # every mid-stream trigger deferred: exactly the one forced drain
-    assert report.compactions == 1
-    assert sum(report.absorbed.values()) > 0
-
-    state = {k: i for i, k in enumerate(keys)}
-    expected = []
-    for kind, payload in stream:
-        if kind == "lookup":
-            expected.append(state.get(payload))
-        else:
-            if payload[0] in state:
-                state[payload[0]] = payload[1]
-    assert results == expected
-    got = {
-        k: v for k, v in zip(keys, eng.lookup(list(keys)))
-        if v is not None
-    }
-    assert got == state
+    """A 90%-write burst on an open circuit: every debt-triggered
+    compaction waits, and only the end-of-run drain installs."""
+    m = drive(("circuit", 0, True),
+              *random_steps(33, 150, ("update",) * 9 + ("lookup",)),
+              memtable=True)
+    rep = m.core.report
+    assert rep.compactions == 1
+    assert sum(rep.absorbed.values()) > 0
 
 
 # -- fused write launches under faults ---------------------------------

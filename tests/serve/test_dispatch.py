@@ -1,18 +1,20 @@
 """One serving contract, one pipeline, every door.
 
 The :class:`~repro.serve.dispatch.Dispatch` protocol is only worth its
-name if the offline executor, the sharded executor and the server core
-are interchangeable: same stream in, same lookup results out, same
-report shape.  These tests run them all over identical mixed streams
-and compare results element-wise, check that ``run`` closes the same
-batches on every clock, on one device and over key-space shards, then
-pin :func:`make_dispatch`'s resolution rules.
+name if the offline executor, the sharded executor, the server core and
+the asyncio server are interchangeable: same stream in, the serial
+answers out (a dict's), same report shape.  These tests run them all
+over one mixed stream, check that ``run`` closes the same batches on
+every clock, on one device and over key-space shards, then pin
+:func:`make_dispatch`'s resolution rules.  The serving-contract machine
+(:mod:`tests.integration.test_serving_contract`) checks the online and
+offline doors over every other combination.
 """
 
 import pytest
 
 from repro.host.engine import CuartEngine, GrtEngine
-from repro.host.memtable import Memtable, MemtableConfig
+from repro.host.memtable import Memtable
 from repro.host.mixed import MixedReport, MixedWorkloadExecutor
 from repro.host.sharding import (
     ShardedEngine,
@@ -29,6 +31,7 @@ from repro.serve import (
 )
 from repro.workloads import random_keys
 from repro.workloads.queries import QueryMix, mixed_queries
+from tests.integration.test_serving_contract import answer, apply
 
 KEYS = random_keys(200, 8, seed=31)
 STREAM = mixed_queries(KEYS, 500, QueryMix(), seed=32)
@@ -56,17 +59,12 @@ def four_shard_engine():
     return eng
 
 
-#: topology -> (engine factory, memtable, stream).
+#: topology -> (engine factory, stream).
 TOPOLOGIES = {
-    "one-device": (single_engine, None, STREAM),
-    "4-shard": (four_shard_engine, None, mixed_queries(
+    "one-device": (single_engine, STREAM),
+    "4-shard": (four_shard_engine, mixed_queries(
         SHARD_KEYS, 4000,
         QueryMix(lookups=0.70, updates=0.25, deletes=0.05), seed=11)),
-    "4-shard-memtable": (
-        four_shard_engine, MemtableConfig(segment_ops=64, max_debt=1),
-        mixed_queries(SHARD_KEYS, 4000,
-                      QueryMix(lookups=0.50, updates=0.40, deletes=0.10),
-                      seed=11)),
 }
 
 
@@ -105,15 +103,18 @@ class TestProtocolConformance:
         assert not isinstance(single_engine(), Dispatch)
 
     def test_all_implementations_agree_on_results(self):
-        outputs = {}
+        model = {k: i for i, k in enumerate(KEYS)}
+        serial = []
+        for kind, payload in STREAM:
+            want = answer(model, kind, payload)
+            apply(model, kind, payload, want)
+            if kind == "lookup":
+                serial.append(want)
         for name, dispatch in all_dispatches():
             results, report = dispatch.run(list(STREAM))
-            outputs[name] = results
             assert isinstance(report, MixedReport)
             assert report.operations == len(STREAM)
-        baseline = outputs.pop("executor")
-        for name, results in outputs.items():
-            assert results == baseline, f"{name} diverged from the executor"
+            assert results == serial, f"{name} diverged from the model"
 
     def test_reports_share_the_accounting_shape(self):
         for name, dispatch in all_dispatches():
@@ -146,12 +147,10 @@ class TestDeterministicRun:
     def test_same_batches_as_the_executor(self, door, clock, topology):
         """Over shards too: one lane per device in the pipeline both
         doors share, and every op routed (heat recorded) once."""
-        build, memtable, stream = TOPOLOGIES[topology]
+        build, stream = TOPOLOGIES[topology]
         kwargs = {"clock": VirtualClock()} if clock == "virtual" else {}
-        dispatch = door(build(), max_batch=64, memtable=memtable, **kwargs)
-        offline = make_dispatch(build())
-        offline.memtable_config = memtable
-        expected = self.outcome(offline, stream)
+        dispatch = door(build(), max_batch=64, **kwargs)
+        expected = self.outcome(make_dispatch(build()), stream)
         assert self.outcome(dispatch, stream) == expected
         assert expected[2]["deadline"] == 0
         if expected[5] is not None:
