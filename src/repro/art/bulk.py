@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.art.nodes import Leaf, Node4, Node16, Node48, Node256
+from repro.art.nodes import InnerNode, Leaf, Node4, Node16, Node48, Node256
 from repro.art.tree import AdaptiveRadixTree
 from repro.constants import (
     LINK_N4,
@@ -56,7 +56,6 @@ class PlanLevel:
     split: np.ndarray  # (G,) branch column; prefix spans [depth, split)
     fanout: np.ndarray  # (G,)
     type_code: np.ndarray  # (G,) packed-link node type (by fanout)
-    nodes: Optional[np.ndarray]  # (G,) object — the built host nodes
     child_byte: np.ndarray  # (C,) branch byte
     child_parent: np.ndarray  # (C,) owning group index in this level
     child_is_leaf: np.ndarray  # (C,) bool
@@ -77,7 +76,6 @@ class BulkPlan:
     mat: np.ndarray  # (n, W) sorted, zero-padded key matrix
     lens: np.ndarray  # (n,) key lengths, sorted-row order
     values: np.ndarray  # (n,) uint64 values, sorted-row order
-    leaf_objs: np.ndarray  # (n,) object — host leaves in sorted order
     levels: list[PlanLevel]
 
     @property
@@ -141,12 +139,13 @@ def bulk_load(
         leaf_objs = np.fromiter(
             map(Leaf, skeys, svals.tolist()), dtype=object, count=m
         )
-        _build_nodes(levels, leaf_objs, skeys)
+        tree.root = (
+            _build_nodes(levels, leaf_objs, skeys) if levels else leaf_objs[0]
+        )
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    tree.root = levels[0].nodes[0] if levels else leaf_objs[0]
     tree._size = m
     tree._version += 1
     tree._bulk_plan = BulkPlan(
@@ -154,7 +153,6 @@ def bulk_load(
         mat=smat,
         lens=slens,
         values=svals,
-        leaf_objs=leaf_objs,
         levels=levels,
     )
     return tree
@@ -257,7 +255,7 @@ def _sweep_levels(smat: np.ndarray, m: int) -> list[PlanLevel]:
         levels.append(
             PlanLevel(
                 lo=los, depth=deps, split=split, fanout=fanout,
-                type_code=tcode, nodes=None, child_byte=child_byte,
+                type_code=tcode, child_byte=child_byte,
                 child_parent=child_parent, child_is_leaf=is_leaf,
                 child_ref=child_ref, child_slot=slot,
             )
@@ -270,9 +268,10 @@ def _sweep_levels(smat: np.ndarray, m: int) -> list[PlanLevel]:
 
 def _build_nodes(
     levels: list[PlanLevel], leaf_objs: np.ndarray, skeys: list
-) -> None:
+) -> InnerNode:
     """Construct the host node objects bottom-up (children exist before
-    their parent), filling each node's internal arrays directly."""
+    their parent), filling each node's internal arrays directly; returns
+    the root."""
     node_arrays: list = [None] * len(levels)
     for li in range(len(levels) - 1, -1, -1):
         lv = levels[li]
@@ -326,9 +325,7 @@ def _build_nodes(
                     node._count = b - a
                 append(node)
                 a = b
-            nodes = np.fromiter(built, dtype=object, count=G)
-            lv.nodes = nodes
-            node_arrays[li] = nodes
+            node_arrays[li] = np.fromiter(built, dtype=object, count=G)
             continue
         lo_l = lv.lo.tolist()
         dep_l = lv.depth.tolist()
@@ -364,6 +361,5 @@ def _build_nodes(
                 node._count = b - a
             append(node)
             a = b
-        nodes = np.fromiter(built, dtype=object, count=G)
-        lv.nodes = nodes
-        node_arrays[li] = nodes
+        node_arrays[li] = np.fromiter(built, dtype=object, count=G)
+    return node_arrays[0][0]

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import (
-    CUART_MAX_PREFIX,
     CUART_NODE_BYTES,
     LEAF_TYPE_CODES,
     LINK_N4,
     LINK_N16,
     LINK_N48,
     LINK_N256,
-    N48_EMPTY_SLOT,
     NIL_VALUE,
 )
 from repro.cuart.layout import CuartLayout
@@ -106,7 +104,7 @@ def approx_lookup(
                 plen = int(buf.prefix_len[idx])
                 # bytes beyond the stored window descend optimistically;
                 # the leaf re-verification computes the true distance
-                stored = min(plen, CUART_MAX_PREFIX)
+                stored = min(plen, layout.prefix_window)
                 if depth + plen + 1 > klen:
                     continue  # key too short to branch below this node
                 # mismatches inside the (visible) compressed prefix
@@ -120,40 +118,16 @@ def approx_lookup(
                     continue
                 ndepth = depth + plen
                 byte = key[ndepth]
-                for child_byte, child in _children(layout, code, idx):
+                for child_byte, child in layout.children(code, idx):
                     add = 0 if child_byte == byte else 1
                     if miss2 + add <= max_mismatches:
-                        next_frontier.append(
-                            (int(child), ndepth + 1, miss2 + add)
-                        )
+                        next_frontier.append((child, ndepth + 1, miss2 + add))
             # HOST / DYNLEAF states: approximate search over host-resident
             # or variable-length leaves is host work; skip silently
         log.rounds[-1].distinct_bytes = distinct
         frontier = next_frontier
     matches.sort(key=lambda m: (m.distance, m.key))
     return ApproxResult(matches, visited, log)
-
-
-def _children(layout, code, idx):
-    buf = layout.nodes[code]
-    if code in (LINK_N4, LINK_N16):
-        n = int(buf.counts[idx])
-        for slot in range(n):
-            child = int(buf.children[idx, slot])
-            if child:
-                yield int(buf.keys[idx, slot]), child
-    elif code == LINK_N48:
-        for byte in range(256):
-            slot = int(buf.child_index[idx, byte])
-            if slot != N48_EMPTY_SLOT:
-                child = int(buf.children[idx, slot])
-                if child:
-                    yield byte, child
-    else:
-        for byte in range(256):
-            child = int(buf.children[idx, byte])
-            if child:
-                yield byte, child
 
 
 def _check_leaf(layout, code, idx, key, miss, budget, matches) -> None:

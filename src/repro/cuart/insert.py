@@ -411,9 +411,9 @@ class InsertEngine:
         if n == 0:
             return empty, empty
         # nothing has grown yet in this batch: stop links are current
-        node_links = res.stop_links[win_rows].astype(np.uint64)
-        ncodes = link_types(node_links)
-        nidx = link_indices(node_links)
+        stop_links = res.stop_links[win_rows].astype(np.uint64)
+        ncodes = link_types(stop_links)
+        nidx = link_indices(stop_links)
         nbytes = res.stop_bytes[win_rows].astype(np.int64)
 
         # -- rank-independent append test per node type -----------------
@@ -448,7 +448,7 @@ class InsertEngine:
         rank = np.zeros(n, dtype=np.int64)
         sub = np.nonzero(append_ok & (ncodes != LINK_N256))[0]
         if sub.size:
-            inv = np.unique(node_links[sub], return_inverse=True)[1]
+            inv = np.unique(stop_links[sub], return_inverse=True)[1]
             order = np.argsort(inv, kind="stable")
             grp = np.bincount(inv)
             starts = np.concatenate(([0], np.cumsum(grp)[:-1]))

@@ -75,75 +75,6 @@ class LongKeyStrategy(enum.Enum):
     DYNAMIC = "dynamic"
 
 
-class _LazyLeafLinks(dict):
-    """``id(host node) -> packed link`` with deferred bulk-leaf entries.
-
-    A bulk build knows every leaf's link as one vectorized array, but
-    almost no session ever looks a *leaf* link up individually (the
-    RootTable builder only touches nodes near the root).  Instead of
-    eagerly exploding the array into ~n dict entries, the pair is parked
-    and materialized on the first miss; entries written directly after
-    the deferral win over the parked ones.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pending = None
-
-    def defer(self, leaf_objs: np.ndarray, links: np.ndarray) -> None:
-        self._pending = (leaf_objs, links)
-
-    def _materialize(self) -> None:
-        pending, self._pending = self._pending, None
-        if pending is None:
-            return
-        leaf_objs, links = pending
-        merged = dict(zip(map(id, leaf_objs.tolist()), links.tolist()))
-        merged.update(self)  # individually recorded links take precedence
-        self.update(merged)
-
-    def __missing__(self, key: int) -> int:
-        if self._pending is None:
-            raise KeyError(key)
-        self._materialize()
-        return self[key]
-
-    def __contains__(self, key) -> bool:
-        if dict.__contains__(self, key):
-            return True
-        if self._pending is None:
-            return False
-        self._materialize()
-        return dict.__contains__(self, key)
-
-    def get(self, key, default=None):
-        if self._pending is not None and not dict.__contains__(self, key):
-            self._materialize()
-        return dict.get(self, key, default)
-
-    def __len__(self) -> int:
-        self._materialize()
-        return dict.__len__(self)
-
-    def __iter__(self):
-        self._materialize()
-        return dict.__iter__(self)
-
-    def keys(self):
-        self._materialize()
-        return dict.keys(self)
-
-    def items(self):
-        self._materialize()
-        return dict.items(self)
-
-    def values(self):
-        self._materialize()
-        return dict.values(self)
-
-
 @dataclass
 class _NodeBuffers:
     """Per-type SoA arrays for one inner-node type."""
@@ -261,10 +192,6 @@ class CuartLayout:
             for c in NODE_TYPE_CODES + LEAF_TYPE_CODES:
                 counts[c] = counts[c] + max(int(counts[c] * spare), floor)
         self._alloc(counts)
-        #: host-node identity -> packed device link, recorded during the
-        #: mapping pass; consumed by the RootTable builder (section 3.2.2)
-        #: and by tests.
-        self.node_links: dict[int, int] = _LazyLeafLinks()
         #: host-memory leaves for :attr:`LongKeyStrategy.HOST_LINK`.
         self.host_leaves: list[tuple[bytes, int]] = []
         #: free leaf slots per leaf type, filled by device-side deletes
@@ -346,7 +273,6 @@ class CuartLayout:
         # link exists: (node, level, parent_code, parent_row, parent_col)
         # where parent_col is the child slot (N4/16/48) or byte (N256)
         stack = [(tree.root, 0, -1, 0, 0)]
-        node_links = self.node_links
         while stack:
             node, level, pcode, prow, pcol = stack.pop()
             if level >= self.max_levels:
@@ -380,7 +306,6 @@ class CuartLayout:
                     for byte, child in reversed(children):
                         stack.append((child, level + 1, code, idx, byte))
                 link = pack_link(code, idx)
-            node_links[id(node)] = link
             if pcode < 0:
                 root_link = link
             else:
@@ -427,14 +352,6 @@ class CuartLayout:
                 buf.key_lens[:cnt] = lens[sel]
                 buf.values[:cnt] = plan.values[sel]
         leaf_links = pack_links(lcode, leaf_idx)
-        node_links = self.node_links
-        defer = getattr(node_links, "defer", None)
-        if defer is not None:
-            defer(plan.leaf_objs, leaf_links)
-        else:  # plain dict (e.g. a deserialized layout): eager fill
-            node_links.update(
-                zip(map(id, plan.leaf_objs.tolist()), leaf_links.tolist())
-            )
         levels = plan.levels
         if not levels:  # single-key tree: the root is that leaf
             self.max_levels = 1
@@ -497,9 +414,6 @@ class CuartLayout:
                     buf.children[prow, cslot] = clink[csel]
                 else:  # N256
                     buf.children[prow, cbyte] = clink[csel]
-            node_links.update(
-                zip(map(id, lv.nodes.tolist()), level_links[li].tolist())
-            )
         self.max_levels = len(levels) + 1
         return int(level_links[0][0])
 
@@ -735,6 +649,26 @@ class CuartLayout:
         return pack_link(code, index)
 
     # convenience accessors used by kernels -----------------------------
+    def children(self, code: int, idx: int) -> list[tuple[int, int]]:
+        """``(byte, link)`` of every non-empty child of inner node ``idx``
+        of type ``code``, read from the node buffers: slot order for
+        N4/N16, byte order for N48/N256.  Deleted children (zeroed
+        links) are skipped."""
+        buf = self.nodes[code]
+        if code == LINK_N48:
+            slot = buf.child_index[idx]
+            byts = np.flatnonzero(slot != N48_EMPTY_SLOT)
+            links = buf.children[idx, slot[byts]]
+        elif code == LINK_N256:
+            byts = np.arange(256)
+            links = buf.children[idx]
+        else:
+            n = int(buf.counts[idx])
+            byts = buf.keys[idx, :n]
+            links = buf.children[idx, :n]
+        return [(b, link) for b, link in zip(byts.tolist(), links.tolist())
+                if link]
+
     @property
     def n4(self) -> _NodeBuffers:
         return self.nodes[LINK_N4]

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.art.nodes import InnerNode, Leaf
-from repro.art.tree import AdaptiveRadixTree
-from repro.constants import LINK_EMPTY
+from repro.constants import LINK_EMPTY, NODE_TYPE_CODES
 from repro.cuart.layout import CuartLayout
 from repro.errors import SimulationError
 from repro.gpusim.transactions import TransactionLog
-from repro.util.packing import pack_link
+from repro.util.packing import link_index, link_type, pack_link
 
 
 class RootTable:
@@ -40,33 +38,37 @@ class RootTable:
         size = 256**k
         self.links = np.full(size, np.uint64(pack_link(LINK_EMPTY, 0)), dtype=np.uint64)
         self.depths = np.zeros(size, dtype=np.uint8)
-        tree: AdaptiveRadixTree = layout._source
-        if tree.root is not None:
-            self._fill(tree.root, 0, 0)
+        self._fill(int(layout.root_link), 0, 0)
         # growth relocations (device-side inserts) must patch our links
         layout.attached_tables.append(self)
 
     # ------------------------------------------------------------------
-    def _fill(self, node, depth: int, prefix_value: int) -> None:
+    def _fill(self, link: int, depth: int, prefix_value: int) -> None:
         """Point every table entry under ``prefix_value`` (``depth`` bytes
-        known) at ``node``, then let deeper nodes refine their subranges."""
+        known) at ``link``, then let deeper nodes refine their subranges.
+
+        A leaf, EMPTY, host or dynamic-leaf link ends a path, and so does
+        a compressed prefix longer than the stored window (the buffers
+        do not hold the bytes it skips)."""
         k = self.k
         span = 256 ** (k - depth)
         start = prefix_value * span
-        link = self.layout.node_links[id(node)]
         self.links[start : start + span] = np.uint64(link)
         self.depths[start : start + span] = depth
-        if isinstance(node, Leaf):
+        code = link_type(link)
+        if code not in NODE_TYPE_CODES:
             return
-        assert isinstance(node, InnerNode)
-        plen = len(node.prefix)
+        layout = self.layout
+        idx = link_index(link)
+        buf = layout.nodes[code]
+        plen = int(buf.prefix_len[idx])
         child_depth = depth + plen + 1
-        if child_depth > k:
-            return  # children would arrive past the table horizon
+        if child_depth > k or plen > layout.prefix_window:
+            return  # past the table horizon, or prefix bytes not stored
         base = prefix_value
-        for b in node.prefix:
+        for b in buf.prefix[idx, :plen].tolist():
             base = (base << 8) | b
-        for byte, child in node.children_items():
+        for byte, child in layout.children(code, idx):
             self._fill(child, child_depth, (base << 8) | byte)
 
     # ------------------------------------------------------------------

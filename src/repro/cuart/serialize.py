@@ -97,7 +97,6 @@ def load_layout(path: str | Path) -> CuartLayout:
         layout.device_mutations = 0
         layout.device_inserts = 0
         layout.attached_tables = []
-        layout.node_links = {}
         layout.max_levels = int(meta["max_levels"])
         layout.root_link = int(meta["root_link"])
         layout._next_node = {c: meta["next_node"][str(c)] for c in NODE_TYPE_CODES}

@@ -138,11 +138,12 @@ SUBMIT_KINDS = ("lookup", "update", "delete", "insert", "write")
 #: (:class:`repro.host.mixed.BatchPipeline`) and the layers behind it
 #: (overlay, memtable, server) read.  :class:`CuartEngine` and
 #: :class:`repro.host.sharding.ShardedEngine` provide all of them; the
-#: GRT baseline has no ``submit`` / ``drain`` / ``last_events`` /
-#: ``device_health`` and serves the figures only.
+#: GRT baseline has no ``submit`` / ``drain`` / ``device_health`` and
+#: serves the figures only.  The pipeline reads ``last_events`` from
+#: each lane's :class:`CuartEngine`, never from the engine it serves.
 SERVING_CONTRACT = (
     "lookup", "batch_size", "submit", "drain", "contains", "range",
-    "last_events", "device_health", "metrics", "tracer", "flight",
+    "device_health", "metrics", "tracer", "flight",
 )
 
 
@@ -1509,10 +1510,9 @@ class CuartEngine(_EngineBase):
 
         The device buffers load directly (no mapping pass); the
         authoritative host tree is reconstructed from the complete keys
-        the leaf buffers carry.  The compacted root table is *not*
-        persisted — pass ``root_table_depth`` and call
-        :meth:`map_to_device` to regain one (a fresh map), or run
-        without a table.
+        the leaf buffers carry.  A configured ``root_table_depth`` builds
+        the compacted root table from the loaded buffers, so the table
+        needs no re-map.
         """
         from repro.cuart.serialize import iter_layout_items, load_layout
 
@@ -1521,20 +1521,27 @@ class CuartEngine(_EngineBase):
         engine.populate(iter_layout_items(layout))
         layout._source = engine.tree
         layout._source_version = engine.tree.version
-        engine.layout = layout
-        engine.root_table = None
+        engine._adopt_layout(layout)
         return engine
 
     def range(self, lo: bytes, hi: bytes) -> list[tuple[bytes, int]]:
-        """Inclusive range query over the ordered leaf buffers."""
+        """Inclusive range query over the ordered leaf buffers.  While
+        the device is behind a degraded write (the re-map waits for the
+        circuit to close), the host tree answers and no launch is
+        charged, as for degraded lookups."""
         layout = self._require_layout()
+        if self._needs_remap:
+            return list(self.tree.range_query(lo, hi))
         res = range_query(layout, lo, hi)
         self._report("range", max(len(res), 1), 1, [res.log], MAX_SHORT_KEY)
         return list(zip(res.keys, (int(v) for v in res.values)))
 
     def prefix(self, prefix: bytes) -> list[tuple[bytes, int]]:
-        """Prefix query over the ordered leaf buffers."""
+        """Prefix query over the ordered leaf buffers; the host tree
+        answers while the device is behind, as in :meth:`range`."""
         layout = self._require_layout()
+        if self._needs_remap:
+            return list(self.tree.prefix_query(prefix))
         res = prefix_query(layout, prefix)
         self._report("prefix", max(len(res), 1), 1, [res.log], MAX_SHORT_KEY)
         return list(zip(res.keys, (int(v) for v in res.values)))

@@ -143,9 +143,6 @@ class Memtable:
         self.delta = WriteOverlay(engine.contains)
         self.active = Segment(0)
         self.sealed: deque = deque()
-        #: key -> seq of the segment holding its newest op (retirement
-        #: and superseded-op detection at compaction time).
-        self._writer_seq: dict = {}
         self._op_seq = 0
         # -- lifetime stats (the BENCH write_burst scenario reads these)
         self.absorbed: dict = {}
@@ -257,7 +254,6 @@ class Memtable:
             self.folded_away += 1
             self._m_folded.inc()
         seg.ops[key] = (entry[0], entry[1], seq)
-        self._writer_seq[key] = seg.seq
         self.absorbed[op] = self.absorbed.get(op, 0) + 1
         self._m_absorbed.labels(op=op).inc()
         # the hot-key cache mirrors installed state: the write path
@@ -297,27 +293,25 @@ class Memtable:
         *,
         force: bool = False,
     ) -> Optional[dict]:
-        """Drain the sealed segments into the device layout.
+        """Seal the active segment and drain every sealed one into the
+        device layout.
 
         ``dispatch(kind, payloads)`` scatters one folded class batch,
         ``write`` then ``insert`` (defaults to ``engine.submit``) —
         owners pass their own hook so compaction batches are accounted
         like any other flush, and launch their queued lookups before
         calling, so those read the pre-install state.  ``force=True``
-        additionally seals the active segment and dispatches even while
-        the circuit is open (end of stream: correctness over cost; the
-        engine's degrade path still applies the writes).  Returns a
-        summary dict, or ``None`` when nothing was compacted (no debt,
-        or deferred on an open circuit).
+        dispatches even while the circuit is open (end of stream:
+        correctness over cost; the engine's degrade path still applies
+        the writes).  Returns a summary dict, or ``None`` when nothing
+        was compacted (nothing pending, or deferred on an open circuit).
         """
-        if force:
-            self.seal()
-        elif not self.device_healthy():
+        if not (force or self.device_healthy()):
             return None
+        self.seal()
         if not self.sealed:
             return None
         sealed = self.sealed
-        max_seq = sealed[-1].seq
         fold: dict = {}
         n_ops = 0
         while sealed:
@@ -327,21 +321,10 @@ class Memtable:
 
         engine = self.engine
         contains = engine.contains
-        writer_seq = self._writer_seq
         updates: list = []
         inserts: list = []
         deletes: list = []
-        retire: list = []
-        superseded = 0
         for key, (kind, value, seq) in fold.items():
-            if writer_seq.get(key, -1) > max_seq:
-                # the active segment already rewrote this key: the
-                # sealed op is dead, skip its device row entirely (it
-                # will fold into a later compaction) — but the entry
-                # stays pending, owned by the newer write
-                superseded += 1
-                continue
-            retire.append(key)
             if kind == "put":
                 # classification against the *applied* base decides the
                 # kernel class: update scatters in place (byte-identical
@@ -374,12 +357,8 @@ class Memtable:
         # install: retire folded keys from the delta (their entries now
         # restate applied state) and invalidate stale existence memos
         delta = self.delta
-        for key in retire:
-            if writer_seq.get(key, -1) <= max_seq:
-                writer_seq.pop(key, None)
-                delta.forget(key)
-            else:  # pragma: no cover - retired key rewritten mid-compact
-                delta.forget_exists(key)
+        for key in fold:
+            delta.forget(key)
 
         self.compactions += 1
         self.dispatched_rows += n_rows
@@ -401,7 +380,6 @@ class Memtable:
             "updates": len(updates),
             "deletes": len(deletes),
             "inserts": len(inserts),
-            "superseded": superseded,
         }
 
     # -- reporting ------------------------------------------------------

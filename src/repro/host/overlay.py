@@ -131,8 +131,9 @@ class WriteOverlay:
 
     def forget_exists(self, key) -> None:
         """Drop only the base-existence memo for a key (the entry stays
-        pending).  Used when a compaction changes applied state under a
-        key whose newest write lives in a still-active segment."""
+        pending).  Nothing in the library calls it (a compaction retires
+        every key it folds through :meth:`forget`); only the benchmark's
+        wrap table, ``perfbench/layers.py``, names it."""
         self._exists_memo.pop(key, None)
 
     def clear(self) -> None:

@@ -264,9 +264,6 @@ class ShardedEngine:
             else NULL_FLIGHT_RECORDER
         )
         self.router = ShardRouter(self.sharding)
-        #: StreamEvents of the most recent ``submit``: the share of the
-        #: shard that ran longest (see :meth:`submit`).
-        self.last_events: list = []
         self._pcie = link_for_device(config.device.name)
         self.shards: list[CuartEngine] = []
         subtrack = getattr(self.tracer, "subtrack", None)
@@ -423,7 +420,7 @@ class ShardedEngine:
         else:
             keys = [k for k, _ in payloads]
         sids = self.router.route(keys)
-        parts, shares = [], []
+        parts = []
         for sid, shard in enumerate(self.shards):
             idx = np.flatnonzero(sids == sid)
             if not idx.size:
@@ -434,12 +431,6 @@ class ShardedEngine:
             else:
                 res = getattr(shard, kind)(part)
             parts.append((idx, res))
-            shares.append(shard.last_events)
-        if submit:
-            self.last_events = max(
-                shares, key=lambda evs: sum(ev.serial_s for ev in evs),
-                default=[],
-            )
         return self._merge_results(kind, len(payloads), parts)
 
     def lookup(self, keys: Sequence[bytes]) -> BatchResult:
@@ -474,12 +465,7 @@ class ShardedEngine:
         its shard's own :class:`StreamScheduler` — shards are
         independent devices, so their submit windows run concurrently
         in simulated time.  (The batch pipeline submits to each shard's
-        engine itself.)
-
-        :attr:`last_events` becomes the events of the shard whose share
-        ran longest: the shards start the launch together, so that share
-        finishes last, and a sharded launch completes when its slowest
-        shard does."""
+        engine itself and reads each shard's ``last_events``.)"""
         if kind not in SUBMIT_KINDS:
             raise ReproError(
                 f"cannot submit {kind!r} batches to ShardedEngine"

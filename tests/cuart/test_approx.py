@@ -112,6 +112,15 @@ class TestFuzzyMatching:
         m = next(m for m in res.matches if m.key == keys[3])
         assert m.distance == 1
 
+    def test_prefix_longer_than_a_narrow_window(self):
+        # only the layout's stored window is compared on the way down
+        keys = [b"p" * 10 + bytes([b]) + b"zz" for b in range(5)]
+        lay = CuartLayout(make_tree((k, i) for i, k in enumerate(keys)),
+                          prefix_window=4)
+        res = approx_lookup(lay, keys[1], max_mismatches=1)
+        assert [(m.key, m.distance) for m in res.matches][:1] == [(keys[1], 0)]
+        assert len(res) == 5
+
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -87,19 +87,6 @@ class TestMappingBasics:
         assert medium_layout.device_bytes() > 0
         assert medium_layout.device_bytes() % 16 == 0
 
-    def test_node_links_recorded_for_every_node(self, medium_tree):
-        lay = CuartLayout(medium_tree)
-        # every (inner or leaf) host node has a device link
-        count = 0
-        stack = [medium_tree.root]
-        while stack:
-            node = stack.pop()
-            assert id(node) in lay.node_links
-            count += 1
-            if hasattr(node, "children_items"):
-                stack.extend(c for _, c in node.children_items())
-        assert count == len(lay.node_links)
-
     def test_max_levels_tracked(self, medium_layout):
         assert medium_layout.max_levels >= 2
 

@@ -139,7 +139,7 @@ class TestGrtEngine:
                      "device_health"):
             assert not hasattr(eng, attr), attr
         with pytest.raises(
-            ReproError, match="submit, drain, last_events, device_health"
+            ReproError, match="submit, drain, device_health"
         ):
             require_serving_engine(eng)
         require_serving_engine(CuartEngine())

@@ -141,3 +141,20 @@ class TestEnginePersistence:
         # and a re-map from the reconstructed tree stays consistent
         loaded.map_to_device()
         assert loaded.lookup([keys[3], b"\xf9" * 8]) == [7, 11]
+
+    def test_load_builds_the_root_table_from_the_buffers(self, tmp_path):
+        keys = random_keys(600, 8, seed=143)
+        eng = CuartEngine(batch_size=256, root_table_depth=2)
+        eng.populate((k, i) for i, k in enumerate(keys))
+        eng.map_to_device()
+        path = tmp_path / "table.npz"
+        eng.save(path)
+
+        loaded = CuartEngine.load(path, batch_size=256, root_table_depth=2)
+        assert (loaded.root_table.links == eng.root_table.links).all()
+        assert (loaded.root_table.depths == eng.root_table.depths).all()
+        probe = keys[::7] + [b"\xfe" * 8]
+        assert loaded.lookup(probe) == eng.lookup(probe)
+        # both lookups dispatched through their tables
+        assert (loaded.last_report.transactions_per_query
+                == eng.last_report.transactions_per_query)

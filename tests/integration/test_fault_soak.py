@@ -22,6 +22,7 @@ from repro.host.resilience import ResiliencePolicy, RetryPolicy
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import dense_keys
 from tests.integration.test_serving_contract import (
+    ABSENT,
     MIX,
     PRESENT,
     ServingContract,
@@ -152,6 +153,35 @@ def test_open_circuit_burst_through_executor():
     rep = m.core.report
     assert rep.compactions == 1
     assert sum(rep.absorbed.values()) > 0
+
+
+def test_scans_answer_while_the_device_is_behind():
+    """A write the CPU served leaves the device behind until the circuit
+    closes; range and prefix answer from the host tree meanwhile and
+    charge no launch."""
+    keys = [b"k%03d" % i for i in range(40)]
+    eng = CuartEngine(batch_size=16, resilience=ResiliencePolicy())
+    eng.populate((k, i + 1) for i, k in enumerate(keys))
+    eng.map_to_device()
+    health = eng.device_health
+    for _ in range(health.unhealthy_after):
+        health.mark_failure()
+    health.degraded_calls = 1  # the next call is not a probe
+    assert eng.delete([keys[1]]).counts_by_status() == {"DEGRADED_CPU": 1}
+    report = eng.last_report
+    assert eng.range(keys[0], keys[3]) == [(keys[0], 1), (keys[2], 3),
+                                           (keys[3], 4)]
+    assert eng.prefix(b"k00") == [(k, i + 1) for i, k in enumerate(keys[:10])
+                                  if i != 1]
+    assert eng.last_report is report
+
+
+@pytest.mark.parametrize("key", PRESENT[:6] + ABSENT[:4],
+                         ids=lambda k: k[2:].decode())
+def test_scan_after_a_degraded_delete(key):
+    drive(("hot_burst", key), ("insert", key), ("circuit", 0, True),
+          ("flush",), ("delete", key), ("circuit", 0, True),
+          ("scan", key, key), devices=1, faults=True)
 
 
 # -- fused write launches under faults ---------------------------------
