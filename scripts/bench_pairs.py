@@ -7,10 +7,11 @@ Pair *i* runs ``perfbench/run.py --workload W --seed i --seconds S
 parent first and even pairs the change first, so slow spells of a
 shared host fall on both sides.  The table then gives, for every
 end-to-end metric ``BENCHMARK.json`` lists, the parent's median with
-its quartiles, the change's median, the change in percent, and the
-pairs the change won (``better`` comes from ``BENCHMARK.json``; a tie
-counts for neither side), plus each side's failed / attempted ops.
-Each run's record goes to stderr as one JSON line when it finishes.
+its quartiles, the change's median, the change in percent, the
+smallest and largest change in percent within one pair, and the pairs
+the change won (``better`` comes from ``BENCHMARK.json``; a tie counts
+for neither side), plus each side's failed / attempted ops.  Each
+run's record goes to stderr as one JSON line when it finishes.
 
 Usage::
 
@@ -19,8 +20,11 @@ Usage::
 
 A gain holds when the change wins at least nine tenths of the pairs and
 its median lies beyond the parent's by more than the parent's
-interquartile range (the ``> IQR`` column).  This is a measuring tool,
-not a gate: wall time is never gated.
+interquartile range (the ``> IQR`` column).  For a simulated metric,
+which is exact per seed, the parent's quartiles measure the spread
+between seeds, not noise: read the paired column instead, whose range
+is the change each seed saw.  This is a measuring tool, not a gate:
+wall time is never gated.
 """
 
 from __future__ import annotations
@@ -80,6 +84,10 @@ def _quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _delta_pct(parent: float, change: float) -> float:
+    return (change - parent) / parent * 100.0 if parent else 0.0
+
+
 def summarize(records: list[dict], spec: dict) -> dict:
     """One row per end-to-end metric of ``spec`` plus each side's op
     totals.  A pair counts toward ``wins`` only when both sides ran it
@@ -95,11 +103,12 @@ def summarize(records: list[dict], spec: dict) -> dict:
         q1, p_med, q3 = _quartiles(par)
         c_med = statistics.median(chg)
         wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        paired = [_delta_pct(p, c) for p, c in zip(par, chg)]
         rows.append({
             "metric": name, "unit": m["unit"], "better": m["better"],
             "parent_median": p_med, "parent_q1": q1, "parent_q3": q3,
-            "change_median": c_med,
-            "delta_pct": (c_med - p_med) / p_med * 100.0 if p_med else 0.0,
+            "change_median": c_med, "delta_pct": _delta_pct(p_med, c_med),
+            "pair_delta_min": min(paired), "pair_delta_max": max(paired),
             "wins": wins, "pairs": len(both),
             "beyond_iqr": abs(c_med - p_med) > q3 - q1,
         })
@@ -113,14 +122,16 @@ def summarize(records: list[dict], spec: dict) -> dict:
 def render(summary: dict, workload: str) -> str:
     lines = [f"# {workload}",
              "| metric | parent median [Q1–Q3] | change median | Δ% "
-             "| change won | > IQR |",
-             "|---|--:|--:|--:|--:|:-:|"]
+             "| paired Δ% [min, max] | change won | > IQR |",
+             "|---|--:|--:|--:|--:|--:|:-:|"]
     for r in summary["rows"]:
         lines.append(
             f"| {r['metric']} ({r['unit']}, {r['better']}) "
             f"| {r['parent_median']:.6g} [{r['parent_q1']:.6g}–"
             f"{r['parent_q3']:.6g}] | {r['change_median']:.6g} "
-            f"| {r['delta_pct']:+.2f}% | {r['wins']}/{r['pairs']} "
+            f"| {r['delta_pct']:+.2f}% "
+            f"| [{r['pair_delta_min']:+.2f}%, {r['pair_delta_max']:+.2f}%] "
+            f"| {r['wins']}/{r['pairs']} "
             f"| {'yes' if r['beyond_iqr'] else 'no'} |")
     for side in SIDES:
         o = summary["ops"][side]

@@ -33,7 +33,7 @@ from repro.constants import (
 )
 from repro.cuart.hashtable import make_conflict_table
 from repro.cuart.layout import CuartLayout
-from repro.cuart.lookup import lookup_batch
+from repro.cuart.lookup import LookupResult, lookup_batch
 from repro.cuart.update import hashtable_stat_recorder, write_path_counters
 from repro.gpusim.transactions import TransactionLog
 from repro.obs.metrics import MetricsRegistry
@@ -63,6 +63,7 @@ def delete_batch(
     log: TransactionLog | None = None,
     table=None,
     metrics: MetricsRegistry | None = None,
+    located: LookupResult | None = None,
 ) -> DeleteResult:
     """Delete a batch of keys on the device.
 
@@ -71,16 +72,23 @@ def delete_batch(
     is cleared and unlinked exactly once.  Callers issuing many batches
     can pass a ``table`` to reuse (it is reset here) and skip the
     per-batch allocation.  The caller gates the launch (the engine's write
-    launch fires the fault hooks before the inner lookup and any clearing
+    launch fires the fault hooks before the traversal and any clearing
     store, so an aborted batch left every leaf and parent link
-    untouched).
+    untouched).  ``located`` is the traversal's outcome for these rows
+    when the caller's launch already walked the tree for them
+    (:meth:`~repro.cuart.lookup.LookupResult.take`): each row's leaf and
+    the last node visited above it.
     """
     layout.check_fresh()
     B = keys_mat.shape[0]
     if log is None:
         log = TransactionLog()
 
-    res = lookup_batch(layout, keys_mat, key_lens, root_table=root_table, log=log)
+    res = located
+    if res is None:
+        res = lookup_batch(
+            layout, keys_mat, key_lens, root_table=root_table, log=log
+        )
     locations = res.locations
     found = locations != np.uint64(0)
     thread_ids = np.arange(B, dtype=np.int64)

@@ -21,7 +21,7 @@ insertable empty slot.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -150,6 +150,15 @@ class LookupResult:
     @property
     def hits(self) -> np.ndarray:
         return self.values != np.uint64(NIL_VALUE)
+
+    def take(self, rows) -> "LookupResult":
+        """The outcome of a subset of the batch's rows, sharing its log:
+        one launch walks the tree once for every row, and each of its
+        stages reads its own rows' leaves and parents."""
+        return replace(self, **{
+            f.name: getattr(self, f.name)[rows]
+            for f in fields(self) if f.name != "log"
+        })
 
 
 def lookup_batch(

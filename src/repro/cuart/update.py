@@ -33,7 +33,7 @@ from repro.constants import (
 )
 from repro.cuart.hashtable import make_conflict_table
 from repro.cuart.layout import CuartLayout
-from repro.cuart.lookup import lookup_batch
+from repro.cuart.lookup import LookupResult, lookup_batch
 from repro.errors import SimulationError
 from repro.gpusim.transactions import TransactionLog
 from repro.obs.metrics import OCCUPANCY_BUCKETS, MetricsRegistry
@@ -171,6 +171,7 @@ class UpdateEngine:
         *,
         deletes: np.ndarray | None = None,
         log: TransactionLog | None = None,
+        located: LookupResult | None = None,
     ) -> UpdateResult:
         """Apply one update batch; thread ``i`` writes ``new_values[i]``
         (or a nil pointer where ``deletes[i]``) to ``keys_mat[i]``.
@@ -179,7 +180,11 @@ class UpdateEngine:
         — structural inserts need a host re-map (section 5.1 leaves full
         device-side management to future work).  The caller gates the
         launch (the engine's write launch fires the fault hooks before
-        any stage runs, so an aborted batch replays as-is).
+        any stage runs, so an aborted batch replays as-is).  ``located``
+        is stage 1's outcome for these rows when the caller's launch
+        already walked the tree for them
+        (:meth:`~repro.cuart.lookup.LookupResult.take`); the kernel
+        then starts at stage 2.
         """
         layout = self.layout
         layout.check_fresh()
@@ -197,10 +202,12 @@ class UpdateEngine:
             )
 
         # ---- stage 1: locate the leaves -----------------------------
-        res = lookup_batch(
-            layout, keys_mat, key_lens, root_table=self.root_table, log=log
-        )
-        locations = res.locations
+        if located is None:
+            located = lookup_batch(
+                layout, keys_mat, key_lens, root_table=self.root_table,
+                log=log,
+            )
+        locations = located.locations
         found = locations != np.uint64(0)
         thread_ids = np.arange(B, dtype=np.int64)
 

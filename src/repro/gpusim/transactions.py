@@ -100,16 +100,6 @@ class TransactionLog:
         """Length of the serial chain the slowest thread experiences."""
         return len(self.rounds)
 
-    def merge(self, other: "TransactionLog") -> None:
-        """Fold another log into this one (rounds concatenate: the kernels
-        involved ran back to back)."""
-        self.by_class.update(other.by_class)
-        self.rounds.extend(other.rounds)
-        self.launched_threads = max(self.launched_threads, other.launched_threads)
-        self.compute_cycles += other.compute_cycles
-        self.atomic_ops += other.atomic_ops
-        self.serial_stall_s += other.serial_stall_s
-
     def summary(self) -> dict:
         """Human-readable aggregate dict (used by the bench reports)."""
         return {

@@ -255,10 +255,14 @@ class OpClassCoalescer:
         return seen
 
     def _closure_in_order(self, kinds) -> list[str]:
-        """Topologically order a predecessor-closed class set; ties break
-        by first-arrival order (the DAG has at most a handful of nodes,
-        and this only runs on flush events)."""
-        member = [k for k in self._order if k in kinds]
+        """Topologically order a predecessor-closed class set: a ready
+        lookup batch goes first, other ties break by first-arrival order
+        (the DAG has at most a handful of nodes, and this only runs on
+        flush events).  Lookups first puts an independent lookup batch
+        directly before the write batch it can ride as stage 0 (see
+        :meth:`repro.host.engine.CuartEngine.submit`)."""
+        member = sorted((k for k in self._order if k in kinds),
+                        key=lambda k: k != "lookup")
         out: list[str] = []
         placed: set = set()
         while member:
@@ -406,8 +410,9 @@ class OpClassCoalescer:
         return tuple(out)
 
     def drain(self) -> list[tuple[str, list]]:
-        """Flush every queue in dependency order (ties by first-arrival
-        class order), clearing all pending-key and edge state."""
+        """Flush every queue in dependency order (a ready lookup batch
+        first, other ties by first-arrival class order), clearing all
+        pending-key and edge state."""
         out: list[tuple[str, list]] = []
         for k in self._closure_in_order(set(self._order)):
             q = self._pop_queue(k)

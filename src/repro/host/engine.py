@@ -403,8 +403,9 @@ class _LookupStage:
     The hot-key cache answers what it can (repeats collapse into one
     probe per distinct key); the rest are device rows, coalesced into
     batches that launch on their own (:meth:`launch`) or ride a write
-    launch as its stage 0 (:meth:`kernel`, then :meth:`answer`).  A
-    batch the resilience layer degrades is answered on the CPU.
+    launch as its stage 0 (:meth:`CuartEngine._write_batch`, then
+    :meth:`answer`).  A batch the resilience layer degrades is answered
+    on the CPU.
     :meth:`result` resolves host-leaf signals, fills the cache and
     builds the :class:`BatchResult`.  ``host_s`` sums the host seconds
     spent in these steps."""
@@ -502,21 +503,6 @@ class _LookupStage:
                 self.logs.append(res.log)
             self._scatter(res, att)
         self.host_s += time.perf_counter() - t0
-
-    def kernel(self, log: TransactionLog):
-        """Stage 0 of a write launch: the oldest pending batch's lookups,
-        recorded into the launch's log ahead of its write stages (the
-        launch gate has fired), so they read the state before the
-        launch."""
-        t0 = time.perf_counter()
-        eng = self.eng
-        b = self.pending[0]
-        res = lookup_batch(
-            eng.layout, b.keys_mat, b.key_lens, root_table=eng.root_table,
-            log=log,
-        )
-        self.host_s += time.perf_counter() - t0
-        return res
 
     def answer(self, res, att: int) -> None:
         """Take the oldest pending batch's answers from the write launch
@@ -1059,7 +1045,8 @@ class CuartEngine(_EngineBase):
         ``lookups`` (keys; ``write`` batches only) hands in a lookup
         batch that must read the state *before* the write batch: the
         call returns ``(lookup_result, write_result)``.  The lookup rows
-        run as stage 0 of the write launch.  The lookup result's
+        run as stage 0 of the write launch, walking the tree together
+        with its write rows (:meth:`_write_batch`).  The lookup result's
         ``summary["host_s"]`` is the host time spent on the lookup rows.
         """
         if lookups is not None:
@@ -1162,40 +1149,58 @@ class CuartEngine(_EngineBase):
 
     def _write_batch(self, b: QueryBatch, values, dels, label: str,
                      stage: Optional[_LookupStage] = None):
-        """One write launch over batch ``b``: its update rows, then its
-        delete rows (``dels``), as stages of one kernel that records one
-        transaction log (an empty stage is skipped).  With ``stage``,
-        that lookup stage's oldest pending batch runs first, as stage 0:
-        it reads the state before the launch, which is what a lookup
-        launch sent first would read.  The launch fires its fault hooks
-        once, before any stage runs, so an aborted launch replays
-        as-is.  ``label`` names the op for the hooks.  Returns
-        ``(found, log, stage-0 LookupResult or None)``."""
+        """One write launch over batch ``b``: one grid, one transaction
+        log.  Its threads are its update rows, its delete rows
+        (``dels``) and, with ``stage``, that lookup stage's oldest
+        pending batch (stage 0).  Every row walks the tree once,
+        together (keys padded to the widest row); then the update
+        stage runs its dedup rounds and winner stores, then the delete
+        stage its dedup rounds, clearing stores and unlinks (an empty
+        stage is skipped).  The walk writes nothing, so stage 0 reads
+        the state before the launch, which is what a lookup launch sent
+        first would read; and update stores change value words only,
+        so the delete rows find the leaves and parents a walk after
+        those stores would.  The launch fires its fault hooks once,
+        before any stage runs, so an aborted launch replays as-is.
+        ``label`` names the op for the hooks.  Returns ``(found, log,
+        stage-0 LookupResult or None)``."""
         layout = self.layout
         layout.check_fresh()
-        threads = b.size + (stage.pending[0].size if stage else 0)
+        first = stage.pending[0] if stage else None
+        n0 = first.size if first else 0
+        threads = n0 + b.size
         launch_kernel(label, threads, injector=self._injector)
         if self._injector is not None:
             self._injector.on_hashtable(label, b.size)
         updater = self._get_updater()
         log = TransactionLog()
-        looked = stage.kernel(log) if stage else None
+        keys_mat, key_lens = b.keys_mat, b.key_lens
+        if first is not None:
+            keys_mat = np.zeros(
+                (threads, max(first.keys_mat.shape[1], keys_mat.shape[1])),
+                dtype=keys_mat.dtype,
+            )
+            keys_mat[:n0, :first.keys_mat.shape[1]] = first.keys_mat
+            keys_mat[n0:, :b.keys_mat.shape[1]] = b.keys_mat
+            key_lens = np.concatenate([first.key_lens, key_lens])
+        walk = lookup_batch(layout, keys_mat, key_lens,
+                            root_table=self.root_table, log=log)
         found = np.zeros(b.size, dtype=bool)
         upd = np.flatnonzero(~dels)
         rem = np.flatnonzero(dels)
         if upd.size:
             found[upd] = updater.apply(
                 b.keys_mat[upd], b.key_lens[upd], values[b.origin[upd]],
-                log=log,
+                log=log, located=walk.take(n0 + upd),
             ).found
         if rem.size:
             found[rem] = delete_batch(
                 layout, b.keys_mat[rem], b.key_lens[rem], log=log,
                 root_table=self.root_table, table=updater.conflict_table(),
-                metrics=self.metrics,
+                metrics=self.metrics, located=walk.take(n0 + rem),
             ).deleted
         log.launched_threads = threads
-        return found, log, looked
+        return found, log, walk.take(slice(0, n0)) if first else None
 
     def _write(self, rows, op: str,
                stage: Optional[_LookupStage] = None) -> BatchResult:

@@ -34,9 +34,9 @@ Reads stay *serially correct* throughout: the delta is a
 statuses, so read-your-writes is one dict probe, and keys without a
 pending write read the device layout, which the compactor only ever
 moves *forward* to a folded prefix of the absorbed history.  The batch
-pipeline (:class:`repro.host.mixed.BatchPipeline`) launches its queued
-lookups before each compaction installs, so a lookup queued before a
-compaction reads the pre-install state, by launch order, as a serial
+pipeline (:class:`repro.host.mixed.BatchPipeline`) hands its queued
+lookups to each compaction's write launch as stage 0, so a lookup
+queued before a compaction reads the pre-install state, as a serial
 run does.
 
 **Byte-identity.**  For update/delete traffic the folded batches are
@@ -299,8 +299,10 @@ class Memtable:
         ``dispatch(kind, payloads)`` scatters one folded class batch,
         ``write`` then ``insert`` (defaults to ``engine.submit``) —
         owners pass their own hook so compaction batches are accounted
-        like any other flush, and launch their queued lookups before
-        calling, so those read the pre-install state.  ``force=True``
+        like any other flush; the pipeline's hook carries its queued
+        lookups on the write batch's launch as stage 0 (or launches
+        them alone before an insert batch), so those read the
+        pre-install state.  ``force=True``
         dispatches even while the circuit is open (end of stream:
         correctness over cost; the engine's degrade path still applies
         the writes).  Returns a summary dict, or ``None`` when nothing

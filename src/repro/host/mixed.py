@@ -17,12 +17,13 @@ miss without device work, and with the memtable on
 otherwise queues the op in its class queue
 (:class:`repro.host.batching.OpClassCoalescer`: ``lookup``, ``write``
 for updates and deletes in one device launch, ``insert``).  With the
-memtable on, lookups are the only class queued, and they launch before
-each compaction installs: a lookup queued before a compaction reads the
-pre-install state, as a serial run does.  Each flushed batch is
-submitted to the engine's double-buffered stream pipeline — a lookup
-batch that a flush group releases directly before a write batch rides
-that batch's launch as its stage 0, so the pair costs one launch — and
+memtable on, lookups are the only class queued, and they ride each
+compaction's write launch as its stage 0: a lookup queued before a
+compaction reads the pre-install state, as a serial run does.  Each
+flushed batch is submitted to the engine's double-buffered stream
+pipeline — a lookup batch that a flush group releases directly before a
+write batch (the coalescer releases ready lookups first) rides that
+batch's launch as its stage 0, so the pair costs one launch — and
 its outcomes tallied into a
 :class:`MixedReport`: hit/miss counts straight from
 :attr:`repro.host.results.BatchResult.found_array`, per-op
@@ -201,11 +202,11 @@ class BatchPipeline:
     flush group, :meth:`_dispatch_group` sends each device launch
     through :meth:`_dispatch` to its lane's engine, which submits it,
     tallies the report, stamps flight records and records each class's
-    host wall time; :meth:`_maybe_compact` launches a lane's queued
-    lookups before its compaction installs (no other device can observe
-    that install); :meth:`flush` dispatches everything queued, installs
-    every memtable and closes the simulated stream window, whose
-    makespan on several devices is the slowest one's.
+    host wall time; :meth:`_maybe_compact` hands a lane's queued
+    lookups to its compaction's write launch (no other device can
+    observe that install); :meth:`flush` dispatches everything queued,
+    installs every memtable and closes the simulated stream window,
+    whose makespan on several devices is the slowest one's.
 
     This class is also the offline door: :meth:`run` queues light
     entries — ``(key, seq)`` for a lookup (``seq`` indexes the results),
@@ -422,50 +423,61 @@ class BatchPipeline:
         return n
 
     def _dispatch(self, lane: Lane, kind: str, entries: list,
-                  lookups=None) -> None:
+                  lookups=None, compaction: bool = False) -> None:
         """Run one device launch on ``lane`` and account it: one flushed
         class batch (``lookup`` / ``write`` / ``insert``; a write batch's
         rows are ``(key, value)`` updates and ``(key, None)`` deletes),
-        or with ``lookups`` a lookup batch and the write batch flushed
+        or with ``lookups`` a lookup batch and the write batch released
         directly after it.  Their launch runs the lookups as stage 0,
         ahead of the writes, so they read what a lookup launch sent
         first would (:meth:`repro.host.engine.CuartEngine.submit`).
-        Each class is accounted with its own host time: the lookups' row
-        preparation and settling plus the engine's measured host time on
-        their rows, and the write batch the rest of the dispatch."""
+        A ``compaction`` launch carries a memtable's folded device rows
+        (``entries``), whose ops were tallied at absorb time: only the
+        lookups it carries settle, and it is accounted as
+        ``compact-<kind>``.  Each class is accounted with its own host
+        time: the lookups' row preparation and settling plus the
+        engine's measured host time on their rows, and the other batch
+        the rest of the dispatch."""
         t0 = time.perf_counter()
         td = self.flight.now_us() if self._fl_on else 0.0
         n = len(entries)
+        n_lookups = 0
         lookup_s = 0.0
         l_rows = None
         if lookups is not None:
+            n_lookups = len(lookups)
             l_rows = self._rows("lookup", lookups)
             lookup_s = time.perf_counter() - t0
-        rows = self._rows(kind, entries)
+        label = f"compact-{kind}" if compaction else kind
+        rows = entries if compaction else self._rows(kind, entries)
         back = None
         dev_rows = rows
-        if kind == "write":
+        if kind == "write" and not compaction:
             # one device row per key; each op reads its key's outcome
             dev_rows, back = fold_writes(rows)
             self.report.folded += n - len(dev_rows)
-        res = self._submit(lane, kind, dev_rows, f"mixed.{kind}",
-                           lookups=l_rows)
-        self._launched(lane, n + (len(lookups) if lookups is not None else 0))
+        span = f"mixed.compact.{kind}" if compaction else f"mixed.{kind}"
+        res = self._submit(lane, kind, dev_rows, span, lookups=l_rows)
+        self._launched(lane, 0 if compaction else n + n_lookups)
         if lookups is not None:
             lres, res = res
             t1 = time.perf_counter()
             self._settle(lane, "lookup", lookups, l_rows, lres, td)
             lookup_s += lres.summary["host_s"] + time.perf_counter() - t1
-            self._account("lookup", len(lookups), lookup_s)
-        if back is not None:
-            res = res.take(back)
-        self._settle(lane, kind, entries, rows, res, td)
-        self._account(kind, n, time.perf_counter() - t0 - lookup_s)
+            self._account("lookup", n_lookups, lookup_s)
+        if not compaction:
+            if back is not None:
+                res = res.take(back)
+            self._settle(lane, kind, entries, rows, res, td)
+        elif kind == "insert":
+            self.report.inserts_deferred += res.summary["deferred"]
+        self._account(label, n, time.perf_counter() - t0 - lookup_s)
 
     def _launched(self, lane: Lane, n: int) -> None:
-        """Hook: one foreground launch carrying ``n`` ops was just
-        submitted on ``lane``'s device (the server places it on that
-        device's timeline here)."""
+        """Hook: one launch was just submitted on ``lane``'s device,
+        carrying ``n`` queued ops; 0 marks a compaction launch, which
+        the retry-after hint leaves out (the server places every launch
+        on its device's timeline here)."""
 
     def _settle(self, lane: Lane, kind: str, entries: list, rows: list,
                 res, td: float) -> None:
@@ -523,26 +535,36 @@ class BatchPipeline:
         rep.wall_s[label] = rep.wall_s.get(label, 0.0) + dt
         self._m_latency.labels(op=label).observe(dt / n * 1e6, n)
 
-    def _compact_dispatch(self, lane: Lane, kind: str, rows: list):
-        """Scatter one folded compaction batch on ``lane``: it rides the
-        stream pipeline like any flush, but its ops' outcomes were
-        tallied at absorb time."""
-        t0 = time.perf_counter()
-        res = self._submit(lane, kind, rows, f"mixed.compact.{kind}")
-        if kind == "insert":
-            self.report.inserts_deferred += res.summary["deferred"]
-        self._account(f"compact-{kind}", len(rows), time.perf_counter() - t0)
-        return res
+    def _compact_dispatch(self, lane: Lane, held: list, kind: str,
+                          rows: list) -> None:
+        """The compaction hook: launch one folded class batch on
+        ``lane``.  The lookups ``held`` back for the compaction ride its
+        write launch as stage 0; an insert batch with no write batch
+        before it launches them alone first."""
+        lookups = held.pop() if held else None
+        if lookups is not None and kind != "write":
+            self._dispatch(lane, "lookup", lookups)
+            lookups = None
+        self._dispatch(lane, kind, rows, lookups, compaction=True)
 
-    def _maybe_compact(self, lane: Lane, force: bool = False) -> None:
+    def _maybe_compact(self, lane: Lane, force: bool = False) -> int:
+        """Compact ``lane``'s memtable if due (or ``force``); returns the
+        queued ops dispatched.  The lane's queued lookups read the state
+        before the install, as a serial run does: they ride the
+        compaction's write launch as stage 0, or launch alone first when
+        it sends no write batch."""
         mt = lane.memtable
-        if mt is not None and (force or mt.should_compact()):
-            # the lane's queued lookups launch first, so they read the
-            # state before the install, as a serial run does
-            self._dispatch_all(lane)
-            hook = partial(self._compact_dispatch, lane)
-            if mt.compact(hook, force=force) is not None:
-                self.report.compactions += 1
+        if not (force or mt.should_compact()):
+            return 0
+        # lookups: the only class a lane queues while its memtable absorbs
+        held = [entries for _, entries in lane.coal.drain()]
+        n = sum(map(len, held))
+        hook = partial(self._compact_dispatch, lane, held)
+        if mt.compact(hook, force=force) is not None:
+            self.report.compactions += 1
+        if held:  # the compaction sent no batch
+            self._dispatch(lane, "lookup", held.pop())
+        return n
 
     def _scan(self, lo, hi) -> list:
         """A range touches an unbounded key set: a full barrier over
@@ -573,9 +595,6 @@ class BatchPipeline:
 
     # -- drain -----------------------------------------------------------
 
-    def _dispatch_all(self, lane: Lane) -> int:
-        return self._dispatch_group(lane, lane.coal.drain())
-
     def flush(self) -> int:
         """Dispatch everything queued (end of stream, scan barrier,
         shutdown), install every absorbed write into the device layout
@@ -583,8 +602,9 @@ class BatchPipeline:
         queued ops dispatched."""
         n = 0
         for lane in self.lanes:
-            n += self._dispatch_all(lane)
-            self._maybe_compact(lane, force=True)
+            n += (self._dispatch_group(lane, lane.coal.drain())
+                  if lane.memtable is None
+                  else self._maybe_compact(lane, force=True))
         window = self.engine.drain()
         if self.overlap is None:
             # a fresh record: whoever holds the drained window (a tracer

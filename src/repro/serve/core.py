@@ -510,10 +510,11 @@ class ServerCore(BatchPipeline):
             return [o.key for o in ops]
         return [(o.key, o.value_arg) for o in ops]
 
-    def _dispatch(self, lane, kind: str, ops: list, lookups=None) -> None:
+    def _dispatch(self, lane, kind: str, ops: list, lookups=None,
+                  compaction: bool = False) -> None:
         # the launch's batches leave their queues now, on the server clock
         self._t_dispatch = self.clock()
-        super()._dispatch(lane, kind, ops, lookups)
+        super()._dispatch(lane, kind, ops, lookups, compaction)
 
     @property
     def device_free_us(self) -> float:
@@ -534,10 +535,14 @@ class ServerCore(BatchPipeline):
         return max(done) * 1e6 if done else t_us
 
     def _launched(self, lane, n: int) -> None:
-        """Place the launch just submitted on ``lane`` (``n`` ops), once
-        per launch: every batch it carries completes when it ends.  The
-        retry-after estimate averages its serial stage time per op."""
+        """Place the launch just submitted on ``lane`` (``n`` queued
+        ops), once per launch: every batch it carries completes when it
+        ends, so a compaction's launch holds its device's later
+        foreground launches behind it.  The retry-after estimate
+        averages a foreground launch's serial stage time per op."""
         self._t_done = self._place(lane, self._t_dispatch)
+        if not n:
+            return
         per_op = sum(ev.serial_s * 1e6 for ev in lane.engine.last_events) / n
         self.service_ewma_us = (
             per_op if self.service_ewma_us == 0.0
@@ -569,16 +574,6 @@ class ServerCore(BatchPipeline):
         self._g_backlog.set(self.backlog)
         if self.controller is not None:
             self.controller.maybe_retune(self)
-
-    def _compact_dispatch(self, lane, kind: str, rows: list):
-        """A compaction batch completes no ServedOps — their outcomes
-        were resolved at absorb time — but it is placed on its device's
-        timeline like any launch, so that device's foreground lookups
-        queue behind it for its engines and buffers."""
-        td = self.clock()
-        res = super()._compact_dispatch(lane, kind, rows)
-        self._place(lane, td)
-        return res
 
     # -- offline Dispatch conformance ------------------------------------
 

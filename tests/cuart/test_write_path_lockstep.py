@@ -2,9 +2,10 @@
 
 The batched update / delete / insert-claim kernels take whole-array fast
 paths (one fused linear-probe pass over the conflict table, winner
-scatters, bulk leaf allocation), and the engine's write launch runs a
-batch's update rows then its delete rows as two stages of one kernel.
-These tests pin them against the per-key scalar oracle: the same stream
+scatters, bulk leaf allocation), and the engine's write launch walks the
+tree once for its lookup, update and delete rows together, then runs
+its update stage and its delete stage.  These tests pin them against the
+per-key scalar oracle and the kernels run one at a time: the same stream
 applied one single-row batch at a time must leave byte-identical device
 buffers, including intra-batch duplicate keys (last-writer-wins by thread
 index), same-key update-then-delete pairs in one write batch, and
@@ -13,15 +14,19 @@ delete-then-insert reuse of free-listed leaf slots.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import repro.host.engine as engine_module
 from repro.art.tree import AdaptiveRadixTree
 from repro.constants import LEAF_TYPE_CODES, NIL_VALUE, NODE_TYPE_CODES
 from repro.cuart.delete import delete_batch
 from repro.cuart.insert import InsertEngine
 from repro.cuart.layout import CuartLayout
 from repro.cuart.lookup import lookup_batch
+from repro.cuart.serialize import save_layout
 from repro.cuart.update import UpdateEngine
 from repro.errors import TransientKernelError
 from repro.host.engine import CuartEngine
@@ -339,6 +344,96 @@ class TestFusedWriteLockstep:
             hits = fused.cache.stats.hits
             assert fused.lookup(looked) == [model.get(k) for k in looked]
             assert fused.cache.stats.hits - hits == len(looked)
+
+    @pytest.mark.parametrize("root_table_depth", [None, 2])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_walk_equals_three_kernels_in_turn(
+        self, seed, root_table_depth, monkeypatch, tmp_path
+    ):
+        """A launch's lookup, update and delete rows walk the tree once,
+        together, keys padded to the widest row.  Against the reference
+        — the lookup, update and delete kernels run one after another,
+        each walking its own rows — the answers, the leaf buffers, the
+        free lists and the saved layout are equal, and the launch issues
+        the same transactions by class; its chain of dependent rounds is
+        the joint walk's plus the two dedup stages'."""
+        rng = np.random.default_rng(seed)
+        keys = random_keys(256, 12, seed=seed)
+        pool = keys + random_keys(32, 12, seed=seed + 999)  # some misses
+        rows = _write_rows(rng, pool, 160)
+        written = list(dict.fromkeys(k for k, _ in rows))
+        lookups = [pool[i] for i in rng.integers(0, len(pool), size=64)]
+        # keys this launch writes, and absent keys narrower and wider
+        # than every write row
+        lookups += (written[:40] + random_keys(8, 5, seed=seed + 1)
+                    + random_keys(8, 16, seed=seed + 2))
+        rng.shuffle(lookups)
+
+        def engine():
+            eng = CuartEngine(batch_size=512, spare=0.5,
+                              root_table_depth=root_table_depth)
+            eng.populate([(k, i + 1) for i, k in enumerate(keys)])
+            eng.map_to_device()
+            return eng
+
+        fused, ref = engine(), engine()
+        walks = []
+
+        def walk_spy(*args, **kwargs):
+            walks.append(lookup_batch(*args, **kwargs))
+            return walks[-1]
+
+        monkeypatch.setattr(engine_module, "lookup_batch", walk_spy)
+        lres, wres = fused.submit("write", rows, lookups=lookups)
+        (walk,) = walks  # one walk for the whole launch
+        log = walk.log
+        assert fused.last_report.batches == 1
+
+        # the reference: three kernels in turn over the same rows
+        rt = ref.root_table
+        upd = [(k, v) for k, v in rows if v is not None]
+        dels = [k for k, v in rows if v is None]
+        l_mat, l_lens = keys_to_matrix(lookups)
+        u_mat, u_lens = keys_to_matrix([k for k, _ in upd])
+        d_mat, d_lens = keys_to_matrix(dels)
+        joint = lookup_batch(ref.layout, *keys_to_matrix(
+            lookups + [k for k, _ in rows]), root_table=rt)
+        looked = lookup_batch(ref.layout, l_mat, l_lens, root_table=rt)
+        updater = UpdateEngine(ref.layout, root_table=rt,
+                               hash_slots=ref.hash_slots,
+                               hash_table=ref.hash_table)
+        u_walk = lookup_batch(ref.layout, u_mat, u_lens, root_table=rt)
+        u = updater.apply(u_mat, u_lens,
+                          np.array([v for _, v in upd], dtype=np.uint64))
+        d_walk = lookup_batch(ref.layout, d_mat, d_lens, root_table=rt)
+        d = delete_batch(ref.layout, d_mat, d_lens, root_table=rt,
+                         table=updater.conflict_table())
+
+        assert lres.to_list() == [
+            None if v == np.uint64(NIL_VALUE) else int(v)
+            for v in looked.values]
+        is_del = np.array([v is None for _, v in rows])
+        expect = np.zeros(len(rows), dtype=bool)
+        expect[~is_del] = u.found
+        expect[is_del] = d.deleted
+        assert wres.found_array.tolist() == expect.tolist()
+        _assert_layouts_equal(fused.layout, ref.layout)
+        saved = []
+        for eng in (fused, ref):
+            path = tmp_path / f"layout{len(saved)}.npz"
+            save_layout(eng.layout, path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+        logs = (looked.log, u.log, d.log)
+        assert log.by_class == sum((lg.by_class for lg in logs), Counter())
+        assert log.atomic_ops == sum(lg.atomic_ops for lg in logs)
+        assert log.compute_cycles == sum(lg.compute_cycles for lg in logs)
+        dedup = (u.log.dependent_rounds - u_walk.log.dependent_rounds
+                 + d.log.dependent_rounds - d_walk.log.dependent_rounds)
+        assert dedup > 0
+        assert log.dependent_rounds == joint.log.dependent_rounds + dedup
+        assert log.dependent_rounds < sum(lg.dependent_rounds for lg in logs)
 
     def test_rows_run_in_launch_order_not_row_order(self):
         """Outside the coalescer's contract (an update after a delete of

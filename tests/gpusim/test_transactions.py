@@ -41,20 +41,6 @@ class TestTransactionLog:
         assert log.atomic_ops == 10
         assert log.compute_cycles == 500
 
-    def test_merge(self):
-        a, b = TransactionLog(), TransactionLog()
-        a.begin_round(10)
-        a.record(64, 10)
-        b.begin_round(5)
-        b.record(32, 5)
-        b.record_atomics(3)
-        b.serial_stall_s = 1e-6
-        a.merge(b)
-        assert a.total_transactions == 15
-        assert a.dependent_rounds == 2
-        assert a.atomic_ops == 3
-        assert a.serial_stall_s == 1e-6
-
     def test_summary_keys(self):
         log = TransactionLog()
         log.begin_round(4)

@@ -39,6 +39,21 @@ class TestKeyLevelCoalescing:
         order = [kind for kind, _ in coal.drain()]
         assert order == ["write", "lookup"]
 
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_ready_lookups_are_released_first(self, edge):
+        """A write-first drain releases an independent lookup batch
+        ahead of the write batch, where it can ride the write launch as
+        stage 0; a lookup of a queued write's key keeps its edge."""
+        coal = OpClassCoalescer(64)
+        coal.add("update", "u", ("u", 1))
+        coal.add("delete", "d", ("d", None))
+        coal.add("lookup", "x", "x")
+        if edge:
+            coal.add("lookup", "u", "u")
+        order = [kind for kind, _ in coal.drain()]
+        assert order == (["write", "lookup"] if edge
+                         else ["lookup", "write"])
+
     def test_cycle_forces_key_conflict_flush(self):
         """update k → lookup k → update k: the second update cannot both
         follow the queued lookup and share the queued update's batch."""

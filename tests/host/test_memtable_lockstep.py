@@ -2,9 +2,9 @@
 
 The memtable acks writes host-side in O(1), folds them per key with
 last-writer-wins semantics and merge-compacts sealed segments into the
-device layout, and the batch pipeline launches its queued lookups
-before each install, so a compaction never changes a queued lookup's
-answer.  The lockstep classes are fixed scenarios of the
+device layout, and the batch pipeline hands its queued lookups to each
+install's write launch as stage 0, so a compaction never changes a
+queued lookup's answer.  The lockstep classes are fixed scenarios of the
 serving-contract machine (:mod:`tests.integration.
 test_serving_contract`, memtable ``segment_ops=4, max_debt=1``, so
 compactions race mid-stream), which checks every answer against a dict
@@ -107,8 +107,9 @@ class TestMemtableLockstep:
 
 
 class TestCompactionBarrier:
-    """A compaction launches the queued lookups first: each reads the
-    state before the install, by launch order, as a serial run does."""
+    """A compaction's write launch carries the queued lookups as its
+    stage 0: each reads the state before the install, as a serial run
+    does."""
 
     @pytest.mark.parametrize("door", ["executor", "server-core"])
     def test_queued_lookup_launches_before_the_install(self, door):
@@ -137,8 +138,8 @@ class TestCompactionBarrier:
         # the lookup reads the value from before the writes …
         assert results == _scalar_oracle(_engine(keys), stream) == [6]
         assert eng.lookup([k]) == [702]
-        # … because its launch precedes the compaction's write launch
-        assert [ev.op for ev in events] == ["lookup", "write"]
+        # … because it rides the compaction's write launch as stage 0
+        assert [ev.op for ev in events] == ["write"]
         assert report.compactions == 1
         assert report.batches_by_op == {"lookup": 1, "compact-write": 1}
         assert report.flush_reasons["drain"] == 1
@@ -210,10 +211,10 @@ class TestShardedMemtable:
 
     def test_sharded_server_core_makes_no_direct_lookups(self, monkeypatch):
         """Compactions race the queued lookups on a 2-shard server: the
-        lookups launch first, so nothing reads a key's pre-install
-        value with a direct ``ShardedEngine.lookup`` outside the
-        scheduled launches; the one direct lookup is the teardown's
-        check of the whole key pool."""
+        lookups ride the install's launch as stage 0, so nothing reads
+        a key's pre-install value with a direct ``ShardedEngine.lookup``
+        outside the scheduled launches; the one direct lookup is the
+        teardown's check of the whole key pool."""
         from repro.host.sharding import ShardedEngine
 
         direct = []

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ReproError
 from repro.host.engine import CuartEngine
 from repro.host.mixed import MixedReport, MixedWorkloadExecutor
+from repro.serve.core import ServerCore, VirtualClock
 from repro.workloads import QueryMix, mixed_queries, random_keys
 
 
@@ -133,8 +134,8 @@ def _events(stats):
 
 class TestLaunchAccounting:
     """Class batches versus device launches: a flush group's lookup
-    batch and the write batch right after it share one launch, every
-    other class batch keeps a launch of its own."""
+    batch and the write batch released right after it share one launch,
+    every other class batch keeps a launch of its own."""
 
     @staticmethod
     def _twin(keys):
@@ -179,3 +180,27 @@ class TestLaunchAccounting:
         twin = self._twin(keys)
         twin.submit(kind, payloads)
         assert _events(ex.last_overlap_stats) == _events(twin.drain())
+
+    @pytest.mark.parametrize("door", ["executor", "server-core"])
+    def test_write_first_group_is_one_launch(self, engine, door):
+        """``[update a, lookup b]``: the drain releases the independent
+        lookup batch first, so it rides the write launch, on both doors,
+        with the serial answers."""
+        eng, keys = engine
+        a, b = keys[3], keys[4]
+        stream = [("update", (a, 700)), ("lookup", b)]
+        if door == "executor":
+            ex = MixedWorkloadExecutor(eng)
+            results, report = ex.run(stream)
+            stats = ex.last_overlap_stats
+        else:
+            core = ServerCore(eng, clock=VirtualClock())
+            results, report = core.run(stream)
+            stats = core.overlap
+        assert results == [4]
+        assert eng.lookup([a, b]) == [700, 4]
+        assert report.batches_by_op == {"lookup": 1, "write": 1}
+        assert report.stream_overlap["batches"] == 1
+        twin = self._twin(keys)
+        twin.submit("write", [(a, 700)], lookups=[b])
+        assert _events(stats) == _events(twin.drain())

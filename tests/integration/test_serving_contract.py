@@ -25,6 +25,7 @@ new serving rule gets a rule or an invariant here.
 from __future__ import annotations
 
 import tempfile
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,41 @@ class ServingContract(RuleBasedStateMachine):
         self.irregular = set()
         self.windows_checked = 0
         self.forced = False
+        #: how often each labelled outcome of the fused-launch rule
+        #: fired.
+        self.seen = {}
+        self._watch_fused_launches()
         self._remember_lanes()
+
+    def saw(self, label: str) -> None:
+        self.seen[label] = self.seen.get(label, 0) + 1
+        note(label)
+
+    def _watch_fused_launches(self):
+        """Label the launches lookups ride: a compaction's write launch
+        (the lane's queued lookups, stage 0 before the install) and a
+        flush group's write launch whose write batch arrived first (the
+        coalescer releases a ready lookup batch first)."""
+        core = self.core
+        route, dispatch = core._route, core._dispatch
+        #: routed op -> its arrival index
+        arrival = {}
+        order = count()
+
+        def routed(kind, key, value, entry):
+            arrival[id(entry)] = next(order)
+            return route(kind, key, value, entry)
+
+        def watched(lane, kind, entries, lookups=None, compaction=False):
+            if lookups is not None:
+                if compaction:
+                    self.saw("compaction carried lookups")
+                elif (min(arrival[id(op)] for op in entries)
+                      < min(arrival[id(op)] for op in lookups)):
+                    self.saw("lookups released ahead of a write")
+            return dispatch(lane, kind, entries, lookups, compaction)
+
+        core._route, core._dispatch = routed, watched
 
     # -- ops ---------------------------------------------------------------
 
@@ -275,6 +310,15 @@ class ServingContract(RuleBasedStateMachine):
                      "lookup", "delete", "lookup"):
             self.offer(kind, key if kind in ("lookup", "delete")
                        else (key, self.fresh()))
+
+    @rule(a=keys, b=keys)
+    def read_beside_write(self, a, b):
+        """An update of a, a lookup of b, then a scan of b, whose barrier
+        flushes one group: its lookup batch, released first, rides the
+        write launch (or, with the memtable on, the compaction's)."""
+        self.offer("update", (a, self.fresh()))
+        self.offer("lookup", b)
+        self.scan(b, b)
 
     @rule(dt=st.sampled_from([10.0, 150.0, 1_000.0]))
     def tick(self, dt):
@@ -479,3 +523,26 @@ def test_churn_on_one_n48_root_keeps_both_keys():
     """A delete-cleared N48 root slot and a new first byte in one insert
     batch, through the pipeline."""
     drive(("churn", PRESENT[3], ABSENT[0]), ("lookup", ABSENT[0]))
+
+
+@pytest.mark.parametrize("devices", [1, 4])
+def test_queued_lookups_ride_a_debt_compaction(devices):
+    """Lookups queued on a lane ride its debt-triggered compaction's
+    write launch as stage 0, and read the state before the install,
+    with the cache on and faults injected."""
+    steps = [("lookup", k) for k in PRESENT[:8]]
+    # two passes over the other keys seal two segments on every lane
+    steps += [("update", k) for k in PRESENT[8:]] * 2
+    m = drive(*steps, devices=devices, memtable=True, cache=64, faults=True)
+    lanes = m.core.lanes
+    # each lane's lookups, queued before any write, rode its first
+    # compaction, which its debt triggered (the teardown's is its last)
+    assert all(lane.memtable.compactions > 1 for lane in lanes)
+    assert m.seen == {"compaction carried lookups": len(lanes)}
+
+
+def test_lookups_released_ahead_of_a_write():
+    """``[update a, lookup b]``: the flush releases the independent
+    lookup batch first, so it rides the write launch."""
+    m = drive(("read_beside_write", PRESENT[0], PRESENT[1]))
+    assert m.seen == {"lookups released ahead of a write": 1}

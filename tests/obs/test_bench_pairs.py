@@ -77,6 +77,22 @@ class TestSummarize:
         assert row["wins"] == 5
         assert not row["beyond_iqr"]
 
+    def test_paired_deltas_read_a_shift_the_seed_spread_hides(self):
+        """+2% at every pair over a ±10% spread between seeds: every
+        pair won, inside the parent's quartiles, +2% in every pair."""
+        parent = [9.0, 9.5, 10.0, 10.5, 11.0]
+        recs = []
+        for i, p in enumerate(parent, start=1):
+            recs += [_rec(i, "parent", 1.0, p),
+                     _rec(i, "change", 1.0, p * 1.02)]
+        summary = bp.summarize(recs, SPEC)
+        row = _row(summary, "sim_mops")
+        assert (row["wins"], row["pairs"]) == (5, 5)
+        assert not row["beyond_iqr"]
+        assert (row["pair_delta_min"], row["pair_delta_max"]) == \
+            pytest.approx((2.0, 2.0))
+        assert "[+2.00%, +2.00%]" in bp.render(summary, "w")
+
     def test_unpaired_run_is_left_out(self):
         recs = _records([1.0, 1.0], [0.5, 0.5]) + [_rec(3, "parent", 9.0, 5.0)]
         row = _row(bp.summarize(recs, SPEC), "setup_s")
