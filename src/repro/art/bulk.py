@@ -15,12 +15,16 @@ a handful of NumPy operations — Python-object cost is paid only once per
 actually-created node.  The result is byte-for-byte the same logical
 tree the incremental path produces (property-tested).
 
-As a by-product the sweep emits a :class:`BulkPlan` — a structural
-snapshot of the freshly built tree as parallel arrays.  The device
-mapper (:class:`repro.cuart.layout.CuartLayout`) consumes a still-fresh
-plan to fill its SoA buffers with batched array writes instead of
-walking the tree node by node; the plan is tied to the exact tree
-version it describes, so any later mutation silently disables it.
+The sweep emits a :class:`BulkPlan` — the tree's structure as parallel
+arrays.  The device mapper (:class:`repro.cuart.layout.CuartLayout`)
+consumes a still-fresh plan to fill its SoA buffers with batched array
+writes instead of walking the tree node by node; the plan is tied to the
+exact tree version it describes, so any later mutation silently disables
+it.  :func:`bulk_load` validates the keys and builds the plan only: the
+pointer nodes are built by :func:`build_pointer_tree` on the first read
+of :attr:`AdaptiveRadixTree.root`, so an engine that maps, looks up on
+the device and lists its content (:meth:`AdaptiveRadixTree.items` reads
+the sorted input) never allocates them.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ def bulk_load(
 ) -> AdaptiveRadixTree:
     """Build a tree from ``keys`` (will be sorted; must be distinct and
     prefix-free).  ``values`` default to each key's position in the
-    *given* order.
+    *given* order.  Bad keys or values raise here; the pointer nodes
+    wait for the first read of the tree's ``root``.
 
     >>> t = bulk_load([b"beta", b"alpha"])
     >>> t.search(b"alpha")
@@ -123,28 +128,9 @@ def bulk_load(
     smat = mat[order]
     slens = lens[order]
     svals = vals[order]
-    order_l = order.tolist()
-    skeys = list(map(keys_list.__getitem__, order_l))
+    skeys = list(map(keys_list.__getitem__, order.tolist()))
     _validate_sorted(smat, slens, skeys)
     levels = _sweep_levels(smat, m)
-
-    # The build allocates an acyclic tree whose every object survives, so
-    # a cyclic-collector pass here can free nothing and each full pass
-    # only re-walks the growing tree: pause the collector for the build
-    # (the idiom of Mercurial's ``util.nogc``) and restore the caller's
-    # setting, even when the build raises.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        leaf_objs = np.fromiter(
-            map(Leaf, skeys, svals.tolist()), dtype=object, count=m
-        )
-        tree.root = (
-            _build_nodes(levels, leaf_objs, skeys) if levels else leaf_objs[0]
-        )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
     tree._size = m
     tree._version += 1
@@ -155,7 +141,33 @@ def bulk_load(
         values=svals,
         levels=levels,
     )
+    tree._unbuilt = (levels, skeys, svals)
     return tree
+
+
+def build_pointer_tree(levels: list[PlanLevel], skeys: list, svals):
+    """Build the pointer nodes of a bulk load — one :class:`Leaf` per
+    sorted key and the inner nodes its ``levels`` describe — and return
+    the root.  :attr:`AdaptiveRadixTree.root` calls it on its first read.
+
+    The build allocates an acyclic tree whose every object survives, so
+    a cyclic-collector pass here can free nothing and each full pass
+    only re-walks the growing tree: pause the collector for the build
+    (the idiom of Mercurial's ``util.nogc``) and restore the caller's
+    setting, even when the build raises.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        leaf_objs = np.fromiter(
+            map(Leaf, skeys, svals.tolist()), dtype=object, count=len(skeys)
+        )
+        if not levels:  # a one-key load: the leaf is the root
+            return leaf_objs[0]
+        return _build_nodes(levels, leaf_objs, skeys)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _checked_values(values_list: list) -> np.ndarray:

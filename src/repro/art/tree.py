@@ -6,7 +6,12 @@ compressed prefix is kept on every inner node) and adaptive node resizing.
 
 The tree is the *source of truth* of the reproduction pipeline: the GRT
 and CuART device layouts are built by mapping a populated tree (paper
-section 4.1, stage 2).
+section 4.1, stage 2).  A bulk-loaded tree holds its content as a sorted
+plan first (:class:`repro.art.bulk.BulkPlan`), from which the CuART
+mapper fills the device buffers and :meth:`AdaptiveRadixTree.items`
+lists the pairs; its pointer nodes are built on the first read of
+:attr:`AdaptiveRadixTree.root`, which every search, mutation, scan and
+statistics walk makes.
 """
 
 from __future__ import annotations
@@ -35,10 +40,14 @@ class AdaptiveRadixTree:
     1
     """
 
-    __slots__ = ("root", "_size", "_version", "_bulk_plan")
+    __slots__ = ("_root", "_unbuilt", "_size", "_version", "_bulk_plan")
 
     def __init__(self) -> None:
-        self.root: Optional[Child] = None
+        self._root: Optional[Child] = None
+        #: what :func:`repro.art.bulk.build_pointer_tree` needs to build a
+        #: bulk load's pointer nodes, ``(levels, sorted keys, sorted
+        #: values)``, until the first read of :attr:`root`; then None.
+        self._unbuilt: Optional[tuple] = None
         self._size = 0
         #: bumped on every mutation; device layouts snapshot it to detect
         #: staleness (:class:`repro.errors.StaleLayoutError`).
@@ -47,6 +56,24 @@ class AdaptiveRadixTree:
         #: (a ``BulkPlan``); consumed by the device mapper while fresh,
         #: dropped on the first mutation.
         self._bulk_plan = None
+
+    @property
+    def root(self) -> Optional[Child]:
+        """The root node.  A bulk-loaded tree builds its pointer nodes on
+        the first read (:func:`repro.art.bulk.build_pointer_tree`); a
+        build that raises leaves the tree unbuilt, and the next read
+        retries."""
+        if self._unbuilt is not None:
+            from repro.art.bulk import build_pointer_tree
+
+            self._root = build_pointer_tree(*self._unbuilt)
+            self._unbuilt = None  # releases the sorted key list
+        return self._root
+
+    @root.setter
+    def root(self, node: Optional[Child]) -> None:
+        self._root = node
+        self._unbuilt = None
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -240,7 +267,12 @@ class AdaptiveRadixTree:
     # ordered access (implemented in iterate.py, re-exported here)
     # ------------------------------------------------------------------
     def items(self) -> Iterator[tuple[bytes, int]]:
-        """All ``(key, value)`` pairs in lexicographic key order."""
+        """All ``(key, value)`` pairs in lexicographic key order.  An
+        unbuilt bulk load lists its sorted input without building the
+        pointer tree."""
+        if self._unbuilt is not None:
+            _, keys, values = self._unbuilt
+            return zip(keys, values.tolist())
         from repro.art.iterate import iter_items
 
         return iter_items(self)

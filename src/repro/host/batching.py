@@ -8,6 +8,7 @@ optimal load on the GPUs."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -255,28 +256,27 @@ class OpClassCoalescer:
         return seen
 
     def _closure_in_order(self, kinds) -> list[str]:
-        """Topologically order a predecessor-closed class set: a ready
-        lookup batch goes first, other ties break by first-arrival order
-        (the DAG has at most a handful of nodes, and this only runs on
-        flush events).  Lookups first puts an independent lookup batch
-        directly before the write batch it can ride as stage 0 (see
-        :meth:`repro.host.engine.CuartEngine.submit`)."""
-        member = sorted((k for k in self._order if k in kinds),
+        """Topologically order a predecessor-closed class set.  An order
+        that puts the lookup batch directly before the write batch wins
+        whenever the ordering edges allow one: that pair is one device
+        launch, the lookups riding the write launch as stage 0 (see
+        :meth:`repro.host.engine.CuartEngine.submit`).  Remaining ties
+        go to a ready lookup batch first, then to first arrival (the
+        earliest order in that ranking).  There are at most three
+        classes (lookup, write, insert), and this only runs on flush
+        events."""
+        ranked = sorted((k for k in self._order if k in kinds),
                         key=lambda k: k != "lookup")
-        out: list[str] = []
-        placed: set = set()
-        while member:
-            for k in member:
-                if all(p in placed or p not in kinds
-                       for p in self._preds.get(k, ())):
-                    out.append(k)
-                    placed.add(k)
-                    member.remove(k)
-                    break
-            else:  # pragma: no cover - the graph is acyclic by construction
-                out.extend(member)
-                break
-        return out
+        preds = self._preds
+        orders = [
+            order for order in permutations(ranked)
+            if all(p in order[:i] or p not in kinds
+                   for i, k in enumerate(order) for p in preds.get(k, ()))
+        ]
+        for order in orders:
+            if ("lookup", "write") in zip(order, order[1:]):
+                return list(order)
+        return list(orders[0])
 
     def pending_kinds(self) -> tuple:
         """Op classes with a non-empty queue, in first-arrival order."""
@@ -410,9 +410,9 @@ class OpClassCoalescer:
         return tuple(out)
 
     def drain(self) -> list[tuple[str, list]]:
-        """Flush every queue in dependency order (a ready lookup batch
-        first, other ties by first-arrival class order), clearing all
-        pending-key and edge state."""
+        """Flush every queue in dependency order (the order of
+        :meth:`_closure_in_order`), clearing all pending-key and edge
+        state."""
         out: list[tuple[str, list]] = []
         for k in self._closure_in_order(set(self._order)):
             q = self._pop_queue(k)

@@ -22,9 +22,9 @@ compaction's write launch as its stage 0: a lookup queued before a
 compaction reads the pre-install state, as a serial run does.  Each
 flushed batch is submitted to the engine's double-buffered stream
 pipeline — a lookup batch that a flush group releases directly before a
-write batch (the coalescer releases ready lookups first) rides that
-batch's launch as its stage 0, so the pair costs one launch — and
-its outcomes tallied into a
+write batch (the coalescer's release order puts it there whenever the
+dependency edges allow) rides that batch's launch as its stage 0, so
+the pair costs one launch — and its outcomes tallied into a
 :class:`MixedReport`: hit/miss counts straight from
 :attr:`repro.host.results.BatchResult.found_array`, per-op
 :class:`~repro.host.results.OpStatus` codes in

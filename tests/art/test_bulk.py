@@ -74,15 +74,21 @@ class TestBulkLoad:
         from repro.cuart.layout import CuartLayout
 
         keys = random_keys(800, 8, seed=152)
-        bulk = CuartLayout(bulk_load(keys))
+        walked = bulk_load(keys)
+        # an insert of an equal value drops the plan and keeps the tree,
+        # so this map walks the pointer tree the first read of root builds
+        walked.insert(keys[0], 0)
         incr = CuartLayout(make_tree((k, i) for i, k in enumerate(keys)))
-        # identical structure -> identical buffers
-        for code in (1, 2, 3, 4):
-            assert bulk.node_count(code) == incr.node_count(code)
-            assert (bulk.nodes[code].children == incr.nodes[code].children).all()
-        for code in (5, 6, 7):
-            assert (bulk.leaves[code].keys == incr.leaves[code].keys).all()
-            assert (bulk.leaves[code].values == incr.leaves[code].values).all()
+        # identical structure -> identical buffers, from the plan or the walk
+        for bulk in (CuartLayout(bulk_load(keys)), CuartLayout(walked)):
+            for code in (1, 2, 3, 4):
+                assert bulk.node_count(code) == incr.node_count(code)
+                assert (bulk.nodes[code].children
+                        == incr.nodes[code].children).all()
+            for code in (5, 6, 7):
+                assert (bulk.leaves[code].keys == incr.leaves[code].keys).all()
+                assert (bulk.leaves[code].values
+                        == incr.leaves[code].values).all()
 
 
 @pytest.fixture
@@ -95,8 +101,9 @@ def restore_collector():
 
 @pytest.mark.usefixtures("restore_collector")
 class TestCollectorPause:
-    """The build pauses the cyclic collector (its tree is acyclic and
-    every object survives) and always hands the caller's setting back."""
+    """The build — the first read of a bulk load's ``root`` — pauses the
+    cyclic collector (its tree is acyclic and every object survives) and
+    always hands the caller's setting back."""
 
     def test_build_makes_at_most_two_passes(self):
         keys = random_keys(20_000, 8, seed=153)
@@ -110,7 +117,7 @@ class TestCollectorPause:
         gc.enable()
         gc.callbacks.append(count)
         try:
-            bulk_load(keys, values)
+            bulk_load(keys, values).root
         finally:
             gc.callbacks.remove(count)
         assert len(passes) <= 2, passes
@@ -118,7 +125,7 @@ class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     def test_caller_setting_survives(self, enabled):
         (gc.enable if enabled else gc.disable)()
-        bulk_load(random_keys(500, 8, seed=154))
+        bulk_load(random_keys(500, 8, seed=154)).root
         assert gc.isenabled() == enabled
 
     def test_failing_build_restores_collector(self, monkeypatch):
@@ -128,8 +135,9 @@ class TestCollectorPause:
 
         monkeypatch.setattr(bulk_mod, "_build_nodes", boom)
         gc.enable()
+        tree = bulk_load(random_keys(500, 8, seed=156))
         with pytest.raises(RuntimeError, match="build failed"):
-            bulk_load(random_keys(500, 8, seed=156))
+            tree.root
         assert gc.isenabled()
 
 

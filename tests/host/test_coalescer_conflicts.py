@@ -54,6 +54,22 @@ class TestKeyLevelCoalescing:
         assert order == (["write", "lookup"] if edge
                          else ["lookup", "write"])
 
+    @pytest.mark.parametrize("edge, order", [
+        (False, ["lookup", "write", "insert"]),
+        (True, ["insert", "lookup", "write"]),
+    ], ids=["free", "edge"])
+    def test_lookups_released_directly_before_the_write(self, edge, order):
+        """lookup x, insert y, update z (or y): among the drain's
+        topological orders, one with the lookup batch directly before the
+        write batch (one launch) wins over the lookup-first,
+        first-arrival ranking."""
+        coal = OpClassCoalescer(64)
+        coal.add("lookup", "x", "x")
+        coal.add("insert", "y", ("y", 1))
+        key = "y" if edge else "z"
+        coal.add("update", key, (key, 2))
+        assert [kind for kind, _ in coal.drain()] == order
+
     def test_cycle_forces_key_conflict_flush(self):
         """update k → lookup k → update k: the second update cannot both
         follow the queued lookup and share the queued update's batch."""

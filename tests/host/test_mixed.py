@@ -181,6 +181,27 @@ class TestLaunchAccounting:
         twin.submit(kind, payloads)
         assert _events(ex.last_overlap_stats) == _events(twin.drain())
 
+    @pytest.mark.parametrize("edge", [False, True], ids=["free", "edge"])
+    @pytest.mark.parametrize("door", ["executor", "server-core"])
+    def test_insert_group_is_two_launches(self, engine, door, edge):
+        """``[lookup x, insert y, update z]``: the drain releases the
+        lookup batch directly before the write batch, ahead of the insert
+        batch (or, when the update follows the insert of its key, after
+        it), so the group costs two launches, with the serial answers."""
+        eng, keys = engine
+        x, y = keys[3], b"\x00new-key"
+        z = y if edge else keys[4]
+        stream = [("lookup", x), ("insert", (y, 1)), ("update", (z, 700))]
+        if door == "executor":
+            results, report = MixedWorkloadExecutor(eng).run(stream)
+        else:
+            results, report = ServerCore(eng, clock=VirtualClock()).run(
+                stream)
+        assert results == [3]
+        assert eng.lookup([y, z]) == ([700, 700] if edge else [1, 700])
+        assert report.batches_by_op == {"lookup": 1, "insert": 1, "write": 1}
+        assert report.stream_overlap["batches"] == 2
+
     @pytest.mark.parametrize("door", ["executor", "server-core"])
     def test_write_first_group_is_one_launch(self, engine, door):
         """``[update a, lookup b]``: the drain releases the independent
