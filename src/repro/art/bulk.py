@@ -16,21 +16,23 @@ actually-created node.  The result is byte-for-byte the same logical
 tree the incremental path produces (property-tested).
 
 The sweep emits a :class:`BulkPlan` — the tree's structure as parallel
-arrays.  The device mapper (:class:`repro.cuart.layout.CuartLayout`)
-consumes a still-fresh plan to fill its SoA buffers with batched array
-writes instead of walking the tree node by node; the plan is tied to the
-exact tree version it describes, so any later mutation silently disables
-it.  :func:`bulk_load` validates the keys and builds the plan only: the
-pointer nodes are built by :func:`build_pointer_tree` on the first read
-of :attr:`AdaptiveRadixTree.root`, so an engine that maps, looks up on
-the device and lists its content (:meth:`AdaptiveRadixTree.items` reads
-the sorted input) never allocates them.
+arrays — and a plan is the only input of the device mapper
+(:class:`repro.cuart.layout.CuartLayout`), which fills its SoA buffers
+from it with batched array writes.  :func:`tree_plan` hands the mapper
+the bulk load's own plan while no mutation has followed it, and sweeps a
+new one from the tree's sorted items otherwise.  :func:`bulk_load`
+validates the keys and builds the plan only: the pointer nodes are built
+by :func:`build_pointer_tree` on the first read of
+:attr:`AdaptiveRadixTree.root`, so an engine that maps, looks up on the
+device and lists its content (:meth:`AdaptiveRadixTree.items` reads the
+sorted input) never allocates them.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -71,9 +73,10 @@ class PlanLevel:
 class BulkPlan:
     """Structural snapshot emitted by :func:`bulk_load`.
 
-    ``version`` ties the plan to the exact tree state it describes; the
-    device mapper only trusts a plan whose version still matches the
-    tree (any insert/delete after the bulk load invalidates it).
+    ``version`` ties the plan to the exact tree state it describes:
+    :func:`tree_plan` reuses a bulk load's plan only while its version
+    still matches the tree (any insert/delete after the load makes it
+    stale).
     """
 
     version: int
@@ -85,10 +88,6 @@ class BulkPlan:
     @property
     def n(self) -> int:
         return self.lens.size
-
-    @property
-    def max_key_len(self) -> int:
-        return int(self.lens.max()) if self.lens.size else 0
 
 
 def bulk_load(
@@ -143,6 +142,33 @@ def bulk_load(
     )
     tree._unbuilt = (levels, skeys, svals)
     return tree
+
+
+def tree_plan(tree: AdaptiveRadixTree) -> BulkPlan:
+    """The plan of ``tree``'s current content, the device mapper's input.
+
+    A bulk load's own plan serves while no mutation has followed it;
+    otherwise the tree's items are encoded and swept like a bulk load's
+    keys.  A tree lists its keys sorted, distinct and prefix-free, so the
+    sort and the validation are not repeated.  Nothing is cached on the
+    tree.
+    """
+    plan = tree._bulk_plan
+    if plan is not None and plan.version == tree.version:
+        return plan
+    pairs = list(tree.items())
+    keys = list(map(itemgetter(0), pairs))
+    if not set(map(type, keys)) <= {bytes}:
+        # the insert path takes bytearray keys, the batch encoder does not
+        keys = list(map(bytes, keys))
+    mat, lens = encode_key_batch(keys)
+    values = np.fromiter(
+        map(itemgetter(1), pairs), dtype=np.uint64, count=len(pairs)
+    )
+    return BulkPlan(
+        version=tree.version, mat=mat, lens=lens, values=values,
+        levels=_sweep_levels(mat, len(pairs)),
+    )
 
 
 def build_pointer_tree(levels: list[PlanLevel], skeys: list, svals):

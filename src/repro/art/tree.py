@@ -6,12 +6,13 @@ compressed prefix is kept on every inner node) and adaptive node resizing.
 
 The tree is the *source of truth* of the reproduction pipeline: the GRT
 and CuART device layouts are built by mapping a populated tree (paper
-section 4.1, stage 2).  A bulk-loaded tree holds its content as a sorted
-plan first (:class:`repro.art.bulk.BulkPlan`), from which the CuART
-mapper fills the device buffers and :meth:`AdaptiveRadixTree.items`
-lists the pairs; its pointer nodes are built on the first read of
-:attr:`AdaptiveRadixTree.root`, which every search, mutation, scan and
-statistics walk makes.
+section 4.1, stage 2).  The CuART mapper reads only a plan of the tree
+(:class:`repro.art.bulk.BulkPlan`, from :func:`repro.art.bulk.tree_plan`):
+a bulk load's own plan until the first mutation, a plan swept from
+:meth:`AdaptiveRadixTree.items` after it.  A bulk-loaded tree also lists
+its pairs from the plan; its pointer nodes are built on the first read
+of :attr:`AdaptiveRadixTree.root`, which every search, mutation, scan
+and statistics walk makes.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ class AdaptiveRadixTree:
         #: bumped on every mutation; device layouts snapshot it to detect
         #: staleness (:class:`repro.errors.StaleLayoutError`).
         self._version = 0
-        #: structural snapshot left behind by :func:`repro.art.bulk.bulk_load`
-        #: (a ``BulkPlan``); consumed by the device mapper while fresh,
-        #: dropped on the first mutation.
+        #: the ``BulkPlan`` :func:`repro.art.bulk.bulk_load` built;
+        #: :func:`repro.art.bulk.tree_plan` hands it to the device mapper
+        #: until the first mutation drops it.
         self._bulk_plan = None
 
     @property
@@ -184,14 +185,16 @@ class AdaptiveRadixTree:
     def _split_prefix(
         self, node: InnerNode, key: bytes, value: int, depth: int, cpl: int
     ) -> Child:
+        if depth + cpl >= len(key):
+            # raise before the prefix is cut: a rejected key leaves the
+            # tree as it was
+            raise KeyPrefixError(
+                f"key {key!r} is a proper prefix of existing keys"
+            )
         p = node.prefix
         branch = Node4(prefix=p[:cpl])
         node.prefix = p[cpl + 1 :]
         branch.set_child(p[cpl], node)
-        if depth + cpl >= len(key):
-            raise KeyPrefixError(
-                f"key {key!r} is a proper prefix of existing keys"
-            )
         branch.set_child(key[depth + cpl], Leaf(key, value))
         self._size += 1
         return branch

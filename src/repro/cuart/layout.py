@@ -20,9 +20,12 @@ all inner nodes  ``prefix (n, 15) u8`` stored window, ``prefix_len (n,)``
                  ``values (n,) u64`` — *lexicographically ordered*
 ===============  =========================================================
 
-Leaf ordering falls out of the in-order mapping traversal and is what
-makes range queries "trivial because it is only required to transmit both
-the start and the end index within the leaf arrays".
+Every layout is built from a :class:`repro.art.bulk.BulkPlan` of the
+tree (:func:`repro.art.bulk.tree_plan`): the plan's rows are the keys in
+lexicographic order, and each leaf type numbers its rows in that order,
+which is what makes range queries "trivial because it is only required
+to transmit both the start and the end index within the leaf arrays".
+Inner nodes are numbered per type in pre-order.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.art.nodes import InnerNode, Leaf, Node4, Node16, Node48, Node256
-from repro.art.stats import leaf_type_for_key
+from repro.art.bulk import BulkPlan, tree_plan
 from repro.art.tree import AdaptiveRadixTree
 from repro.constants import (
     CUART_MAX_PREFIX,
@@ -52,7 +54,6 @@ from repro.constants import (
     LINK_N256,
     MAX_SHORT_KEY,
     N48_EMPTY_SLOT,
-    NIL_VALUE,
     NODE_TYPE_CODES,
 )
 from repro.errors import KeyTooLongError, StaleLayoutError
@@ -106,15 +107,13 @@ class _DynLeafHeap:
 
     HEADER = 10  # 2-byte length + 8-byte value
 
-    def record_size(self, key_len: int) -> int:
-        return self.HEADER + key_len
-
 
 class CuartLayout:
     """The mapped, device-resident CuART index.
 
     Build once from a populated host tree (pipeline stage 2 of section
-    4.1); afterwards the kernels in :mod:`repro.cuart.lookup`,
+    4.1), always from the tree's :class:`repro.art.bulk.BulkPlan` with
+    whole-array writes; afterwards the kernels in :mod:`repro.cuart.lookup`,
     :mod:`repro.cuart.update` and :mod:`repro.cuart.delete` operate on the
     buffers only.  Non-structural mutations (value updates, lazy
     deletions) happen in place; structural changes require re-mapping —
@@ -174,19 +173,9 @@ class CuartLayout:
         #: growth (registered by RootTable).
         self.attached_tables: list = []
 
-        # a fresh bulk-load plan lets the whole build run as batched
-        # array writes; anything it cannot express (stale plan, long
-        # keys) falls back to the generic per-node traversal
-        plan = getattr(tree, "_bulk_plan", None)
-        limit = single_leaf_size or MAX_SHORT_KEY
-        if plan is None or plan.version != tree.version or plan.n == 0 or (
-            plan.max_key_len > limit
-        ):
-            plan = None
-        if plan is not None:
-            counts = _plan_counts(plan, single_leaf_size)
-        else:
-            counts = _count_nodes(tree, long_keys, single_leaf_size)
+        plan = tree_plan(tree)
+        leaf_types = _leaf_types(plan.lens, single_leaf_size, long_keys)
+        counts = _plan_counts(plan, leaf_types)
         if spare > 0:
             floor = 8
             for c in NODE_TYPE_CODES + LEAF_TYPE_CODES:
@@ -202,14 +191,10 @@ class CuartLayout:
         self.free_nodes: dict[int, list[int]] = {c: [] for c in NODE_TYPE_CODES}
         self._next_node = {c: 0 for c in NODE_TYPE_CODES}
         self._next_leaf = {c: 0 for c in LEAF_TYPE_CODES}
-        self._dyn_cursor = 0
         #: deepest traversal level (node visits) seen while mapping; used
         #: by the range-query transaction accounting.
         self.max_levels = 0
-        if plan is not None:
-            self.root_link = self._build_from_plan(plan)
-        else:
-            self.root_link = self._map(tree)
+        self.root_link = self._build_from_plan(plan, leaf_types)
 
     # ------------------------------------------------------------------
     # construction
@@ -254,94 +239,31 @@ class CuartLayout:
                 values=np.zeros(n, dtype=np.uint64),
             )
         self.dyn = _DynLeafHeap(
-            heap=np.zeros(counts.get("dyn_bytes", 0), dtype=np.uint8)
+            heap=np.zeros(counts["dyn_bytes"], dtype=np.uint8)
         )
 
-    def _map(self, tree: AdaptiveRadixTree) -> int:
-        """In-order fill via an explicit-stack pre-order DFS; returns the
-        packed root link.
+    def _build_from_plan(self, plan: BulkPlan, leaf_types: np.ndarray) -> int:
+        """Fill every buffer from ``plan`` with whole-array writes and
+        return the packed root link; ``leaf_types`` is each sorted row's
+        link type (:func:`_leaf_types`).
 
-        Children are pushed in reverse byte order so pops visit them
-        ascending — leaves land in their buffers lexicographically
-        sorted, exactly like the original recursive mapping, without the
-        Python recursion depth/overhead.
-        """
-        if tree.root is None:
-            return pack_link(LINK_EMPTY, 0)
-        root_link = 0
-        # stack entries carry the parent cell to patch once the child's
-        # link exists: (node, level, parent_code, parent_row, parent_col)
-        # where parent_col is the child slot (N4/16/48) or byte (N256)
-        stack = [(tree.root, 0, -1, 0, 0)]
-        while stack:
-            node, level, pcode, prow, pcol = stack.pop()
-            if level >= self.max_levels:
-                self.max_levels = level + 1
-            if isinstance(node, Leaf):
-                link = self._map_leaf(node)
-            else:
-                code = node.TYPE
-                idx = self._next_node[code]
-                self._next_node[code] += 1
-                buf = self.nodes[code]
-                p = node.prefix
-                stored = p[: self.prefix_window]
-                buf.prefix[idx, : len(stored)] = np.frombuffer(
-                    stored, dtype=np.uint8
-                )
-                buf.prefix_len[idx] = len(p)
-                buf.counts[idx] = node.num_children
-                children = list(node.children_items())
-                if code in (LINK_N4, LINK_N16):
-                    for slot in range(len(children) - 1, -1, -1):
-                        byte, child = children[slot]
-                        buf.keys[idx, slot] = byte
-                        stack.append((child, level + 1, code, idx, slot))
-                elif code == LINK_N48:
-                    for slot in range(len(children) - 1, -1, -1):
-                        byte, child = children[slot]
-                        buf.child_index[idx, byte] = slot
-                        stack.append((child, level + 1, code, idx, slot))
-                else:  # N256: the child array is byte-addressed
-                    for byte, child in reversed(children):
-                        stack.append((child, level + 1, code, idx, byte))
-                link = pack_link(code, idx)
-            if pcode < 0:
-                root_link = link
-            else:
-                self.nodes[pcode].children[prow, pcol] = link
-        return root_link
-
-    def _build_from_plan(self, plan) -> int:
-        """Batched build from a fresh :class:`repro.art.bulk.BulkPlan`.
-
-        Every buffer is filled with whole-array writes: leaves straight
-        from the plan's sorted key matrix (per-type cumulative position =
-        the in-order index, so the leaf buffers come out lexicographically
-        sorted), inner nodes per level and type with fancy-index scatters.
-        Node indices are assigned in pre-order — sorting the groups by
-        ``(lo, depth)`` — so the result is byte-identical to :meth:`_map`
-        on the same tree.
+        Leaves come straight from the plan's sorted key matrix: each leaf
+        type numbers its rows in key order, so the leaf buffers are
+        lexicographically sorted, and so are the host leaves and the
+        dynamic heap's records of long keys.  Inner nodes are filled per
+        level and type with fancy-index scatters, their indices assigned
+        in pre-order by sorting the groups on ``(lo, depth)``.
         """
         mat = plan.mat
         lens = plan.lens
         n = plan.n
         W = mat.shape[1]
+        if n == 0:
+            return pack_link(LINK_EMPTY, 0)
         # -- leaves ----------------------------------------------------
-        if self.single_leaf_size is None:
-            lcode = np.where(
-                lens <= 8,
-                LINK_LEAF8,
-                np.where(lens <= 16, LINK_LEAF16, LINK_LEAF32),
-            ).astype(np.uint8)
-        else:
-            forced = {8: LINK_LEAF8, 16: LINK_LEAF16, 32: LINK_LEAF32}[
-                self.single_leaf_size
-            ]
-            lcode = np.full(n, forced, dtype=np.uint8)
         leaf_idx = np.empty(n, dtype=np.int64)
         for code in LEAF_TYPE_CODES:
-            sel = lcode == code
+            sel = leaf_types == code
             cnt = int(sel.sum())
             leaf_idx[sel] = np.arange(cnt, dtype=np.int64)
             self._next_leaf[code] = cnt
@@ -351,7 +273,30 @@ class CuartLayout:
                 buf.keys[:cnt, :w] = mat[sel, :w]
                 buf.key_lens[:cnt] = lens[sel]
                 buf.values[:cnt] = plan.values[sel]
-        leaf_links = pack_links(lcode, leaf_idx)
+        rows = np.flatnonzero(leaf_types == LINK_HOST)
+        leaf_idx[rows] = np.arange(rows.size)
+        self.host_leaves = [
+            (mat[i, :k].tobytes(), v)
+            for i, k, v in zip(rows.tolist(), lens[rows].tolist(),
+                               plan.values[rows].tolist())
+        ]
+        rows = np.flatnonzero(leaf_types == LINK_DYNLEAF)
+        if rows.size:
+            # records [len u16][value u64][key] back to back, in key order
+            klen = lens[rows]
+            rec = np.hstack([
+                klen.astype("<u2").view(np.uint8).reshape(-1, 2),
+                plan.values[rows].astype("<u8").view(np.uint8).reshape(-1, 8),
+                mat[rows],
+            ])
+            size = _DynLeafHeap.HEADER + klen
+            offs = np.cumsum(size) - size
+            cols = np.arange(rec.shape[1])
+            used = cols < size[:, None]
+            self.dyn.heap[(offs[:, None] + cols)[used]] = rec[used]
+            leaf_idx[rows] = offs
+            self.dyn.offsets = offs.tolist()
+        leaf_links = pack_links(leaf_types, leaf_idx)
         levels = plan.levels
         if not levels:  # single-key tree: the root is that leaf
             self.max_levels = 1
@@ -416,48 +361,6 @@ class CuartLayout:
                     buf.children[prow, cbyte] = clink[csel]
         self.max_levels = len(levels) + 1
         return int(level_links[0][0])
-
-    def _map_leaf(self, leaf: Leaf) -> int:
-        klen = len(leaf.key)
-        limit = self.single_leaf_size or MAX_SHORT_KEY
-        if klen > limit:
-            if self.long_keys is LongKeyStrategy.ERROR:
-                raise KeyTooLongError(
-                    f"key of {klen} bytes exceeds the {MAX_SHORT_KEY}-byte "
-                    "fixed-leaf maximum and long_keys=ERROR "
-                    "(see LongKeyStrategy / repro.host.hybrid)",
-                    key_len=klen, max_len=MAX_SHORT_KEY,
-                    strategy=self.long_keys.name,
-                )
-            if self.long_keys is LongKeyStrategy.HOST_LINK:
-                self.host_leaves.append((leaf.key, leaf.value))
-                return pack_link(LINK_HOST, len(self.host_leaves) - 1)
-            return self._map_dyn_leaf(leaf)
-        code = _classify_leaf(klen, self.single_leaf_size)
-        idx = self._next_leaf[code]
-        self._next_leaf[code] += 1
-        buf = self.leaves[code]
-        buf.keys[idx, :klen] = np.frombuffer(leaf.key, dtype=np.uint8)
-        buf.key_lens[idx] = klen
-        buf.values[idx] = leaf.value
-        return pack_link(code, idx)
-
-    def _map_dyn_leaf(self, leaf: Leaf) -> int:
-        off = self._dyn_cursor
-        rec = self.dyn.record_size(len(leaf.key))
-        heap = self.dyn.heap
-        heap[off : off + 2] = np.frombuffer(
-            len(leaf.key).to_bytes(2, "little"), dtype=np.uint8
-        )
-        heap[off + 2 : off + 10] = np.frombuffer(
-            int(leaf.value).to_bytes(8, "little"), dtype=np.uint8
-        )
-        heap[off + 10 : off + 10 + len(leaf.key)] = np.frombuffer(
-            leaf.key, dtype=np.uint8
-        )
-        self.dyn.offsets.append(off)
-        self._dyn_cursor += rec
-        return pack_link(LINK_DYNLEAF, off)
 
     # ------------------------------------------------------------------
     # bookkeeping / accounting
@@ -686,65 +589,45 @@ class CuartLayout:
         return self.nodes[LINK_N256]
 
 
-def _classify_leaf(key_len: int, single_leaf_size: int | None) -> int:
-    """Leaf type for ``key_len``, honoring the single-leaf ablation."""
-    if single_leaf_size is None:
-        return leaf_type_for_key(key_len)
-    if key_len > single_leaf_size:
-        raise KeyTooLongError(
-            f"key length {key_len} exceeds the forced single leaf size "
-            f"{single_leaf_size}"
-        )
-    return {8: LINK_LEAF8, 16: LINK_LEAF16, 32: LINK_LEAF32}[single_leaf_size]
-
-
-def _count_nodes(
-    tree: AdaptiveRadixTree,
-    long_keys: LongKeyStrategy,
-    single_leaf_size: int | None = None,
-) -> dict:
-    """Pre-pass: how many records of each type the buffers need."""
-    counts: dict = {c: 0 for c in NODE_TYPE_CODES + LEAF_TYPE_CODES}
-    counts["dyn_bytes"] = 0
+def _leaf_types(
+    lens: np.ndarray, single_leaf_size: int | None, long_keys: LongKeyStrategy
+) -> np.ndarray:
+    """Link type of the leaf of every key length in ``lens``: the
+    smallest fixed leaf that holds the key (only the ``single_leaf_size``
+    one when that is set), else the long-key strategy's ``LINK_HOST`` or
+    ``LINK_DYNLEAF``.  Under ``ERROR`` the first long key raises."""
+    fixed = [
+        c for c in LEAF_TYPE_CODES
+        if single_leaf_size in (None, LEAF_CAPACITY[c])
+    ]
     limit = single_leaf_size or MAX_SHORT_KEY
-    stack = [tree.root] if tree.root is not None else []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            klen = len(node.key)
-            if klen > limit:
-                if long_keys is LongKeyStrategy.DYNAMIC:
-                    counts["dyn_bytes"] += _DynLeafHeap.HEADER + klen
-                # HOST_LINK needs no device space; ERROR raises at map time
-                continue
-            counts[_classify_leaf(klen, single_leaf_size)] += 1
-        else:
-            assert isinstance(node, InnerNode)
-            counts[node.TYPE] += 1
-            stack.extend(child for _, child in node.children_items())
-    return counts
+    too_long = lens > limit
+    if long_keys is LongKeyStrategy.ERROR and too_long.any():
+        klen = int(lens[np.argmax(too_long)])
+        raise KeyTooLongError(
+            f"key of {klen} bytes exceeds the {limit}-byte fixed-leaf "
+            "maximum and long_keys=ERROR "
+            "(see LongKeyStrategy / repro.host.hybrid)",
+            key_len=klen, max_len=limit, strategy=long_keys.name,
+        )
+    long_type = (
+        LINK_DYNLEAF if long_keys is LongKeyStrategy.DYNAMIC else LINK_HOST
+    )
+    caps = [LEAF_CAPACITY[c] for c in fixed]
+    return np.array(fixed + [long_type], dtype=np.uint8)[
+        np.searchsorted(caps, lens)
+    ]
 
 
-def _plan_counts(plan, single_leaf_size: int | None) -> dict:
-    """Per-type record counts straight from a bulk plan's arrays (the
-    vectorized equivalent of the :func:`_count_nodes` pre-pass; the plan
-    never carries long keys, so the dyn heap stays empty)."""
-    counts: dict = {c: 0 for c in NODE_TYPE_CODES + LEAF_TYPE_CODES}
-    counts["dyn_bytes"] = 0
+def _plan_counts(plan: BulkPlan, leaf_types: np.ndarray) -> dict:
+    """How many records of each type the buffers need, and the dynamic
+    heap's bytes."""
+    bc = np.bincount(leaf_types, minlength=LINK_DYNLEAF + 1)
     for lv in plan.levels:
-        bc = np.bincount(lv.type_code, minlength=8)
-        for c in NODE_TYPE_CODES:
-            counts[c] += int(bc[c])
-    lens = plan.lens
-    if single_leaf_size is None:
-        counts[LINK_LEAF8] += int((lens <= 8).sum())
-        counts[LINK_LEAF16] += int(((lens > 8) & (lens <= 16)).sum())
-        counts[LINK_LEAF32] += int((lens > 16).sum())
-    else:
-        forced = {8: LINK_LEAF8, 16: LINK_LEAF16, 32: LINK_LEAF32}[
-            single_leaf_size
-        ]
-        counts[forced] += plan.n
+        bc += np.bincount(lv.type_code, minlength=bc.size)
+    counts: dict = {c: int(bc[c]) for c in NODE_TYPE_CODES + LEAF_TYPE_CODES}
+    dyn_lens = plan.lens[leaf_types == LINK_DYNLEAF]
+    counts["dyn_bytes"] = int((_DynLeafHeap.HEADER + dyn_lens).sum())
     return counts
 
 

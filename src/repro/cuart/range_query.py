@@ -58,10 +58,11 @@ def _ordered_keys(
     except for zero-extension ties, where the shorter key sorts first
     (``b"\x00" < b"\x00\x00"`` even though both pad to the same bytes).
 
-    For a freshly mapped layout the buffer is already in order (in-order
-    mapping) and the view is the identity; after device-side inserts the
-    buffer order is broken, the engine invalidates this cache, and the
-    rebuilt view carries the row indirection — range answers stay exact,
+    For a freshly mapped layout the buffer is already in order (each
+    leaf type numbers its rows in key order) and the view is the
+    identity; after device-side inserts the buffer order is broken, the
+    engine invalidates this cache, and the rebuilt view carries the row
+    indirection — range answers stay exact,
     only the paper's contiguous-slice property is weakened to "slice of
     the sorted view".  Deletions blank key bytes but the snapshot keeps
     the mapped bytes, so deleted rows are filtered by their NIL payloads.

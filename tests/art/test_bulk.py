@@ -74,13 +74,15 @@ class TestBulkLoad:
         from repro.cuart.layout import CuartLayout
 
         keys = random_keys(800, 8, seed=152)
-        walked = bulk_load(keys)
+        stale = bulk_load(keys)
         # an insert of an equal value drops the plan and keeps the tree,
-        # so this map walks the pointer tree the first read of root builds
-        walked.insert(keys[0], 0)
+        # so this map sweeps a new plan from the items of the pointer
+        # tree that the first read of root builds
+        stale.insert(keys[0], 0)
         incr = CuartLayout(make_tree((k, i) for i, k in enumerate(keys)))
-        # identical structure -> identical buffers, from the plan or the walk
-        for bulk in (CuartLayout(bulk_load(keys)), CuartLayout(walked)):
+        # identical structure -> identical buffers, from the bulk load's
+        # plan or from the tree's items
+        for bulk in (CuartLayout(bulk_load(keys)), CuartLayout(stale)):
             for code in (1, 2, 3, 4):
                 assert bulk.node_count(code) == incr.node_count(code)
                 assert (bulk.nodes[code].children

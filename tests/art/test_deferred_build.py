@@ -159,9 +159,9 @@ def test_mirror_flush_gets_the_eager_tree():
     assert len(got[0]) == len(KEYS) - 1
 
 
-def test_stale_plan_remap_walks_the_eager_tree(tmp_path):
-    """A mutation drops the plan; the next map walks the pointer tree,
-    which the mutation built first."""
+def test_stale_plan_remap_reads_the_eager_tree(tmp_path):
+    """A mutation drops the plan; the next map sweeps a new plan from
+    the items of the pointer tree, which the mutation built first."""
     extra = b"\xefsharedZZ"
     want = eager()
     tree = bulk_load(KEYS, VALUES)
@@ -170,9 +170,9 @@ def test_stale_plan_remap_walks_the_eager_tree(tmp_path):
         assert build.call_count == 1
     want.insert(extra, 7)
     fresh = bulk_load(KEYS + [extra], VALUES + [7])  # maps from its plan
-    walked = layout_bytes(CuartLayout(tree), tmp_path / "walked.npz")
-    assert walked == layout_bytes(CuartLayout(want), tmp_path / "want.npz")
-    assert walked == layout_bytes(CuartLayout(fresh), tmp_path / "fresh.npz")
+    remapped = layout_bytes(CuartLayout(tree), tmp_path / "remapped.npz")
+    assert remapped == layout_bytes(CuartLayout(want), tmp_path / "want.npz")
+    assert remapped == layout_bytes(CuartLayout(fresh), tmp_path / "fresh.npz")
 
 
 def test_failing_build_leaves_the_tree_unbuilt(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.art.nodes import Leaf, Node4, Node16, Node48, Node256
 from repro.art.tree import AdaptiveRadixTree
+from repro.art.verify import verify_tree
 from repro.errors import KeyEncodingError, KeyPrefixError
 from repro.util.keys import encode_int
 
@@ -122,6 +123,14 @@ class TestPrefixKeyRejection:
         t = make_tree([(b"abcdef", 1), (b"abcxyz", 2)])
         with pytest.raises(KeyPrefixError):
             t.insert(b"abc", 3)
+
+    def test_rejected_key_inside_a_compressed_path_leaves_the_tree(self):
+        t = make_tree([(b"abcX1", 1), (b"abcY1", 2)])
+        with pytest.raises(KeyPrefixError):
+            t.insert(b"ab", 3)
+        assert t.root.prefix == b"abc"
+        assert verify_tree(t) == []
+        assert [t.search(k) for k in (b"abcX1", b"abcY1")] == [1, 2]
 
 
 class TestValidation:

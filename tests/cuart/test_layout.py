@@ -1,11 +1,18 @@
 """Unit tests for the CuART struct-of-arrays mapping."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.art.bulk import bulk_load
+from repro.art.nodes import Leaf
 from repro.art.tree import AdaptiveRadixTree
 from repro.constants import (
     CUART_MAX_PREFIX,
+    LEAF_CAPACITY,
     LEAF_TYPE_CODES,
     LINK_DYNLEAF,
     LINK_EMPTY,
@@ -17,11 +24,13 @@ from repro.constants import (
     LINK_N16,
     LINK_N48,
     LINK_N256,
+    MAX_SHORT_KEY,
+    NODE_TYPE_CODES,
 )
 from repro.cuart.layout import CuartLayout, LongKeyStrategy
-from repro.errors import KeyTooLongError, StaleLayoutError
+from repro.errors import KeyPrefixError, KeyTooLongError, StaleLayoutError
 from repro.util.keys import encode_int
-from repro.util.packing import link_type, unpack_link
+from repro.util.packing import link_type, pack_link, unpack_link
 
 from tests.conftest import make_tree
 
@@ -139,8 +148,10 @@ class TestLongKeyStrategies:
 
     def test_single_leaf_rejects_longer_keys(self):
         t = make_tree([(b"x" * 12, 1)])
-        with pytest.raises(KeyTooLongError):
+        with pytest.raises(KeyTooLongError, match="8-byte") as err:
             CuartLayout(t, single_leaf_size=8)
+        assert err.value.context["key_len"] == 12
+        assert err.value.context["max_len"] == 8
 
     def test_single_leaf_invalid_size(self):
         with pytest.raises(KeyTooLongError):
@@ -219,3 +230,142 @@ class TestPrefixWindow:
         lay15 = CuartLayout(t2, spare=1.0, prefix_window=15)
         res15 = InsertEngine(lay15, hash_slots=256).apply(mat, lens, values)
         assert res15.n_inserted == 1
+
+
+# -- the layout read back from its buffers mirrors the tree it maps -------
+
+def _leaf_type(key_len, single_leaf_size, long_keys):
+    """Expected link type of one leaf: the smallest fixed leaf that holds
+    the key, only the forced one under ``single_leaf_size``, else the
+    long-key strategy's link."""
+    for code in LEAF_TYPE_CODES:
+        cap = LEAF_CAPACITY[code]
+        if single_leaf_size in (None, cap) and key_len <= cap:
+            return code
+    return LINK_DYNLEAF if long_keys is LongKeyStrategy.DYNAMIC else LINK_HOST
+
+
+def assert_mirrors(lay, tree, single_leaf_size, long_keys, prefix_window,
+                   spare):
+    """Walk ``tree`` and ``lay`` together, reading the layout only through
+    ``root_link``, :meth:`CuartLayout.children`, the leaf buffers,
+    ``host_leaves`` and the dynamic heap."""
+    nodes = dict.fromkeys(NODE_TYPE_CODES, 0)
+    leaves = dict.fromkeys(LEAF_TYPE_CODES, 0)
+    host, dyn_offsets, cursor, levels = [], [], 0, 0
+    stack = [] if tree.root is None else [(tree.root, lay.root_link, 1)]
+    if tree.root is None:
+        assert lay.root_link == pack_link(LINK_EMPTY, 0)
+    while stack:
+        node, link, level = stack.pop()
+        levels = max(levels, level)
+        code, idx = unpack_link(link)
+        if isinstance(node, Leaf):
+            key, klen = bytes(node.key), len(node.key)
+            assert code == _leaf_type(klen, single_leaf_size, long_keys)
+            if code == LINK_HOST:
+                assert idx == len(host)
+                host.append((key, node.value))
+            elif code == LINK_DYNLEAF:
+                assert idx == cursor
+                rec = lay.dyn.heap[idx : idx + 10 + klen].tobytes()
+                assert int.from_bytes(rec[:2], "little") == klen
+                assert int.from_bytes(rec[2:10], "little") == node.value
+                assert rec[10:] == key
+                dyn_offsets.append(idx)
+                cursor += 10 + klen
+            else:  # leaves numbered per type in key order
+                assert idx == leaves[code]
+                leaves[code] += 1
+                buf = lay.leaves[code]
+                assert buf.key_lens[idx] == klen
+                assert buf.keys[idx].tobytes() == key.ljust(
+                    LEAF_CAPACITY[code], b"\0")
+                assert buf.values[idx] == node.value
+            continue
+        # inner nodes numbered per type in pre-order
+        assert code == node.TYPE and idx == nodes[code]
+        nodes[code] += 1
+        buf = lay.nodes[code]
+        assert buf.prefix_len[idx] == len(node.prefix)
+        assert buf.prefix[idx].tobytes() == bytes(
+            node.prefix[:prefix_window]).ljust(prefix_window, b"\0")
+        kids = list(node.children_items())
+        links = lay.children(code, idx)
+        assert [b for b, _ in links] == [b for b, _ in kids]
+        for (_, child), (_, clink) in reversed(list(zip(kids, links))):
+            stack.append((child, clink, level + 1))
+    assert lay.max_levels == levels
+    assert lay.host_leaves == host
+    assert lay.dyn.offsets == dyn_offsets
+    assert lay.dyn.heap.size == cursor
+    for code, used in {**nodes, **leaves}.items():
+        extra = max(int(used * spare), 8) if spare > 0 else 0
+        assert lay.node_count(code) == used + extra
+    assert lay._next_node == nodes and lay._next_leaf == leaves
+
+
+_KEY = st.builds(
+    lambda head, tail: (head + tail)[:60],
+    st.sampled_from([b"", b"", b"k", b"shared-prefix-", b"q" * 30]),
+    st.lists(st.sampled_from(b"\x00ab\xff"), min_size=1, max_size=60).map(bytes)
+    | st.binary(min_size=1, max_size=60),
+)
+_OPS = st.just([]) | st.lists(
+    st.tuples(st.just("insert"), _KEY)
+    | st.tuples(st.just("delete"), st.integers(0, 500)),
+    max_size=40,
+)
+_CONFIG = st.tuples(
+    st.sampled_from(LongKeyStrategy),
+    st.sampled_from([None, 8, 16, 32]),
+    st.sampled_from([1, 3, 15]),
+    st.sampled_from([0.0, 0.25]),
+)
+
+
+def _tree(keys, wide, bulk, ops):
+    """``keys`` plus ``wide`` one-byte branches inserted (prefix
+    conflicts skipped), bulk-loaded again when ``bulk``, then mutated by
+    ``ops``; a delete names a key by its position."""
+    keys = keys + [bytes([b, 1]) for b in range(0, 2 * wide, 2)]
+    tree = AdaptiveRadixTree()
+    for i, key in enumerate(keys):
+        with contextlib.suppress(KeyPrefixError):
+            tree.insert(bytearray(key) if i % 7 == 3 else key, i)
+    if bulk:
+        tree = bulk_load([bytes(k) for k, _ in tree.items()],
+                         [v for _, v in tree.items()])
+    for i, (op, arg) in enumerate(ops):
+        if op == "delete" and keys:
+            tree.delete(keys[arg % len(keys)])
+        elif op == "insert":
+            with contextlib.suppress(KeyPrefixError):
+                tree.insert(arg, 1000 + i)
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_KEY, max_size=100), st.sampled_from([0, 3, 10, 30, 60]),
+       st.booleans(), _OPS, _CONFIG)
+@example([], 0, False, [], (LongKeyStrategy.ERROR, None, 15, 0.0))
+@example([b"only"], 0, True, [], (LongKeyStrategy.ERROR, 8, 3, 0.25))
+@example([b"L" * 48], 0, False, [], (LongKeyStrategy.HOST_LINK, None, 15, 0.0))
+@example([b"L" * 48], 0, True, [], (LongKeyStrategy.DYNAMIC, 16, 1, 0.25))
+@example([b"L" * 48], 0, False, [], (LongKeyStrategy.ERROR, None, 15, 0.0))
+@example([b"a", b"b"], 0, True, [("delete", 0), ("delete", 1)],
+         (LongKeyStrategy.ERROR, None, 15, 0.0))
+def test_layout_mirrors_the_tree(keys, wide, bulk, ops, config):
+    long_keys, single_leaf_size, prefix_window, spare = config
+    tree = _tree(keys, wide, bulk, ops)
+    kw = dict(long_keys=long_keys, single_leaf_size=single_leaf_size,
+              prefix_window=prefix_window, spare=spare)
+    limit = single_leaf_size or MAX_SHORT_KEY
+    too_long = [len(k) for k, _ in tree.items() if len(k) > limit]
+    if too_long and long_keys is LongKeyStrategy.ERROR:
+        with pytest.raises(KeyTooLongError) as err:
+            CuartLayout(tree, **kw)
+        assert err.value.context == {
+            "key_len": too_long[0], "max_len": limit, "strategy": "ERROR"}
+        return
+    assert_mirrors(CuartLayout(tree, **kw), tree, **kw)

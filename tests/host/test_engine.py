@@ -103,13 +103,15 @@ class TestCuartEngine:
     def test_remap_after_structural_change(self, workload):
         keys, _ = workload
         eng = build_cuart(keys)
-        eng.populate([(b"\xaa" * 12, 42)])
+        # the insert path stores a bytearray key as given; the re-map
+        # encodes it with the rest
+        eng.populate([(b"\xaa" * 12, 42), (bytearray(b"\xab" * 12), 43)])
         from repro.errors import StaleLayoutError
 
         with pytest.raises(StaleLayoutError):
             eng.lookup([keys[0]])
         eng.map_to_device()
-        assert eng.lookup([b"\xaa" * 12]) == [42]
+        assert eng.lookup([b"\xaa" * 12, b"\xab" * 12]) == [42, 43]
 
 
 class TestGrtEngine:
