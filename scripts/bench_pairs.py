@@ -18,6 +18,10 @@ Usage::
     python scripts/bench_pairs.py ../parent . --workload lookup_uniform \\
         --pairs 10
 
+``--workload`` takes one or more names (and may repeat); without it
+every workload of ``BENCHMARK.json`` runs, one after another, and each
+gets its own table, printed as soon as its pairs finish.
+
 A gain holds when the change wins at least nine tenths of the pairs and
 its median lies beyond the parent's by more than the parent's
 interquartile range (the ``> IQR`` column).  For a simulated metric,
@@ -68,7 +72,7 @@ def run_pairs(parent: str, change: str, workload: str, pairs: int,
         for side in order:
             out = run_once(parent if side == "parent" else change, command,
                            workload, pair, seconds)
-            rec = {"pair": pair, "side": side,
+            rec = {"workload": workload, "pair": pair, "side": side,
                    "attempted": out["attempted"], "failed": out["failed"],
                    "metrics": {k: v["value"]
                                for k, v in out["metrics"].items()}}
@@ -143,13 +147,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="extend", nargs="+",
+                    help="default: every workload of BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     spec = load_spec(args.change)
-    records = run_pairs(args.parent, args.change, args.workload, args.pairs,
-                        spec["run_seconds"], spec["command"])
-    print(render(summarize(records, spec), args.workload))
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    for workload in workloads:
+        records = run_pairs(args.parent, args.change, workload, args.pairs,
+                            spec["run_seconds"], spec["command"])
+        print(render(summarize(records, spec), workload), flush=True)
     return 0
 
 

@@ -23,15 +23,19 @@ the bulk load's own plan while no mutation has followed it, and sweeps a
 new one from the tree's sorted items otherwise.  :func:`bulk_load`
 validates the keys and builds the plan only: the pointer nodes are built
 by :func:`build_pointer_tree` on the first read of
-:attr:`AdaptiveRadixTree.root`, so an engine that maps, looks up on the
-device and lists its content (:meth:`AdaptiveRadixTree.items` reads the
-sorted input) never allocates them.
+:attr:`AdaptiveRadixTree.root`, so an engine that maps, looks up,
+updates and deletes on the device and lists its content never allocates
+them (:meth:`AdaptiveRadixTree.items` and ``search`` read the sorted
+input, and :func:`absorb_writes` patches the plan with the device's
+updates and deletes).
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Sequence
 
@@ -147,21 +151,18 @@ def bulk_load(
 def tree_plan(tree: AdaptiveRadixTree) -> BulkPlan:
     """The plan of ``tree``'s current content, the device mapper's input.
 
-    A bulk load's own plan serves while no mutation has followed it;
-    otherwise the tree's items are encoded and swept like a bulk load's
-    keys.  A tree lists its keys sorted, distinct and prefix-free, so the
-    sort and the validation are not repeated.  Nothing is cached on the
-    tree.
+    A bulk load's own plan serves while its version is the tree's (no
+    insert or delete has followed it; :func:`absorb_writes` moves both
+    together); otherwise the tree's items are encoded and swept like a
+    bulk load's keys.  A tree lists its keys sorted, distinct and
+    prefix-free, so the sort and the validation are not repeated.
+    Nothing is cached on the tree.
     """
     plan = tree._bulk_plan
     if plan is not None and plan.version == tree.version:
         return plan
     pairs = list(tree.items())
-    keys = list(map(itemgetter(0), pairs))
-    if not set(map(type, keys)) <= {bytes}:
-        # the insert path takes bytearray keys, the batch encoder does not
-        keys = list(map(bytes, keys))
-    mat, lens = encode_key_batch(keys)
+    mat, lens = encode_key_batch(list(map(itemgetter(0), pairs)))
     values = np.fromiter(
         map(itemgetter(1), pairs), dtype=np.uint64, count=len(pairs)
     )
@@ -169,6 +170,56 @@ def tree_plan(tree: AdaptiveRadixTree) -> BulkPlan:
         version=tree.version, mat=mat, lens=lens, values=values,
         levels=_sweep_levels(mat, len(pairs)),
     )
+
+
+def absorb_writes(tree: AdaptiveRadixTree, rows: dict) -> bool:
+    """Apply update and delete ``rows`` (``key -> value``, ``None``
+    deletes) to a bulk load whose pointer nodes are still unbuilt, by
+    patching its plan: updated values are written, deleted rows dropped
+    and the levels swept again.  The tree and the plan move to one new
+    version, so :func:`tree_plan` keeps returning the plan and the
+    pointer nodes stay unbuilt.
+
+    Returns False and changes nothing when the tree is built, its plan
+    is stale, or a row updates an absent key (that would be an insert);
+    the caller then applies the rows to the pointer tree.  Deleting an
+    absent key is a no-op, as :meth:`AdaptiveRadixTree.delete` is.
+    """
+    plan = tree._bulk_plan
+    if tree._unbuilt is None or plan is None or plan.version != tree.version:
+        return False
+    _, skeys, _ = tree._unbuilt
+    n = len(skeys)
+    pos = [bisect_left(skeys, k) for k in rows]
+    found = np.array([i < n and skeys[i] == k for i, k in zip(pos, rows)],
+                     dtype=bool)
+    pos = np.array(pos, dtype=np.int64)
+    new = list(rows.values())
+    dels = np.array([v is None for v in new], dtype=bool)
+    if not (found | dels).all():
+        return False
+    upd = np.flatnonzero(~dels)
+    values = plan.values.copy()
+    values[pos[upd]] = _checked_values([new[i] for i in upd.tolist()])
+    mat, lens, levels = plan.mat, plan.lens, plan.levels
+    drop = pos[found & dels]
+    if drop.size:
+        keep = np.ones(n, dtype=bool)
+        keep[drop] = False
+        skeys = list(compress(skeys, keep.tolist()))
+        lens, values = lens[keep], values[keep]
+        # the width a bulk load of the remaining keys would have
+        mat = mat[keep, :int(lens.max(initial=1))]
+        levels = _sweep_levels(mat, len(skeys))
+    tree._version += 1
+    tree._bulk_plan = BulkPlan(version=tree._version, mat=mat, lens=lens,
+                               values=values, levels=levels)
+    tree._size = len(skeys)
+    if skeys:
+        tree._unbuilt = (levels, skeys, values)
+    else:
+        tree.root = None  # nothing left to build
+    return True
 
 
 def build_pointer_tree(levels: list[PlanLevel], skeys: list, svals):

@@ -8,15 +8,18 @@ The tree is the *source of truth* of the reproduction pipeline: the GRT
 and CuART device layouts are built by mapping a populated tree (paper
 section 4.1, stage 2).  The CuART mapper reads only a plan of the tree
 (:class:`repro.art.bulk.BulkPlan`, from :func:`repro.art.bulk.tree_plan`):
-a bulk load's own plan until the first mutation, a plan swept from
-:meth:`AdaptiveRadixTree.items` after it.  A bulk-loaded tree also lists
-its pairs from the plan; its pointer nodes are built on the first read
-of :attr:`AdaptiveRadixTree.root`, which every search, mutation, scan
-and statistics walk makes.
+a bulk load's own plan until the first insert or delete, a plan swept
+from :meth:`AdaptiveRadixTree.items` after it.  A bulk-loaded tree also
+lists its pairs and answers searches from the plan, which
+:func:`repro.art.bulk.absorb_writes` keeps fresh across an engine's
+device updates and deletes; its pointer nodes are built on the first
+read of :attr:`AdaptiveRadixTree.root`, which every insert, delete,
+scan and statistics walk makes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.art.nodes import (
@@ -53,9 +56,10 @@ class AdaptiveRadixTree:
         #: bumped on every mutation; device layouts snapshot it to detect
         #: staleness (:class:`repro.errors.StaleLayoutError`).
         self._version = 0
-        #: the ``BulkPlan`` :func:`repro.art.bulk.bulk_load` built;
+        #: the ``BulkPlan`` :func:`repro.art.bulk.bulk_load` built (and
+        #: :func:`repro.art.bulk.absorb_writes` patched);
         #: :func:`repro.art.bulk.tree_plan` hands it to the device mapper
-        #: until the first mutation drops it.
+        #: until the first insert or delete drops it.
         self._bulk_plan = None
 
     @property
@@ -93,9 +97,15 @@ class AdaptiveRadixTree:
     # search
     # ------------------------------------------------------------------
     def search(self, key: bytes) -> Optional[int]:
-        """Return the value stored for ``key`` or ``None``."""
+        """Return the value stored for ``key`` or ``None``.  An unbuilt
+        bulk load bisects its sorted keys instead of building the
+        pointer tree."""
         self._check_key(key)
-        node = self.root
+        if self._unbuilt is not None:
+            _, keys, values = self._unbuilt
+            i = bisect_left(keys, key)
+            return int(values[i]) if i < len(keys) and keys[i] == key else None
+        node = self._root
         depth = 0
         while node is not None:
             if isinstance(node, Leaf):
@@ -119,10 +129,12 @@ class AdaptiveRadixTree:
 
         Raises :class:`KeyPrefixError` if ``key`` is a proper prefix of an
         existing key or vice versa (use terminated encodings, see
-        :mod:`repro.util.keys`).
+        :mod:`repro.util.keys`).  A ``bytearray`` key is copied, so
+        changing it afterwards leaves the tree as it is.
         """
         self._check_key(key)
         self._check_value(value)
+        key = bytes(key)
         if self._bulk_plan is not None:
             self._bulk_plan = None
         if self.root is None:

@@ -115,8 +115,26 @@ def _bucket_ranks(cb: np.ndarray):
     return order, rank
 
 
+def _merged(old_arr: np.ndarray, old: np.ndarray, at: np.ndarray, new):
+    """``old_arr`` spread over the ``old`` positions of a longer array
+    whose positions ``at`` hold ``new``."""
+    out = np.empty(old.size, dtype=old_arr.dtype)
+    out[old] = old_arr
+    out[at] = new
+    return out
+
+
 class _ConflictTableBase:
-    """State, stats and the atomic-max merge shared by both layouts."""
+    """State, stats and the atomic-max merge shared by both layouts.
+
+    The simulated table has ``slots`` records, but the host keeps only
+    the ones a batch claimed: their slot ids, sorted, with each slot's
+    key and max-priority, then one sentinel record (slot ``slots``, no
+    real slot) that ends every search.  Every other slot is empty, so a
+    read of any slot is one binary search over the claimed records, and
+    the host state is proportional to the distinct keys, not to
+    ``slots``.
+    """
 
     #: layout name, matching :data:`HASH_TABLE_VARIANTS`.
     variant = "base"
@@ -127,23 +145,13 @@ class _ConflictTableBase:
                 f"hash table size must be a power of two, got {slots}"
             )
         self.slots = slots
-        self.keys = np.full(slots, EMPTY_KEY, dtype=np.uint64)
-        self.values = np.full(slots, -1, dtype=np.int64)
         self.log = log
-        self.total_probes = 0
-        self.max_probe = 0
-        self.occupied = 0
-        # device-cost tallies since the last reset, tracked even when no
-        # TransactionLog is attached so engines can export them as
-        # metrics: memory transactions issued, coalesced probe groups
-        # (== transactions for the bucketed layout; one per probe step
-        # for linear), and atomic operations.
-        self.transactions = 0
-        self.probe_groups = 0
-        self.atomics = 0
-        #: slots claimed since the last reset — lets reset() clear only
-        #: what was written instead of memsetting the whole table.
-        self._dirty: list = []
+        self.reset()
+
+    @property
+    def occupied(self) -> int:
+        """Slots claimed since the last reset."""
+        return self._slot.size - 1
 
     @property
     def load_factor(self) -> float:
@@ -153,26 +161,45 @@ class _ConflictTableBase:
         """Clear between batches (the real kernel memsets the table).
 
         Probe statistics restart too, so a reused table reports the same
-        per-batch numbers a freshly constructed one would.  When only a
-        small fraction of the slots was claimed, just those are cleared —
-        a large, lightly loaded table resets in O(occupied) instead of
-        O(slots)."""
-        if sum(a.size for a in self._dirty) < self.slots // 4:
-            for claimed in self._dirty:
-                self.keys[claimed] = EMPTY_KEY
-                self.values[claimed] = -1
-        else:
-            self.keys.fill(EMPTY_KEY)
-            self.values.fill(-1)
-        self._dirty = []
-        self.occupied = 0
+        per-batch numbers a freshly constructed one would.  Dropping the
+        claimed records empties every slot, in O(1)."""
+        self._slot = np.array([self.slots], dtype=np.int64)
+        self._key = np.array([EMPTY_KEY], dtype=np.uint64)
+        self._val = np.array([-1], dtype=np.int64)
         self.total_probes = 0
         self.max_probe = 0
+        # device-cost tallies since the last reset, tracked even when no
+        # TransactionLog is attached so engines can export them as
+        # metrics: memory transactions issued, coalesced probe groups
+        # (== transactions for the bucketed layout; one per probe step
+        # for linear), and atomic operations.
         self.transactions = 0
         self.probe_groups = 0
         self.atomics = 0
 
     # ------------------------------------------------------------------
+    def _keys_at(self, slots: np.ndarray) -> np.ndarray:
+        """The key each of ``slots`` holds, ``EMPTY_KEY`` where none was
+        claimed (any shape)."""
+        pos = self._slot.searchsorted(slots)
+        return np.where(self._slot[pos] == slots, self._key[pos], EMPTY_KEY)
+
+    def _values_at(self, slots: np.ndarray) -> np.ndarray:
+        """The stored maxima of claimed ``slots``."""
+        return self._val[self._slot.searchsorted(slots)]
+
+    def _claim(self, slots: np.ndarray, keys: np.ndarray) -> None:
+        """Record one round's CAS winners: ``slots`` (empty until now, and
+        ascending, as both races find their winners in slot order) hold
+        ``keys``, at priority -1 until the merge.  They are merged into
+        the sorted records by position."""
+        at = self._slot.searchsorted(slots) + np.arange(slots.size)
+        old = np.ones(self._slot.size + slots.size, dtype=bool)
+        old[at] = False
+        self._slot = _merged(self._slot, old, at, slots)
+        self._key = _merged(self._key, old, at, keys)
+        self._val = _merged(self._val, old, at, -1)
+
     def _check_keys(self, keys: np.ndarray) -> None:
         if np.any(keys == EMPTY_KEY):
             raise SimulationError("key 0 is reserved as the empty-slot marker")
@@ -189,14 +216,18 @@ class _ConflictTableBase:
     def _merge_max(
         self, slot_of: np.ndarray, priorities: np.ndarray,
         order: np.ndarray, bounds: np.ndarray,
-    ) -> None:
+    ) -> np.ndarray:
         """Atomic max per distinct key: reduce each key's contenders to
         one candidate, then one vectorized max-merge into the table
         (``slot_of`` is one distinct slot per key, so the fancy
         assignment never collides).  ``order``/``bounds`` come from the
-        :func:`_dedup` pass — sorting by key groups the contenders."""
+        :func:`_dedup` pass — sorting by key groups the contenders.
+        Returns each key's merged maximum."""
         grp_max = np.maximum.reduceat(priorities[order], bounds)
-        self.values[slot_of] = np.maximum(self.values[slot_of], grp_max)
+        pos = self._slot.searchsorted(slot_of)
+        merged = np.maximum(self._val[pos], grp_max)
+        self._val[pos] = merged
+        return merged
 
 
 class AtomicMaxHashTable(_ConflictTableBase):
@@ -262,7 +293,7 @@ class AtomicMaxHashTable(_ConflictTableBase):
         self._charge_insert(keys, probes_per_key, inverse)
 
         # atomic max per distinct key (the __syncthreads() boundary)
-        self._merge_max(slot_of, priorities, order, bounds)
+        maxima = self._merge_max(slot_of, priorities, order, bounds)
 
         # read-back phase: same accounting as lookup — every distinct
         # key re-walks its probe chain once to read the stored max
@@ -273,8 +304,7 @@ class AtomicMaxHashTable(_ConflictTableBase):
             self.log.begin_round(int(keys.size))
             self.log.record(SLOT_BYTES, readback)
             self.log.rounds[-1].distinct_bytes = self.slots * SLOT_BYTES
-        maxima = self.values[slot_of][inverse]
-        return maxima == priorities
+        return maxima[inverse] == priorities
 
     def _probe_distances(
         self, uniq: np.ndarray, slot_of: np.ndarray
@@ -309,53 +339,67 @@ class AtomicMaxHashTable(_ConflictTableBase):
             self.log.record_atomics(atomics)
 
     def _place(self, uniq: np.ndarray) -> np.ndarray:
-        """Claim one slot per distinct key via the linear-probe race."""
+        """Claim one slot per distinct key via the linear-probe race.
+
+        In round ``r`` a key stands on slot ``home + r``.  A key claimed
+        by an earlier call stops at its own slot, and every slot before
+        it on its chain is claimed, so it never contends.  A new key
+        steps past every slot another key holds; on an empty slot the
+        lowest-index contender wins the CAS (a deterministic stand-in
+        for the hardware arbitration) and the others step on.  Claims
+        last until the reset, so a key that meets a claimed slot crosses
+        that whole run of claimed slots unopposed: it jumps to the
+        round in which it reaches the slot after the run, and only the
+        rounds in which some key reaches an unclaimed slot are visited.
+        """
         n = uniq.size
         if n > self.slots - self.occupied:
             raise self._full_error(n)
-        slot_of = np.full(n, -1, dtype=np.int64)
-        pending = np.arange(n)
-        probe = np.zeros(n, dtype=np.uint64)
-        home = self._hash(uniq)
-        for _ in range(self.slots):
-            if pending.size == 0:
-                break
-            cand = ((home[pending] + probe[pending]) & self._mask).astype(np.int64)
-            slot_keys = self.keys[cand]
-            # already claimed by the same key (an earlier insert_max call)
-            same = slot_keys == uniq[pending]
-            # empty slots: the lowest-index contender wins the CAS race
-            # (deterministic stand-in for the hardware arbitration)
-            empty = slot_keys == EMPTY_KEY
-            win = np.zeros(pending.size, dtype=bool)
-            if empty.any():
-                rows = np.nonzero(empty)[0]
+        slot_of = self._own_slots(uniq)
+        pending = np.flatnonzero(slot_of < 0)
+        due_round = np.zeros(n, dtype=np.int64)
+        home = self._hash(uniq).astype(np.int64)
+        mask = self.slots - 1
+        while pending.size:
+            rnd = due_round[pending].min()
+            due = pending[due_round[pending] == rnd]  # ascending contenders
+            cand = (home[due] + rnd) & mask
+            rows = np.flatnonzero(self._keys_at(cand) == EMPTY_KEY)
+            if rows.size:
                 # composite key = slot * m + contender: collision-free,
-                # so the cheaper non-stable sort still ranks contenders
-                # per slot in deterministic lowest-index-first order
-                comp = cand[rows] * np.int64(rows.size) \
-                    + np.arange(rows.size, dtype=np.int64)
-                order = np.argsort(comp)
-                cand_empty = cand[rows][order]
-                first = np.ones(cand_empty.size, dtype=bool)
-                first[1:] = cand_empty[1:] != cand_empty[:-1]
-                winners_local = rows[order][first]
-                win[winners_local] = True
-                claim_slots = cand[winners_local]
-                self.keys[claim_slots] = uniq[pending[winners_local]]
-                self.occupied += winners_local.size
-                self._dirty.append(claim_slots)
-            done = same | win
-            slot_of[pending[done]] = cand[done]
-            probe[pending[~done]] += np.uint64(1)
-            pending = pending[~done]
-        if (slot_of < 0).any():  # pragma: no cover - defensive
-            raise HashTableFullError(
-                "probe cycle exhausted without placement",
-                buffer="hash-table", slots=self.slots,
-                occupied=self.occupied, requested=int(n),
-            )
+                # so the cheaper non-stable sort ranks contenders per
+                # slot lowest-index first
+                order = rows[np.argsort(
+                    cand[rows] * np.int64(rows.size)
+                    + np.arange(rows.size, dtype=np.int64))]
+                first = np.ones(order.size, dtype=bool)
+                first[1:] = cand[order[1:]] != cand[order[:-1]]
+                won = order[first]
+                slot_of[due[won]] = cand[won]
+                self._claim(cand[won], uniq[due[won]])
+            left = slot_of[due] < 0
+            due_round[due[left]] = rnd + self._run_gaps(cand[left])
+            pending = pending[slot_of[pending] < 0]
         return slot_of
+
+    def _own_slots(self, uniq: np.ndarray) -> np.ndarray:
+        """The slot each key holds from an earlier call, else -1."""
+        out = np.full(uniq.size, -1, dtype=np.int64)
+        if self.occupied:
+            by_key = np.argsort(self._key[:-1])
+            skeys = self._key[by_key]
+            i = np.minimum(np.searchsorted(skeys, uniq), skeys.size - 1)
+            hit = skeys[i] == uniq
+            out[hit] = self._slot[by_key[i[hit]]]
+        return out
+
+    def _run_gaps(self, claimed: np.ndarray) -> np.ndarray:
+        """For each claimed slot, the distance to the slot after the run
+        of consecutive claimed slots it is in (a run reaching the last
+        slot ends there; the key then meets slot 0 and jumps again)."""
+        s = self._slot[:-1]
+        run_last = s[np.append(np.flatnonzero(np.diff(s) != 1), s.size - 1)]
+        return run_last[np.searchsorted(run_last, claimed)] + 1 - claimed
 
     # ------------------------------------------------------------------
     def lookup(self, keys: np.ndarray) -> np.ndarray:
@@ -380,11 +424,11 @@ class AtomicMaxHashTable(_ConflictTableBase):
             if pending.size == 0:
                 break
             cand = ((home[pending] + probe[pending]) & self._mask).astype(np.int64)
-            slot_keys = self.keys[cand]
+            slot_keys = self._keys_at(cand)
             hit = slot_keys == uniq[pending]
             miss_end = slot_keys == EMPTY_KEY
             steps[pending] += 1
-            found_val[pending[hit]] = self.values[cand[hit]]
+            found_val[pending[hit]] = self._values_at(cand[hit])
             pending = pending[~(hit | miss_end)]
             probe += np.uint64(1)
         probes_done = int(steps.sum())
@@ -475,7 +519,7 @@ class BucketedAtomicMaxHashTable(_ConflictTableBase):
         self._charge(keys, steps_per_key, inverse, cas=cas)
 
         # atomic max per distinct key (the __syncthreads() boundary)
-        self._merge_max(slot_of, priorities, order, bounds)
+        maxima = self._merge_max(slot_of, priorities, order, bounds)
 
         counts = bucket_probe_groups(
             self._hash(uniq).astype(np.int64),
@@ -488,8 +532,7 @@ class BucketedAtomicMaxHashTable(_ConflictTableBase):
             self.log.begin_round(int(keys.size))
             self.log.record(BUCKET_BYTES, n_groups)
             self.log.rounds[-1].distinct_bytes = self.slots * SLOT_BYTES
-        maxima = self.values[slot_of][inverse]
-        return maxima == priorities
+        return maxima[inverse] == priorities
 
     def _charge(
         self, keys: np.ndarray, steps_per_key: np.ndarray,
@@ -557,9 +600,7 @@ class BucketedAtomicMaxHashTable(_ConflictTableBase):
                 w_rows = order[wins]
                 roff = rank[wins]
                 claim_slots = base[w_rows] + roff
-                self.keys[claim_slots] = uniq[pending[w_rows]]
-                self.occupied += w_rows.size
-                self._dirty.append(claim_slots)
+                self._claim(claim_slots, uniq[pending[w_rows]])
                 cas += pending.size  # every contender saw an empty
                 win = np.zeros(pending.size, dtype=bool)
                 win[w_rows] = True
@@ -567,7 +608,7 @@ class BucketedAtomicMaxHashTable(_ConflictTableBase):
                 probe[pending[~win]] += 1
                 pending = pending[~win]
                 continue
-            rec = self.keys[base[:, None] + self._rec_off]  # (m, 8)
+            rec = self._keys_at(base[:, None] + self._rec_off)  # (m, 8)
             # already claimed by the same key (an earlier insert_max call)
             match = rec == uniq[pending][:, None]
             same = match.any(axis=1)
@@ -593,10 +634,7 @@ class BucketedAtomicMaxHashTable(_ConflictTableBase):
                     csum = np.cumsum(emask, axis=1)
                     pick = emask & (csum == (w_rank + 1)[:, None])
                     roff = pick.argmax(axis=1)
-                    claim_slots = base[w_rows] + roff
-                    self.keys[claim_slots] = uniq[pending[w_rows]]
-                    self.occupied += w_rows.size
-                    self._dirty.append(claim_slots)
+                    self._claim(base[w_rows] + roff, uniq[pending[w_rows]])
                     win[w_rows] = True
                     claim_off[w_rows] = roff
             done = same | win
@@ -637,13 +675,13 @@ class BucketedAtomicMaxHashTable(_ConflictTableBase):
                 break
             cb = (home[pending] + probe[pending]) & bmask
             base = cb * BUCKET_RECORDS
-            rec = self.keys[base[:, None] + self._rec_off]
+            rec = self._keys_at(base[:, None] + self._rec_off)
             steps[pending] += 1
             match = rec == uniq[pending][:, None]
             hit = match.any(axis=1)
             miss_end = (rec == EMPTY_KEY).any(axis=1) & ~hit
             hit_slots = base[hit] + match[hit].argmax(axis=1)
-            found_val[pending[hit]] = self.values[hit_slots]
+            found_val[pending[hit]] = self._values_at(hit_slots)
             probe[pending] += 1
             pending = pending[~(hit | miss_end)]
         self.total_probes += int(steps.sum())

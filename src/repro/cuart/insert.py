@@ -137,7 +137,6 @@ class InsertEngine:
         self.hash_table = hash_table
         self.injector = injector
         # one reusable conflict table; each claim domain below resets it
-        # rather than paying a fresh multi-MiB allocation per domain
         self._table = None
         m = self.metrics = (
             metrics if metrics is not None else MetricsRegistry()

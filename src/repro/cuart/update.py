@@ -141,9 +141,8 @@ class UpdateEngine:
         self.root_table = root_table
         self.hash_slots = hash_slots
         self.hash_table = hash_table
-        # the conflict table is reused (reset) across batches — the real
-        # kernel allocates it once and memsets between launches, and a
-        # fresh multi-MiB allocation per batch dominates small batches
+        # the conflict table is reused (reset) across batches, as the
+        # real kernel allocates it once and memsets between launches
         self._table = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_winners, self._m_losers = write_path_counters(

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.art.bulk import bulk_load
+from repro.art.bulk import absorb_writes, bulk_load
 from repro.art.tree import AdaptiveRadixTree
 from repro.constants import (
     LEAF_TYPE_CODES,
@@ -690,17 +690,21 @@ class CuartEngine(_EngineBase):
         Dict semantics (one surviving value per key, insertion order)
         match the serial mirror exactly: within the overlay the last
         write to a key wins, and cross-key order is irrelevant to the
-        resulting tree content."""
+        resulting tree content.  A bulk load whose pointer nodes are
+        still unbuilt absorbs the rows into its plan
+        (:func:`repro.art.bulk.absorb_writes`) and stays unbuilt; a
+        built tree applies them one key at a time."""
         pending = self._mirror_pending
         if not pending:
             return
         self._mirror_pending = {}
         tree = self._tree
-        for k, v in pending.items():
-            if v is None:
-                tree.delete(k)
-            else:
-                tree.insert(k, v)
+        if not absorb_writes(tree, pending):
+            for k, v in pending.items():
+                if v is None:
+                    tree.delete(k)
+                else:
+                    tree.insert(k, v)
         if self.layout is not None:
             self.layout.mark_synced()
 

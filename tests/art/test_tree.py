@@ -152,6 +152,17 @@ class TestValidation:
         with pytest.raises(KeyEncodingError):
             AdaptiveRadixTree().insert(b"k", -1)
 
+    def test_bytearray_key_changed_after_insert_leaves_the_tree(self):
+        t = AdaptiveRadixTree()
+        k = bytearray(b"abc\x00")
+        t.insert(k, 1)
+        t.insert(b"abd\x00", 2)
+        k[2] = ord("z")
+        assert list(t.items()) == [(b"abc\x00", 1), (b"abd\x00", 2)]
+        assert all(type(key) is bytes for key, _ in t.items())
+        assert t.search(b"abc\x00") == 1 and t.search(b"abd\x00") == 2
+        assert verify_tree(t) == []
+
 
 class TestDelete:
     def test_delete_only_key(self):

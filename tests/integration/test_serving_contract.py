@@ -7,8 +7,9 @@ place hold however the batch pipeline
 sheds, compacts or routes an op.  :class:`ServingContract` is one
 hypothesis state machine over every combination the pipeline serves —
 1, 2 or 4 devices in hash or range mode, memtable off or on, hot-key
-cache off or on, either dedup hash table, faults off or on, a deep or a
-shedding admission queue.  It drives the online door
+cache off or on, either dedup hash table at 8 or 1,024 slots (8 grow
+under a write burst), faults off or on, a deep or a shedding admission
+queue.  It drives the online door
 (:class:`~repro.serve.core.ServerCore` on a
 :class:`~repro.serve.core.VirtualClock`) and checks every answer against
 a dict, not against another run of the engine under test.  At teardown
@@ -82,12 +83,12 @@ def note(label: str) -> None:
 
 
 def build_engine(devices=1, mode="hash", cache=0, hash_table="linear",
-                 faults=False):
+                 hash_slots=1024, faults=False):
     """A populated, mapped engine: a :class:`CuartEngine` on one device
     in hash mode, else a :class:`ShardedEngine` (one device in range
     mode is the one-shard degenerate case)."""
     kwargs = dict(
-        batch_size=16, hash_slots=1024, cache_size=cache,
+        batch_size=16, hash_slots=hash_slots, cache_size=cache,
         hash_table=hash_table, resilience=ResiliencePolicy(),
         faults=FaultConfig.uniform(0.02, seed=7) if faults else None,
     )
@@ -148,10 +149,10 @@ def apply(model: dict, kind: str, payload, hit) -> None:
         del model[payload]
 
 
-def serial_replay(admitted, hash_table: str) -> CuartEngine:
+def serial_replay(admitted, hash_table: str, hash_slots: int) -> CuartEngine:
     """Feed every admitted op alone to a fresh single engine, checking
     each answer against the model's."""
-    eng = build_engine(hash_table=hash_table)
+    eng = build_engine(hash_table=hash_table, hash_slots=hash_slots)
     for kind, payload, want in admitted:
         if kind == "lookup":
             got = eng.lookup([payload])[0]
@@ -177,11 +178,14 @@ class ServingContract(RuleBasedStateMachine):
         hash_table=st.sampled_from(["linear", "bucketed"]),
         faults=st.booleans(),
         shed=st.booleans(),
+        # 8 slots, one bucket: a 16-row batch can fill the table
+        hash_slots=st.sampled_from([8, 1024]),
     )
     def setup(self, devices=1, mode="hash", memtable=False, cache=0,
-              hash_table="linear", faults=False, shed=False):
+              hash_table="linear", hash_slots=1024, faults=False,
+              shed=False):
         self.params = dict(devices=devices, mode=mode, cache=cache,
-                           hash_table=hash_table)
+                           hash_table=hash_table, hash_slots=hash_slots)
         self.memtable = MEMTABLE if memtable else None
         self.engine = build_engine(faults=faults, **self.params)
         self.clock = VirtualClock()
@@ -311,6 +315,14 @@ class ServingContract(RuleBasedStateMachine):
             self.offer(kind, key if kind in ("lookup", "delete")
                        else (key, self.fresh()))
 
+    @rule(start=st.integers(0, len(POOL) - 1))
+    def write_burst(self, start):
+        """Updates of 16 keys in pool order, one batch's worth: on one
+        device, or one range device, with 8 hash slots their write
+        launch overfills the dedup table, and the lane grows it."""
+        for i in range(start, start + 16):
+            self.offer("update", (POOL[i % len(POOL)], self.fresh()))
+
     @rule(a=keys, b=keys)
     def read_beside_write(self, a, b):
         """An update of a, a lookup of b, then a scan of b, whose barrier
@@ -401,11 +413,14 @@ class ServingContract(RuleBasedStateMachine):
             if (self.was_open[i] and not self.forced
                     and not lane.engine.device_health.healthy):
                 assert done == self.lane_compactions[i]
+        self.note_growth()
+        self.forced = False
+        self._remember_lanes()
+
+    def note_growth(self):
         if self.hash_slots != [lane.engine.hash_slots
                                for lane in self.core.lanes]:
             note("hash-grow")
-        self.forced = False
-        self._remember_lanes()
 
     @invariant()
     def windows_reconcile(self):
@@ -435,6 +450,7 @@ class ServingContract(RuleBasedStateMachine):
             return
         core = self.core
         core.flush()
+        self.note_growth()
         self.check_drained()
         self.answers_match_the_model()
         self.windows_reconcile()
@@ -444,7 +460,8 @@ class ServingContract(RuleBasedStateMachine):
         assert content(self.engine) == want
         assert self.engine.lookup(POOL).to_list() == [
             self.model.get(k) for k in POOL]
-        serial = serial_replay(self.admitted, self.params["hash_table"])
+        serial = serial_replay(self.admitted, self.params["hash_table"],
+                               self.params["hash_slots"])
         assert canonical_bytes(serial) == canonical_bytes(self.engine)
         injected = sum(
             lane.engine._injector.total_injected for lane in core.lanes
@@ -546,3 +563,13 @@ def test_lookups_released_ahead_of_a_write():
     lookup batch first, so it rides the write launch."""
     m = drive(("read_beside_write", PRESENT[0], PRESENT[1]))
     assert m.seen == {"lookups released ahead of a write": 1}
+
+
+@pytest.mark.parametrize("hash_table", ["linear", "bucketed"])
+def test_a_write_burst_grows_an_eight_slot_table(hash_table):
+    """16 distinct updates close one batch that overfills 8 dedup slots;
+    the lane grows its table, retries the launch, and the contract
+    holds."""
+    m = drive(("write_burst", 0), ("lookup", PRESENT[3]),
+              hash_table=hash_table, hash_slots=8)
+    assert [lane.engine.hash_slots for lane in m.core.lanes] == [16]

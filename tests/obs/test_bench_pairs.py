@@ -152,3 +152,43 @@ class TestPairOrder:
         assert bp.main(["P", str(_REPO), "--workload", "w", "--pairs", "2"]) == 0
         assert seconds == [spec["run_seconds"]] * 4
         assert "# w" in capsys.readouterr().out
+
+
+class TestWorkloads:
+    @staticmethod
+    def fake(monkeypatch, spec):
+        seen = []
+
+        def fake_run(checkout, command, workload, seed, secs):
+            seen.append(workload)
+            return {"attempted": 1, "failed": 0,
+                    "metrics": {m["name"]: {"value": 1.0}
+                                for m in spec["end_to_end"]}}
+
+        monkeypatch.setattr(bp, "run_once", fake_run)
+        return seen
+
+    @staticmethod
+    def tables(out: str) -> list:
+        return [line for line in out.splitlines() if line.startswith("# ")]
+
+    def test_default_is_every_benchmark_workload(self, monkeypatch, capsys):
+        spec = json.loads((_REPO / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in spec["workloads"]]
+        seen = self.fake(monkeypatch, spec)
+        assert bp.main(["P", str(_REPO), "--pairs", "1"]) == 0
+        assert seen == [n for n in names for _ in bp.SIDES]
+        assert self.tables(capsys.readouterr().out) == [
+            f"# {n}" for n in names]
+
+    def test_several_workloads_get_one_table_each(self, monkeypatch, capsys):
+        spec = json.loads((_REPO / "BENCHMARK.json").read_text())
+        seen = self.fake(monkeypatch, spec)
+        argv = ["P", str(_REPO), "--workload", "a", "b", "--workload", "c",
+                "--pairs", "2"]
+        assert bp.main(argv) == 0
+        assert seen == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+        out = capsys.readouterr()
+        assert self.tables(out.out) == ["# a", "# b", "# c"]
+        records = [json.loads(line) for line in out.err.splitlines()]
+        assert [r["workload"] for r in records] == seen
